@@ -10,7 +10,6 @@ derivative.
 from .asymptotics import (
     SlopeFit,
     StressIntensity,
-    dirichlet_perturbation,
     energy_asymptotic,
     fit_log_slope,
     neumann_perturbation,
@@ -90,7 +89,6 @@ __all__ = [
     "chebyshev_u_values",
     "conormal_derivative",
     "crack_traction_samples",
-    "dirichlet_perturbation",
     "dlp_traction_gradient",
     "dlp_traction_kernel",
     "double_conormal_kernel",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cracks import CrackSegment
-from .forward import BackgroundField, BoundarySolver
+from .forward import BackgroundField
 from .kernels import LameParams
 from .mesh import BoundaryField
 
@@ -43,7 +43,6 @@ __all__ = [
     "stress_intensity",
     "stress_intensity_from_stress",
     "neumann_perturbation",
-    "dirichlet_perturbation",
     "potential_energy_difference",
     "energy_asymptotic",
     "topological_derivative",
@@ -98,22 +97,6 @@ def neumann_perturbation(background: BackgroundField, crack: CrackSegment) -> np
     solver = background.solver
     row = solver.neumann_conormal_row(np.asarray(crack.center), crack.normal)
     t0 = traction_at_crack(background, crack)
-    factor = np.pi * crack.length**2 / (2.0 * solver.mat.E)
-    return factor * np.einsum("ick,k->ic", row, t0)
-
-
-def dirichlet_perturbation(
-    solver: BoundarySolver, crack: CrackSegment, traction_at_center
-) -> np.ndarray:
-    """Leading boundary-traction perturbation of the displacement problem.
-
-    Evaluates (pi eps^2 / 2E) d^2G/dnu_x dnu_y(x_i, z) t0, where t0 is the
-    crack-line traction of the Dirichlet background at the center.  Formula
-    evaluation only: no cracked Dirichlet solve backs it, so tests exercise
-    scaling and symmetry.
-    """
-    row = solver.green_second_conormal_row(np.asarray(crack.center), crack.normal)
-    t0 = np.asarray(traction_at_center, dtype=float)
     factor = np.pi * crack.length**2 / (2.0 * solver.mat.E)
     return factor * np.einsum("ick,k->ic", row, t0)
 

@@ -108,18 +108,6 @@ class ChebyshevUExpansion:
         u = chebyshev_u_values(np.asarray(x, dtype=float), self.n_modes)
         return np.tensordot(u, self.coeffs, axes=([-1], [0]))
 
-    def weighted_value_norm(self) -> float:
-        """L^2 norm of psi against the weight (1-x^2)^(-1/2):
-        sqrt(pi/2 sum |c_n|^2)."""
-        return float(np.sqrt(np.pi / 2.0 * np.sum(self.coeffs**2)))
-
-    def weighted_derivative_norm(self) -> float:
-        """L^2 norm of psi' against the weight (1-x^2)^(+1/2):
-        sqrt(pi/2 sum (n+1)^2 |c_n|^2); finite for every expansion."""
-        n1 = np.arange(1, self.n_modes + 1, dtype=float)
-        sq = np.sum((self.coeffs.T * n1) ** 2)
-        return float(np.sqrt(np.pi / 2.0 * sq))
-
 
 def apply_finite_part_operator(expansion: ChebyshevUExpansion, x) -> np.ndarray:
     """Spectral action of the finite-part operator: sum_n -(n+1) c_n U_n(x)."""

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +87,13 @@ def _check_keys(name: str, section: dict, allowed: set) -> None:
         raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in section '{name}'")
 
 
+def _finite(value) -> bool:
+    """False if any number inside a parsed JSON value is infinite or NaN."""
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -103,6 +110,10 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"unknown config section '{sorted(unknown)[0]}'")
     for name, section in config.items():
         _check_keys(name, section, _SECTIONS[name])
+        # JSON NaN, Infinity and overflowing literals such as 1e400 all parse
+        for key, value in section.items():
+            if not _finite(value):
+                raise ConfigError(f"key '{key}' in section '{name}' must be finite")
     for required in ("material", "geometry", "load"):
         if required not in config:
             raise ConfigError(f"missing config section '{required}'")
@@ -257,7 +268,7 @@ def _angle_direction(angle_degrees: float) -> np.ndarray:
 
 
 class _Workspace:
-    """Mesh, solver, and background shared by every job of one command."""
+    """Mesh, solver, and background shared by every solve of one command."""
 
     def __init__(self, config: dict):
         self.material = _material(config)
@@ -268,7 +279,13 @@ class _Workspace:
         self.g, self.warnings = _load_field(config, self.mesh)
         self.background = self.solver.solve_background(self.g)
 
-    def check_crack_distance(self, center: np.ndarray, lengths: list) -> None:
+    def sweep(self, center: np.ndarray, angle: float, lengths: list) -> list:
+        """Solve one crack per length at a fixed center and angle.
+
+        Returns one record per length: the cracked solution plus every column
+        a command writes.  The stress intensity depends only on the center
+        and direction, so one evaluation serves every length.
+        """
         dist = self.mesh.distance_to(center)
         bad = [v for v in lengths if v >= dist]
         if bad:
@@ -276,49 +293,63 @@ class _Workspace:
                 f"crack length {max(bad):g} is not smaller than the distance "
                 f"{dist:.3g} from the center to the boundary"
             )
+        direction = _angle_direction(angle)
+        cracks = [CrackSegment(tuple(center), tuple(direction), length) for length in lengths]
+        sif = stress_intensity(self.background, cracks[0])
+        records = []
+        for crack in cracks:
+            solution = solve_cracked(
+                self.background,
+                crack,
+                n_modes=self.disc["n_cheb_modes"],
+                quad_points=self.disc["quad_points"],
+                tol=self.disc["tol"],
+                max_iterations=self.disc["max_iterations"],
+            )
+            formula = neumann_perturbation(self.background, crack)
+            diff = potential_energy_difference(
+                self.g, solution.trace_values(), self.background.trace
+            )
+            formula_energy = energy_asymptotic(crack, sif, self.material)
+            records.append({
+                "solution": solution,
+                "eps": crack.length,
+                "K1": sif.k1,
+                "K2": sif.k2,
+                "sup_w": solution.w.sup_norm(),
+                "sup_mismatch": float(np.max(np.abs(solution.w.values - formula))),
+                "energy_diff": diff,
+                "energy_formula": formula_energy,
+                "energy_mismatch": abs(diff - formula_energy),
+            })
+        return records
 
-    def solve_crack(self, center, direction, length) -> dict:
-        crack = CrackSegment(center=tuple(center), direction=tuple(direction), length=length)
-        solution = solve_cracked(
-            self.background,
-            crack,
-            n_modes=self.disc["n_cheb_modes"],
-            quad_points=self.disc["quad_points"],
-            tol=self.disc["tol"],
-            max_iterations=self.disc["max_iterations"],
-        )
-        return {"crack": crack, "solution": solution}
+
+def _write_records(path: Path, records: list, columns: list, precision: int) -> None:
+    _write_csv(path, columns, [[r[c] for c in columns] for r in records], precision)
 
 
-def _run_jobs(jobs, worker, threads: int):
-    if threads <= 1:
-        return [worker(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, jobs))
+def _print_warnings(warnings: list) -> None:
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
 
 
-def _trace_rows(mesh, values) -> list:
-    return [
+def _write_trace(path: Path, field: BoundaryField, precision: int) -> None:
+    mesh, values = field.mesh, field.values
+    rows = [
         (mesh.params[i], mesh.points[i, 0], mesh.points[i, 1], values[i, 0], values[i, 1])
         for i in range(mesh.n)
     ]
+    _write_csv(path, ["node_param", "x", "y", "u1", "u2"], rows, precision)
 
 
-def cmd_solve(config: dict, out_dir: Path, precision: int, threads: int) -> int:
+def cmd_solve(config: dict, out_dir: Path, precision: int) -> int:
     ws = _Workspace(config)
     center, angle, lengths = _crack_section(config)
-    ws.check_crack_distance(center, lengths)
-    direction = _angle_direction(angle)
-
-    results = _run_jobs(lengths, lambda L: ws.solve_crack(center, direction, L), threads)
+    records = ws.sweep(center, angle, lengths)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "trace_u0.csv",
-        ["node_param", "x", "y", "u1", "u2"],
-        _trace_rows(ws.mesh, ws.background.trace.values),
-        precision,
-    )
+    _write_trace(out_dir / "trace_u0.csv", ws.background.trace, precision)
     diagnostics = {
         "n_boundary": ws.mesh.n,
         "tolerance": ws.disc["tol"],
@@ -326,18 +357,12 @@ def cmd_solve(config: dict, out_dir: Path, precision: int, threads: int) -> int:
         "per_length": {},
         "warnings": ws.warnings,
     }
-    for length, result in zip(lengths, results):
-        tag = f"{length:g}"
-        solution = result["solution"]
-        trace = solution.trace_values()
-        _write_csv(
-            out_dir / f"trace_ueps_{tag}.csv",
-            ["node_param", "x", "y", "u1", "u2"],
-            _trace_rows(ws.mesh, trace.values),
-            precision,
-        )
-        eta, _ = gauss_chebyshev_u(ws.disc["n_cheb_modes"])
-        s = 0.5 * length * eta
+    eta, _ = gauss_chebyshev_u(ws.disc["n_cheb_modes"])
+    for record in records:
+        tag = f"{record['eps']:g}"
+        solution = record["solution"]
+        _write_trace(out_dir / f"trace_ueps_{tag}.csv", solution.trace_values(), precision)
+        s = 0.5 * record["eps"] * eta
         opening = solution.opening(s)
         _write_csv(
             out_dir / f"crack_opening_{tag}.csv",
@@ -348,67 +373,39 @@ def cmd_solve(config: dict, out_dir: Path, precision: int, threads: int) -> int:
         diagnostics["per_length"][tag] = {
             "iterations": solution.diagnostics["iterations"],
             "last_update": solution.diagnostics["last_update"],
-            "sup_perturbation": solution.w.sup_norm(),
+            "sup_perturbation": record["sup_w"],
         }
     _write_json(out_dir / "diagnostics.json", diagnostics)
-    for warning in ws.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _print_warnings(ws.warnings)
     return 0
 
 
-def cmd_convergence(config: dict, out_dir: Path, precision: int, threads: int) -> int:
+def cmd_convergence(config: dict, out_dir: Path, precision: int) -> int:
     ws = _Workspace(config)
     center, angle, lengths = _crack_section(config)
     if len(lengths) < 3:
         raise ConfigError("convergence requires at least 3 crack lengths")
-    ws.check_crack_distance(center, lengths)
-    direction = _angle_direction(angle)
-
-    def job(length: float) -> dict:
-        result = ws.solve_crack(center, direction, length)
-        solution = result["solution"]
-        crack = result["crack"]
-        formula = neumann_perturbation(ws.background, crack)
-        sif = stress_intensity(ws.background, crack)
-        diff = potential_energy_difference(
-            ws.g, solution.trace_values(), ws.background.trace
-        )
-        formula_energy = energy_asymptotic(crack, sif, ws.material)
-        return {
-            "eps": length,
-            "sup_w": solution.w.sup_norm(),
-            "sup_mismatch": float(np.max(np.abs(solution.w.values - formula))),
-            "energy_diff": diff,
-            "energy_formula": formula_energy,
-            "energy_mismatch": abs(diff - formula_energy),
-        }
-
-    rows = _run_jobs(lengths, job, threads)
+    records = ws.sweep(center, angle, lengths)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    _write_records(
         out_dir / "convergence.csv",
+        records,
         ["eps", "sup_w", "sup_mismatch", "energy_diff", "energy_formula", "energy_mismatch"],
-        [
-            (r["eps"], r["sup_w"], r["sup_mismatch"], r["energy_diff"],
-             r["energy_formula"], r["energy_mismatch"])
-            for r in rows
-        ],
         precision,
     )
-    eps = np.array([r["eps"] for r in rows])
+    eps = np.array([r["eps"] for r in records])
     floor = 10.0 * ws.disc["tol"]
     slopes = {}
     for key in ("sup_w", "sup_mismatch", "energy_mismatch"):
-        fit = fit_log_slope(eps, np.array([r[key] for r in rows]), noise_floor=floor)
+        fit = fit_log_slope(eps, np.array([r[key] for r in records]), noise_floor=floor)
         slopes[key] = {"slope": fit.slope, "n_points_used": fit.n_points, "note": fit.note}
     _write_json(out_dir / "slopes.json", slopes)
-    for warning in ws.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _print_warnings(ws.warnings)
     return 0
 
 
-def cmd_td_map(config: dict, out_dir: Path, precision: int, threads: int) -> int:
+def cmd_td_map(config: dict, out_dir: Path, precision: int) -> int:
     ws = _Workspace(config)
     section = config.get("td_map", {})
     n_grid = _int(section, "td_map", "n_grid", 8)
@@ -432,7 +429,7 @@ def cmd_td_map(config: dict, out_dir: Path, precision: int, threads: int) -> int
 
     angles = np.arange(n_angles) * (180.0 / n_angles)
 
-    def job(point: np.ndarray) -> list:
+    def point_rows(point: np.ndarray) -> list:
         stress = ws.background.stress(point)[0]
         entries = []
         for angle in angles:
@@ -445,48 +442,31 @@ def cmd_td_map(config: dict, out_dir: Path, precision: int, threads: int) -> int
             for (angle, k1, k2, td) in entries
         ]
 
-    results = _run_jobs(kept, job, threads)
+    rows = [row for point in kept for row in point_rows(point)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [row for block in results for row in block]
     _write_csv(
         out_dir / "td_map.csv",
         ["x", "y", "angle_deg", "K1", "K2", "td", "min_angle_deg"],
         rows,
         precision,
     )
-    for warning in ws.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _print_warnings(ws.warnings)
     return 0
 
 
-def cmd_energy(config: dict, out_dir: Path, precision: int, threads: int) -> int:
+def cmd_energy(config: dict, out_dir: Path, precision: int) -> int:
     ws = _Workspace(config)
     center, angle, lengths = _crack_section(config)
-    ws.check_crack_distance(center, lengths)
-    direction = _angle_direction(angle)
-
-    def job(length: float) -> tuple:
-        result = ws.solve_crack(center, direction, length)
-        solution = result["solution"]
-        crack = result["crack"]
-        sif = stress_intensity(ws.background, crack)
-        diff = potential_energy_difference(
-            ws.g, solution.trace_values(), ws.background.trace
-        )
-        formula = energy_asymptotic(crack, sif, ws.material)
-        return (length, sif.k1, sif.k2, diff, formula, abs(diff - formula))
-
-    rows = _run_jobs(lengths, job, threads)
+    records = ws.sweep(center, angle, lengths)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    _write_records(
         out_dir / "energy.csv",
+        records,
         ["eps", "K1", "K2", "energy_diff", "energy_formula", "energy_mismatch"],
-        rows,
         precision,
     )
-    for warning in ws.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _print_warnings(ws.warnings)
     return 0
 
 
@@ -509,7 +489,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+        p.add_argument("--threads", type=int, default=1, help="accepted; runs are serial")
 
     args = parser.parse_args(argv)
     handlers = {
@@ -521,7 +501,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         out_dir, precision = _output_settings(config, args.out)
-        return handlers[args.command](config, out_dir, precision, max(1, args.threads))
+        return handlers[args.command](config, out_dir, precision)
     except SolveFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

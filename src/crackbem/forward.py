@@ -29,8 +29,7 @@ the bordered system
 whose constraint rows enforce the rigid-motion orthogonality of w and whose
 extra columns absorb the compatibility defect of the right-hand side.  One
 LU factorization serves every right-hand side (background solves, Green
-function columns, crack feedback updates).  The first-kind single-layer
-system gets the same completion.
+function columns, crack feedback updates).
 
 Green-function rows
 -------------------
@@ -46,15 +45,10 @@ from the representation formula plus a rigid correction.
 The trace of the crack-directional conormal x -> dN/dnu_y (x, z) solves the
 boundary system with the double-layer traction kernel as data directly: the
 projector datum drops out of that equation because rigid fields are
-stress-free.  For the Dirichlet Green function G the second conormal row
-d^2 G/dnu_x dnu_y combines the negated hypersingular kernel of the
-free-space part with the traction of the regular part, recovered from its
-Dirichlet trace through the identity S[t] = (-I/2 + K)[d].
+stress-free.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 from scipy.linalg import cholesky, lu_factor, lu_solve, solve_triangular
@@ -64,7 +58,6 @@ from .kernels import (
     LameParams,
     dlp_traction_gradient,
     dlp_traction_kernel,
-    double_conormal_kernel,
     kelvin_gradient,
     kelvin_matrix,
     rigid_motion_basis,
@@ -276,10 +269,7 @@ class BoundarySolver:
     Builds the double- and single-layer Nystrom matrices once, borders them
     with the rigid-motion columns and constraint rows, and exposes the
     solves needed by the background problem, the crack coupling, and the
-    Green-function evaluators.  The factorizations are immutable; the
-    triangular backsolves are serialized behind a lock because threaded
-    BLAS builds are not safe against concurrent callers, so solver methods
-    may be used freely from worker threads.
+    Green-function evaluators.  The factorization is immutable.
     """
 
     def __init__(self, mesh: BoundaryMesh, mat: LameParams):
@@ -294,9 +284,7 @@ class BoundarySolver:
         self._columns = basis.reshape(2 * n, 3)
         self._rows = (mesh.weights[:, None, None] * basis).reshape(2 * n, 3).T
 
-        self._lapack_lock = threading.Lock()
         self._neumann_lu = lu_factor(self._bordered(self.operator))
-        self._single_lu = None
 
         # L2(dsigma)-orthonormal rigid basis: traces for projections, the
         # triangular transform for evaluating the same basis at interior points
@@ -318,13 +306,12 @@ class BoundarySolver:
         out[n2:, :n2] = self._rows
         return out
 
-    def _solve(self, lu, rhs_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _solve(self, rhs_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rhs_flat = np.asarray(rhs_flat, dtype=float)
         single = rhs_flat.ndim == 1
         rhs2 = rhs_flat[:, None] if single else rhs_flat
         ext = np.vstack([rhs2, np.zeros((3, rhs2.shape[1]))])
-        with self._lapack_lock:
-            sol = lu_solve(lu, ext)
+        sol = lu_solve(self._neumann_lu, ext)
         w, mult = sol[:-3], sol[-3:]
         if single:
             return w[:, 0], mult[:, 0]
@@ -350,7 +337,7 @@ class BoundarySolver:
         flat = np.asarray(values, dtype=float).reshape(-1)
         return (self.operator @ flat).reshape(self.mesh.n, 2)
 
-    def solve_neumann(self, rhs: np.ndarray, return_multipliers: bool = False):
+    def solve_neumann(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (-I/2 + K) w = rhs with rigid-motion orthogonality.
 
         rhs may be (n, 2) nodal values, a flat (2n,) vector, or a stack
@@ -359,10 +346,10 @@ class BoundarySolver:
         rhs = np.asarray(rhs, dtype=float)
         nodal = rhs.ndim == 2 and rhs.shape == (self.mesh.n, 2)
         flat = rhs.reshape(-1) if nodal else rhs
-        w, mult = self._solve(self._neumann_lu, flat)
+        w, _ = self._solve(flat)
         if nodal:
             w = w.reshape(self.mesh.n, 2)
-        return (w, mult) if return_multipliers else w
+        return w
 
     def solve_background(self, g: BoundaryField, tol: float = 1e-8) -> BackgroundField:
         """Solve the crack-free traction problem for equilibrated data g."""
@@ -374,7 +361,7 @@ class BoundarySolver:
                 "the problem is unsolvable"
             )
         rhs = self.single_layer @ g.flat()
-        w, _ = self._solve(self._neumann_lu, rhs)
+        w, _ = self._solve(rhs)
         residual = np.max(np.abs(self.operator @ w - rhs))
         if residual > 1e-6 * max(1.0, np.max(np.abs(rhs))):
             raise SolveFailed(f"background solve residual {residual:.3g}")
@@ -415,7 +402,7 @@ class BoundarySolver:
         self._require_interior(z, "source point")
         z = np.asarray(z, dtype=float)
         rhs = self.single_layer @ self._neumann_data(z)
-        regular, _ = self._solve(self._neumann_lu, rhs)
+        regular, _ = self._solve(rhs)
         phi = kelvin_matrix(self.mesh.points - z, self.mat)
         trace = regular - phi.reshape(2 * self.mesh.n, 2)
         return self.rigid_project(trace).reshape(self.mesh.n, 2, 2)
@@ -432,7 +419,7 @@ class BoundarySolver:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         data = self._neumann_data(z)
         rhs = self.single_layer @ data
-        regular, _ = self._solve(self._neumann_lu, rhs)
+        regular, _ = self._solve(rhs)
 
         out = np.empty((points.shape[0], 2, 2))
         for k in range(2):
@@ -460,44 +447,8 @@ class BoundarySolver:
         z = np.asarray(z, dtype=float)
         data = dlp_traction_kernel(self.mesh.points, z, np.asarray(e_perp, float), self.mat)
         rhs = data.reshape(2 * self.mesh.n, 2)
-        w, _ = self._solve(self._neumann_lu, rhs)
+        w, _ = self._solve(rhs)
         return w.reshape(self.mesh.n, 2, 2)
-
-    # -- Dirichlet counterpart --------------------------------------------
-
-    def _single_lu_factors(self):
-        with self._lapack_lock:
-            if self._single_lu is None:
-                self._single_lu = lu_factor(self._bordered(self.single_layer))
-        return self._single_lu
-
-    def traction_from_dirichlet_trace(self, trace: np.ndarray) -> np.ndarray:
-        """Boundary traction of the interior solution with given Dirichlet trace.
-
-        Uses the layer identity S[t] = (-I/2 + K)[d]; accepts nodal values
-        (n, 2) or stacked flat columns (2n, k).
-        """
-        trace = np.asarray(trace, dtype=float)
-        nodal = trace.ndim == 2 and trace.shape == (self.mesh.n, 2)
-        flat = trace.reshape(-1) if nodal else trace
-        rhs = self.operator @ flat
-        t, _ = self._solve(self._single_lu_factors(), rhs)
-        return t.reshape(self.mesh.n, 2) if nodal else t
-
-    def green_second_conormal_row(self, z, e_perp) -> np.ndarray:
-        """Row x -> d^2 G/dnu_x dnu_y (x, z) of the Dirichlet Green function.
-
-        The free-space part contributes the negated hypersingular kernel;
-        the regular part contributes the traction recovered from its
-        Dirichlet trace.  Shape (n, 2, 2).
-        """
-        self._require_interior(z, "source point")
-        z = np.asarray(z, dtype=float)
-        e_perp = np.asarray(e_perp, dtype=float)
-        data = dlp_traction_kernel(self.mesh.points, z, e_perp, self.mat)  # (n, 2, 2)
-        t = self.traction_from_dirichlet_trace(data.reshape(2 * self.mesh.n, 2))
-        w_free = double_conormal_kernel(self.mesh.points, z, self.mesh.normals, e_perp, self.mat)
-        return -w_free + t.reshape(self.mesh.n, 2, 2)
 
 
 def solve_background(mesh: BoundaryMesh, mat: LameParams, g: BoundaryField) -> BackgroundField:

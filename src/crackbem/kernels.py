@@ -53,7 +53,6 @@ __all__ = [
     "double_conormal_kernel",
     "hypersingular_kernel_canonical",
     "rigid_motion_basis",
-    "RIGID_MOTION_GRADIENTS",
 ]
 
 _EYE2 = np.eye(2)
@@ -307,17 +306,6 @@ def hypersingular_kernel_canonical(x1, y1, mat: LameParams) -> np.ndarray:
         raise ValueError("kernel evaluated at zero separation")
     coeff = -mat.E / (4.0 * np.pi * d * d)
     return coeff[..., None, None] * _EYE2
-
-
-#: Gradients of the three rigid-motion generators (two translations and the
-#: infinitesimal rotation (x2, -x1)); all are stress free.
-RIGID_MOTION_GRADIENTS = np.array(
-    [
-        [[0.0, 0.0], [0.0, 0.0]],
-        [[0.0, 0.0], [0.0, 0.0]],
-        [[0.0, 1.0], [-1.0, 0.0]],
-    ]
-)
 
 
 def rigid_motion_basis(points: np.ndarray) -> np.ndarray:

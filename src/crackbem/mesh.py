@@ -250,10 +250,16 @@ class BoundaryField:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
+    def _check_same_mesh(self, other: "BoundaryField") -> None:
+        """Fields combine only on one mesh or on meshes with identical nodes."""
+        if other.mesh is not self.mesh and not np.array_equal(
+            other.mesh.points, self.mesh.points
+        ):
+            raise MeshError("fields live on different meshes")
+
     def dot(self, other: "BoundaryField") -> float:
         """L^2(d sigma) inner product with another field on the same mesh."""
-        if other.mesh is not self.mesh and other.mesh.n != self.mesh.n:
-            raise MeshError("fields live on different meshes")
+        self._check_same_mesh(other)
         return float(
             np.sum(self.mesh.weights * np.einsum("ij,ij->i", self.values, other.values))
         )
@@ -268,9 +274,11 @@ class BoundaryField:
         return bool(np.all(np.abs(self.rigid_moments()) <= tol * scale * self.mesh.perimeter))
 
     def __add__(self, other: "BoundaryField") -> "BoundaryField":
+        self._check_same_mesh(other)
         return BoundaryField(self.mesh, self.values + other.values)
 
     def __sub__(self, other: "BoundaryField") -> "BoundaryField":
+        self._check_same_mesh(other)
         return BoundaryField(self.mesh, self.values - other.values)
 
 

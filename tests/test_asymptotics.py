@@ -8,7 +8,6 @@ from crackbem import (
     CrackSegment,
     LameParams,
     StressIntensity,
-    dirichlet_perturbation,
     energy_asymptotic,
     fit_log_slope,
     neumann_perturbation,
@@ -96,20 +95,6 @@ def test_neumann_perturbation_scaling(solver_128):
     w_small = neumann_perturbation(background, small)
     w_large = neumann_perturbation(background, large)
     assert np.allclose(w_large, 4.0 * w_small, atol=1e-13)
-
-
-def test_dirichlet_perturbation_structure(solver_128):
-    crack = CrackSegment(center=(0.2, 0.1), direction=(1.0, 0.0), length=0.08)
-    t0 = np.array([0.3, -1.1])
-    base = dirichlet_perturbation(solver_128, crack, t0)
-    assert base.shape == (solver_128.mesh.n, 2)
-    assert np.allclose(
-        dirichlet_perturbation(solver_128, crack, 2.0 * t0), 2.0 * base, atol=1e-13
-    )
-    double = CrackSegment(center=(0.2, 0.1), direction=(1.0, 0.0), length=0.16)
-    assert np.allclose(
-        dirichlet_perturbation(solver_128, double, t0), 4.0 * base, atol=1e-12
-    )
 
 
 def test_potential_energy_difference_quadrature(solver_128):

@@ -114,6 +114,43 @@ def test_energy_outputs(tmp_path):
     assert np.all(data[:, 3] < 0)
 
 
+def test_commands_agree_on_shared_columns(tmp_path):
+    cfg = write_config(tmp_path, crack={"lengths": [0.2, 0.15, 0.1]})
+    for command in ("solve", "convergence", "energy"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    conv = read_csv(tmp_path / "convergence" / "convergence.csv")
+    energy = read_csv(tmp_path / "energy" / "energy.csv")
+
+    def columns(rows, names):
+        index = [rows[0].index(name) for name in names]
+        return [[row[i] for i in index] for row in rows[1:]]
+
+    shared = ["eps", "energy_diff", "energy_formula", "energy_mismatch"]
+    assert columns(conv, shared) == columns(energy, shared)
+    diag = json.loads((tmp_path / "solve" / "diagnostics.json").read_text())
+    sup_perturbation = [
+        diag["per_length"][f"{length:g}"]["sup_perturbation"] for length in (0.2, 0.15, 0.1)
+    ]
+    assert sup_perturbation == [float(v) for [v] in columns(conv, ["sup_w"])]
+
+
+@pytest.mark.parametrize(
+    "command, section, key, raw",
+    [
+        ("solve", "discretization", "n_boundary", "Infinity"),
+        ("solve", "discretization", "tol", "NaN"),
+        ("td-map", "td_map", "margin", "NaN"),
+        ("solve", "crack", "center", "[NaN, 0]"),
+        ("solve", "material", "mu", "1e400"),
+    ],
+)
+def test_non_finite_config_numbers_rejected(tmp_path, capsys, command, section, key, raw):
+    cfg = write_config(tmp_path, **{section: {key: "@"}})
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace('"@"', raw), encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert f"key '{key}' in section '{section}' must be finite" in capsys.readouterr().err
+
+
 def test_unknown_keys_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, material={"zeta": 3.0})
     assert main(["solve", "--config", str(cfg)]) == 2

@@ -81,6 +81,21 @@ def test_boundary_field_algebra():
         BoundaryField(mesh, np.zeros((3, 2)))
 
 
+def test_fields_on_different_meshes_do_not_combine():
+    disk = build_mesh(Disk(), 64)
+    f = BoundaryField(disk, disk.normals)
+    g_mesh = build_mesh(Ellipse(2.0, 0.5), 64)
+    g = BoundaryField(g_mesh, g_mesh.normals)
+    for combine in (f.dot, f.__add__, f.__sub__):
+        with pytest.raises(MeshError, match="different meshes"):
+            combine(g)
+    twin = build_mesh(Disk(), 64)
+    h = BoundaryField(twin, twin.normals)
+    assert f.dot(h) == pytest.approx(2 * np.pi, abs=1e-12)
+    assert (f - h).sup_norm() == 0.0
+    assert np.array_equal((f + h).values, 2 * disk.normals)
+
+
 def test_rigid_moments_and_projection():
     mesh = build_mesh(Ellipse(a=1.2, b=0.7), 64)
     basis = rigid_motion_traces(mesh)
