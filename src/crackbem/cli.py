@@ -9,13 +9,14 @@ Four subcommands share one JSON config format:
                crack angles
   energy       energy differences against the closed-form asymptotic
 
-Config sections: material {lambda, mu}; geometry {kind: disk|ellipse|fourier,
-...}; load {kind: constant-stress|fourier-traction, ...}; crack {center,
-angle_degrees, lengths}; discretization {n_boundary, n_cheb_modes, tol,
-quad_points, max_iterations}; output {directory, precision}; td_map {n_grid,
-n_angles, margin}.  Unknown keys anywhere are rejected: a typo in a sweep
-config should fail loudly, not run the wrong experiment.  Angles enter in
-degrees and are converted at this boundary.
+Config sections and keys, with their types, defaults and lower bounds, are
+the _SCHEMA table; load_config checks every value against it and fills in
+the defaults, and nothing else parses config values.  Unknown keys anywhere
+are rejected: a typo in a sweep config should fail loudly, not run the wrong
+experiment.  Angles enter in degrees and are converted at this boundary.
+Cracks must pass BoundarySolver.require_clearance; td-map skips grid points
+nearer the wall than its margin, floored at the solver's minimum interior
+distance.
 
 All CSV output uses '.' decimals and a fixed column order, floats printed
 with %.17g so reruns are byte-identical.  Exit codes: 0 success, 2 config or
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -46,7 +46,6 @@ from .cracks import CrackSegment, solve_cracked
 from .errors import (
     ConfigError,
     CrackBemError,
-    CrackTooCloseToBoundary,
     SolveFailed,
 )
 from .forward import BoundarySolver
@@ -60,118 +59,149 @@ from .mesh import (
     project_off_rigid_motions,
 )
 
-_SECTIONS = {
-    "material": {"lambda", "mu"},
-    "geometry": {"kind", "radius", "a", "b", "r0", "cos", "sin"},
-    "load": {"kind", "sigma", "cos", "sin"},
-    "crack": {"center", "angle_degrees", "lengths"},
-    "discretization": {"n_boundary", "n_cheb_modes", "tol", "quad_points", "max_iterations"},
-    "output": {"directory", "precision"},
-    "td_map": {"n_grid", "n_angles", "margin"},
+_VECTORS = "vectors"
+
+# section -> key -> (type, default, lower bound).  Types: float (a number),
+# int (an integer count), str (text), list (a list of numbers) and _VECTORS
+# (a list of 2-vectors).  Numbers, and the numbers of a list, must exceed
+# the lower bound.  A key whose default is None has none: it stays absent
+# and its reader reports it missing.  A section whose keys all have defaults
+# is filled in when absent.
+_SCHEMA = {
+    "material": {"lambda": (float, None, None), "mu": (float, None, None)},
+    "geometry": {
+        "kind": (str, None, None), "radius": (float, 1.0, None), "r0": (float, None, None),
+        "a": (float, None, None), "b": (float, None, None),
+        "cos": (list, (), None), "sin": (list, (), None),
+    },
+    "load": {
+        "kind": (str, None, None), "sigma": (_VECTORS, None, None),
+        "cos": (_VECTORS, (), None), "sin": (_VECTORS, (), None),
+    },
+    "crack": {
+        "center": (list, None, None), "angle_degrees": (float, None, None),
+        "lengths": (list, (), 0.0),
+    },
+    "discretization": {
+        "n_boundary": (int, 256, 0), "n_cheb_modes": (int, 32, 0), "tol": (float, 1e-11, 0.0),
+        "quad_points": (int, 32, 0), "max_iterations": (int, 50, 0),
+    },
+    "output": {"directory": (str, "out", None), "precision": (int, 17, 0)},
+    # the margin is floored at the solver's minimum interior distance
+    "td_map": {"n_grid": (int, 8, 0), "n_angles": (int, 16, 0), "margin": (float, 0.0, None)},
 }
 
-_DISCRETIZATION_DEFAULTS = {
-    "n_boundary": 256,
-    "n_cheb_modes": 32,
-    "tol": 1e-11,
-    "quad_points": 32,
-    "max_iterations": 50,
+
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, float) for v in value)
+
+
+# type -> (name, test).  JSON numbers arrive as floats (load_config parses
+# integers as floats too), so booleans, strings and objects are not numbers.
+_TYPES = {
+    float: ("a number", lambda v: isinstance(v, float)),
+    int: ("an integer", lambda v: isinstance(v, float)),
+    str: ("text", lambda v: isinstance(v, str)),
+    list: ("a list of numbers", _numbers),
+    _VECTORS: (
+        "a list of 2-vectors",
+        lambda v: isinstance(v, list) and all(_numbers(x) and len(x) == 2 for x in v),
+    ),
 }
 
 
-def _check_keys(name: str, section: dict, allowed: set) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"section '{name}' must be a JSON object")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in section '{name}'")
-
-
-def _finite(value) -> bool:
-    """False if any number inside a parsed JSON value is infinite or NaN."""
-    if isinstance(value, list):
-        return all(_finite(v) for v in value)
-    return not isinstance(value, float) or math.isfinite(value)
+def _checked(name: str, key: str, value, kind, low):
+    """The value converted to its schema type, or ConfigError naming the key."""
+    where = f"key '{key}' in section '{name}'"
+    type_name, has_type = _TYPES[kind]
+    if not has_type(value):
+        raise ConfigError(f"{where} must be {type_name}")
+    if kind is str:
+        return value
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{where} must be finite")
+    if kind is int and not value.is_integer():
+        raise ConfigError(f"{where} must be an integer")
+    if low is not None and not np.all(np.greater(value, low)):
+        raise ConfigError(f"{where} must be greater than {low:g}")
+    return int(value) if kind is int else value
 
 
 def load_config(path: str) -> dict:
+    """Read and validate a JSON config against _SCHEMA, filling in defaults.
+
+    JSON null counts as an absent key.  Raises ConfigError naming the
+    section or key for unknown names, wrong types, non-finite numbers,
+    non-integral counts and values not above their lower bound.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        config = json.loads(text)
+        # integers parse as floats too, so 1e400 and a 400-digit integer
+        # both become infinity and fail the finiteness check
+        raw = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
+    if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(config) - set(_SECTIONS)
+    unknown = set(raw) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config section '{sorted(unknown)[0]}'")
-    for name, section in config.items():
-        _check_keys(name, section, _SECTIONS[name])
-        # JSON NaN, Infinity and overflowing literals such as 1e400 all parse
-        for key, value in section.items():
-            if not _finite(value):
-                raise ConfigError(f"key '{key}' in section '{name}' must be finite")
+    config = {}
+    for name, schema in _SCHEMA.items():
+        section = raw.get(name)
+        if section is None and any(d is None for _, d, _ in schema.values()):
+            continue
+        section = {} if section is None else section
+        if not isinstance(section, dict):
+            raise ConfigError(f"section '{name}' must be a JSON object")
+        unknown = set(section) - set(schema)
+        if unknown:
+            raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in section '{name}'")
+        config[name] = {}
+        for key, (kind, default, low) in schema.items():
+            value = section.get(key)
+            if value is not None:
+                config[name][key] = _checked(name, key, value, kind, low)
+            elif default is not None:
+                config[name][key] = default
     for required in ("material", "geometry", "load"):
         if required not in config:
             raise ConfigError(f"missing config section '{required}'")
     return config
 
 
-def _float(section: dict, name: str, key: str, default=None) -> float:
+def _required(section: dict, name: str, key: str):
     if key not in section:
-        if default is None:
-            raise ConfigError(f"missing key '{key}' in section '{name}'")
-        return default
-    try:
-        return float(section[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key '{key}' in section '{name}' must be a number") from exc
-
-
-def _int(section: dict, name: str, key: str, default=None) -> int:
-    value = _float(section, name, key, default)
-    if value != int(value):
-        raise ConfigError(f"key '{key}' in section '{name}' must be an integer")
-    return int(value)
+        raise ConfigError(f"missing key '{key}' in section '{name}'")
+    return section[key]
 
 
 def _material(config: dict) -> LameParams:
     section = config["material"]
-    lam = _float(section, "material", "lambda")
-    mu = _float(section, "material", "mu")
-    try:
-        return LameParams(lam=lam, mu=mu)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return LameParams(
+        lam=_required(section, "material", "lambda"), mu=_required(section, "material", "mu")
+    )
 
 
 def _shape(config: dict):
     section = config["geometry"]
     kind = section.get("kind")
     if kind == "disk":
-        return Disk(radius=_float(section, "geometry", "radius", 1.0))
+        return Disk(radius=section["radius"])
     if kind == "ellipse":
-        return Ellipse(a=_float(section, "geometry", "a"), b=_float(section, "geometry", "b"))
+        return Ellipse(
+            a=_required(section, "geometry", "a"), b=_required(section, "geometry", "b")
+        )
     if kind == "fourier":
         return FourierStar(
-            r0=_float(section, "geometry", "r0"),
-            cos_coeffs=tuple(section.get("cos", ())),
-            sin_coeffs=tuple(section.get("sin", ())),
+            r0=_required(section, "geometry", "r0"),
+            cos_coeffs=tuple(section["cos"]),
+            sin_coeffs=tuple(section["sin"]),
         )
     raise ConfigError("geometry.kind must be one of disk, ellipse, fourier")
-
-
-def _vector_list(section: dict, name: str, key: str) -> np.ndarray:
-    raw = section.get(key, [])
-    arr = np.asarray(raw, dtype=float)
-    if arr.size == 0:
-        return np.zeros((0, 2))
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ConfigError(f"key '{key}' in section '{name}' must be a list of 2-vectors")
-    return arr
 
 
 def _load_field(config: dict, mesh) -> tuple[BoundaryField, list]:
@@ -187,13 +217,11 @@ def _load_field(config: dict, mesh) -> tuple[BoundaryField, list]:
         values = mesh.normals @ sigma.T
         return BoundaryField(mesh, values), warnings
     if kind == "fourier-traction":
-        cos_v = _vector_list(section, "load", "cos")
-        sin_v = _vector_list(section, "load", "sin")
         t = mesh.params
         values = np.zeros((mesh.n, 2))
-        for m, coeff in enumerate(cos_v):
+        for m, coeff in enumerate(section["cos"]):
             values += np.cos(m * t)[:, None] * coeff
-        for m, coeff in enumerate(sin_v, start=1):
+        for m, coeff in enumerate(section["sin"], start=1):
             values += np.sin(m * t)[:, None] * coeff
         field = BoundaryField(mesh, values)
         projected = project_off_rigid_motions(field)
@@ -214,46 +242,18 @@ def _crack_section(config: dict) -> tuple[np.ndarray, float, list]:
     center = np.asarray(section.get("center"), dtype=float)
     if center.shape != (2,):
         raise ConfigError("crack.center must be a 2-vector")
-    angle = _float(section, "crack", "angle_degrees")
-    lengths = [float(v) for v in section.get("lengths", [])]
-    if not lengths or any(v <= 0 for v in lengths):
+    angle = _required(section, "crack", "angle_degrees")
+    lengths = section["lengths"]
+    if not lengths:
         raise ConfigError("crack.lengths must be a nonempty list of positive numbers")
     return center, angle, lengths
-
-
-def _discretization(config: dict) -> dict:
-    section = config.get("discretization", {})
-    out = dict(_DISCRETIZATION_DEFAULTS)
-    out["n_boundary"] = _int(section, "discretization", "n_boundary", out["n_boundary"])
-    out["n_cheb_modes"] = _int(section, "discretization", "n_cheb_modes", out["n_cheb_modes"])
-    out["tol"] = _float(section, "discretization", "tol", out["tol"])
-    out["quad_points"] = _int(section, "discretization", "quad_points", out["quad_points"])
-    out["max_iterations"] = _int(
-        section, "discretization", "max_iterations", out["max_iterations"]
-    )
-    return out
-
-
-def _output_settings(config: dict, out_flag) -> tuple[Path, int]:
-    section = config.get("output", {})
-    directory = section.get("directory", "out")
-    precision = _int(section, "output", "precision", 17)
-    if out_flag is not None:
-        directory = out_flag
-    return Path(directory), precision
-
-
-def _format_value(value, precision: int) -> str:
-    if isinstance(value, str):
-        return value
-    return format(float(value), f".{precision}g")
 
 
 def _write_csv(path: Path, header: list, rows: list, precision: int) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(_format_value(v, precision) for v in row) + "\n")
+            f.write(",".join(format(float(v), f".{precision}g") for v in row) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -272,9 +272,8 @@ class _Workspace:
 
     def __init__(self, config: dict):
         self.material = _material(config)
-        disc = _discretization(config)
-        self.disc = disc
-        self.mesh = build_mesh(_shape(config), disc["n_boundary"])
+        self.disc = config["discretization"]
+        self.mesh = build_mesh(_shape(config), self.disc["n_boundary"])
         self.solver = BoundarySolver(self.mesh, self.material)
         self.g, self.warnings = _load_field(config, self.mesh)
         self.background = self.solver.solve_background(self.g)
@@ -286,15 +285,10 @@ class _Workspace:
         a command writes.  The stress intensity depends only on the center
         and direction, so one evaluation serves every length.
         """
-        dist = self.mesh.distance_to(center)
-        bad = [v for v in lengths if v >= dist]
-        if bad:
-            raise CrackTooCloseToBoundary(
-                f"crack length {max(bad):g} is not smaller than the distance "
-                f"{dist:.3g} from the center to the boundary"
-            )
         direction = _angle_direction(angle)
         cracks = [CrackSegment(tuple(center), tuple(direction), length) for length in lengths]
+        for crack in cracks:  # refuse the whole sweep before the first solve
+            self.solver.require_clearance(crack.clearance_points, crack.length)
         sif = stress_intensity(self.background, cracks[0])
         records = []
         for crack in cracks:
@@ -329,11 +323,6 @@ def _write_records(path: Path, records: list, columns: list, precision: int) -> 
     _write_csv(path, columns, [[r[c] for c in columns] for r in records], precision)
 
 
-def _print_warnings(warnings: list) -> None:
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-
-
 def _write_trace(path: Path, field: BoundaryField, precision: int) -> None:
     mesh, values = field.mesh, field.values
     rows = [
@@ -343,8 +332,7 @@ def _write_trace(path: Path, field: BoundaryField, precision: int) -> None:
     _write_csv(path, ["node_param", "x", "y", "u1", "u2"], rows, precision)
 
 
-def cmd_solve(config: dict, out_dir: Path, precision: int) -> int:
-    ws = _Workspace(config)
+def cmd_solve(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> None:
     center, angle, lengths = _crack_section(config)
     records = ws.sweep(center, angle, lengths)
 
@@ -376,12 +364,9 @@ def cmd_solve(config: dict, out_dir: Path, precision: int) -> int:
             "sup_perturbation": record["sup_w"],
         }
     _write_json(out_dir / "diagnostics.json", diagnostics)
-    _print_warnings(ws.warnings)
-    return 0
 
 
-def cmd_convergence(config: dict, out_dir: Path, precision: int) -> int:
-    ws = _Workspace(config)
+def cmd_convergence(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> None:
     center, angle, lengths = _crack_section(config)
     if len(lengths) < 3:
         raise ConfigError("convergence requires at least 3 crack lengths")
@@ -401,25 +386,19 @@ def cmd_convergence(config: dict, out_dir: Path, precision: int) -> int:
         fit = fit_log_slope(eps, np.array([r[key] for r in records]), noise_floor=floor)
         slopes[key] = {"slope": fit.slope, "n_points_used": fit.n_points, "note": fit.note}
     _write_json(out_dir / "slopes.json", slopes)
-    _print_warnings(ws.warnings)
-    return 0
 
 
-def cmd_td_map(config: dict, out_dir: Path, precision: int) -> int:
-    ws = _Workspace(config)
-    section = config.get("td_map", {})
-    n_grid = _int(section, "td_map", "n_grid", 8)
-    n_angles = _int(section, "td_map", "n_angles", 16)
-    margin = _float(section, "td_map", "margin", ws.solver.minimum_interior_distance)
+def cmd_td_map(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> None:
+    section = config["td_map"]
+    margin = max(section["margin"], ws.solver.minimum_interior_distance)
 
     extent = float(np.max(np.abs(ws.mesh.points)))
-    coords = np.linspace(-extent, extent, n_grid)
+    coords = np.linspace(-extent, extent, section["n_grid"])
     kept, skipped = [], []
     for y in coords:
         for x in coords:
             point = np.array([x, y])
-            inside = ws.mesh.distance_to(point) >= margin and _contains(ws.mesh, point)
-            (kept if inside else skipped).append(point)
+            (kept if ws.mesh.distance_to(point) >= margin else skipped).append(point)
     for point in skipped:
         print(
             f"log: skipped grid point ({point[0]:g}, {point[1]:g}): "
@@ -427,7 +406,7 @@ def cmd_td_map(config: dict, out_dir: Path, precision: int) -> int:
             file=sys.stderr,
         )
 
-    angles = np.arange(n_angles) * (180.0 / n_angles)
+    angles = np.arange(section["n_angles"]) * (180.0 / section["n_angles"])
 
     def point_rows(point: np.ndarray) -> list:
         stress = ws.background.stress(point)[0]
@@ -451,12 +430,9 @@ def cmd_td_map(config: dict, out_dir: Path, precision: int) -> int:
         rows,
         precision,
     )
-    _print_warnings(ws.warnings)
-    return 0
 
 
-def cmd_energy(config: dict, out_dir: Path, precision: int) -> int:
-    ws = _Workspace(config)
+def cmd_energy(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> None:
     center, angle, lengths = _crack_section(config)
     records = ws.sweep(center, angle, lengths)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -466,17 +442,6 @@ def cmd_energy(config: dict, out_dir: Path, precision: int) -> int:
         ["eps", "K1", "K2", "energy_diff", "energy_formula", "energy_mismatch"],
         precision,
     )
-    _print_warnings(ws.warnings)
-    return 0
-
-
-def _contains(mesh, point: np.ndarray) -> bool:
-    # winding of the boundary polygon around the point; boundary is CCW
-    d = mesh.points - point
-    angles = np.arctan2(d[:, 1], d[:, 0])
-    turns = np.diff(np.concatenate([angles, angles[:1]]))
-    turns = (turns + np.pi) % (2 * np.pi) - np.pi
-    return abs(turns.sum()) > np.pi
 
 
 def main(argv=None) -> int:
@@ -500,8 +465,13 @@ def main(argv=None) -> int:
     }
     try:
         config = load_config(args.config)
-        out_dir, precision = _output_settings(config, args.out)
-        return handlers[args.command](config, out_dir, precision)
+        output = config["output"]
+        out_dir = Path(output["directory"] if args.out is None else args.out)
+        ws = _Workspace(config)
+        handlers[args.command](ws, config, out_dir, output["precision"])
+        for warning in ws.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        return 0
     except SolveFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -41,7 +41,7 @@ from .chebyshev import (
     gauss_chebyshev_u,
     invert_finite_part_operator,
 )
-from .errors import CrackTooCloseToBoundary, SolveFailed
+from .errors import SolveFailed
 from .forward import BackgroundField
 from .kernels import dlp_traction_kernel, double_conormal_kernel, rot90
 from .mesh import BoundaryField
@@ -88,6 +88,11 @@ class CrackSegment:
     @property
     def half_length(self) -> float:
         return 0.5 * self.length
+
+    @property
+    def clearance_points(self) -> np.ndarray:
+        """Center and both tips, the points a clearance check covers, (3, 2)."""
+        return self.points(np.array([0.0, -1.0, 1.0]))
 
     def points(self, eta) -> np.ndarray:
         """Map scaled coordinates eta in [-1, 1] to crack points."""
@@ -163,23 +168,19 @@ def solve_cracked(
 ) -> CrackedSolution:
     """Solve the coupled crack/boundary system by Picard iteration on w.
 
-    Raises CrackTooCloseToBoundary unless the whole segment keeps a clearance
-    of max(two node spacings, one crack length) from the outer boundary, and
-    SolveFailed if the trace update has not dropped below tol in sup norm
-    within max_iterations sweeps.
+    Raises ValueError unless max_iterations >= 1 and tol > 0, lets
+    BoundarySolver.require_clearance refuse the crack's center and tips with
+    its length, and raises SolveFailed if the trace update has not dropped
+    below tol in sup norm within max_iterations sweeps.
     """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     solver = background.solver
     mesh = solver.mesh
     mat = solver.mat
-
-    clearance = max(solver.minimum_interior_distance, crack.length)
-    for tip in (crack.points(-1.0), crack.points(1.0)):
-        d = mesh.distance_to(tip)
-        if d < clearance:
-            raise CrackTooCloseToBoundary(
-                f"crack tip at distance {d:.3g} from the boundary; "
-                f"need at least {clearance:.3g}"
-            )
+    solver.require_clearance(crack.clearance_points, crack.length)
 
     eta_c, _ = gauss_chebyshev_u(n_modes)
     coll = crack.points(eta_c)

@@ -322,13 +322,22 @@ class BoundarySolver:
         """Two node spacings: the evaluator accuracy contract near the wall."""
         return 2.0 * self.mesh.h * float(np.max(self.mesh.speed))
 
-    def _require_interior(self, z, label: str = "point") -> None:
-        d = self.mesh.distance_to(z)
-        if d < self.minimum_interior_distance:
-            raise CrackTooCloseToBoundary(
-                f"{label} at distance {d:.3g} from the boundary; "
-                f"need at least {self.minimum_interior_distance:.3g}"
-            )
+    def require_clearance(self, points, length: float = 0.0) -> None:
+        """The one clearance rule: raise CrackTooCloseToBoundary, naming the
+        point, unless every point lies inside the curve at a node distance of
+        at least max(minimum_interior_distance, length)."""
+        need = max(self.minimum_interior_distance, length)
+        for x, y in np.atleast_2d(np.asarray(points, dtype=float)):
+            d = self.mesh.distance_to((x, y))
+            if d < 0.0:
+                raise CrackTooCloseToBoundary(
+                    f"point ({x:.3g}, {y:.3g}) is outside the boundary"
+                )
+            if d < need:
+                raise CrackTooCloseToBoundary(
+                    f"required clearance {need:.3g} is not smaller than the distance "
+                    f"{d:.3g} from ({x:.3g}, {y:.3g}) to the boundary"
+                )
 
     # -- core solves ------------------------------------------------------
 
@@ -399,7 +408,7 @@ class BoundarySolver:
         Entry [i, :, k] is the trace at node i of the field generated by a
         unit source e_k at z; the result is rigid-motion orthogonal.
         """
-        self._require_interior(z, "source point")
+        self.require_clearance(z)
         z = np.asarray(z, dtype=float)
         rhs = self.single_layer @ self._neumann_data(z)
         regular, _ = self._solve(rhs)
@@ -414,7 +423,7 @@ class BoundarySolver:
         component read off the trace, where R is the regular-part trace and
         g_N its traction datum.
         """
-        self._require_interior(z, "source point")
+        self.require_clearance(z)
         z = np.asarray(z, dtype=float)
         points = np.atleast_2d(np.asarray(points, dtype=float))
         data = self._neumann_data(z)
@@ -443,7 +452,7 @@ class BoundarySolver:
         Column k solves the boundary equation with the double-layer traction
         kernel column as data; the result is rigid-motion orthogonal.
         """
-        self._require_interior(z, "crack center")
+        self.require_clearance(z)
         z = np.asarray(z, dtype=float)
         data = dlp_traction_kernel(self.mesh.points, z, np.asarray(e_perp, float), self.mat)
         rhs = data.reshape(2 * self.mesh.n, 2)

@@ -93,62 +93,35 @@ class FourierStar:
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
         t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-        if np.min(self._radius(t)) <= 0.0:
+        if np.min(next(self._radius(t))) <= 0.0:
             raise MeshError("fourier curve radius is not positive: curve self-intersects")
 
-    def _k(self) -> np.ndarray:
-        n = max(len(self.cos_coeffs), len(self.sin_coeffs))
-        return np.arange(1, n + 1)
-
-    def _pad(self, coeffs) -> np.ndarray:
-        n = max(len(self.cos_coeffs), len(self.sin_coeffs))
-        out = np.zeros(n)
-        out[: len(coeffs)] = coeffs
-        return out
-
     def _radius(self, t):
+        """Yield R, R' and R'' at parameters t, each only when asked for, so
+        the positivity check pays for R alone."""
         t = np.asarray(t, dtype=float)
-        if not self.cos_coeffs and not self.sin_coeffs:
-            return np.full(t.shape, self.r0)
-        k = self._k()
+        n = max(len(self.cos_coeffs), len(self.sin_coeffs))
+        k = np.arange(1, n + 1)
+        a, b = np.zeros(n), np.zeros(n)
+        a[: len(self.cos_coeffs)] = self.cos_coeffs
+        b[: len(self.sin_coeffs)] = self.sin_coeffs
         kt = np.multiply.outer(t, k)
-        return (
-            self.r0
-            + np.cos(kt) @ self._pad(self.cos_coeffs)
-            + np.sin(kt) @ self._pad(self.sin_coeffs)
-        )
-
-    def _radius_d1(self, t):
-        t = np.asarray(t, dtype=float)
-        if not self.cos_coeffs and not self.sin_coeffs:
-            return np.zeros(t.shape)
-        k = self._k()
-        kt = np.multiply.outer(t, k)
-        return -np.sin(kt) @ (k * self._pad(self.cos_coeffs)) + np.cos(kt) @ (
-            k * self._pad(self.sin_coeffs)
-        )
-
-    def _radius_d2(self, t):
-        t = np.asarray(t, dtype=float)
-        if not self.cos_coeffs and not self.sin_coeffs:
-            return np.zeros(t.shape)
-        k = self._k()
-        kt = np.multiply.outer(t, k)
-        return -np.cos(kt) @ (k * k * self._pad(self.cos_coeffs)) - np.sin(kt) @ (
-            k * k * self._pad(self.sin_coeffs)
-        )
+        c, s = np.cos(kt), np.sin(kt)
+        yield self.r0 + c @ a + s @ b
+        yield -s @ (k * a) + c @ (k * b)
+        yield -c @ (k * k * a) - s @ (k * k * b)
 
     def point(self, t):
-        r = self._radius(t)
+        r = next(self._radius(t))
         return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
 
     def derivative(self, t):
-        r, r1 = self._radius(t), self._radius_d1(t)
+        r, r1, _ = self._radius(t)
         c, s = np.cos(t), np.sin(t)
         return np.stack([r1 * c - r * s, r1 * s + r * c], axis=-1)
 
     def second_derivative(self, t):
-        r, r1, r2 = self._radius(t), self._radius_d1(t), self._radius_d2(t)
+        r, r1, r2 = self._radius(t)
         c, s = np.cos(t), np.sin(t)
         return np.stack(
             [(r2 - r) * c - 2.0 * r1 * s, (r2 - r) * s + 2.0 * r1 * c], axis=-1
@@ -215,9 +188,15 @@ class BoundaryMesh:
         return float(self.weights.sum())
 
     def distance_to(self, point) -> float:
-        """Distance from an interior point to the sampled boundary nodes."""
-        p = np.asarray(point, dtype=float)
-        return float(np.min(np.linalg.norm(self.points - p, axis=-1)))
+        """Distance from a point to the sampled boundary nodes, negated when
+        the point lies outside the curve."""
+        d = self.points - np.asarray(point, dtype=float)
+        distance = float(np.min(np.linalg.norm(d, axis=-1)))
+        # winding of the node polygon around the point; the boundary is CCW
+        angles = np.arctan2(d[:, 1], d[:, 0])
+        turns = np.diff(np.concatenate([angles, angles[:1]]))
+        turns = (turns + np.pi) % (2 * np.pi) - np.pi
+        return distance if abs(turns.sum()) > np.pi else -distance
 
 
 def build_mesh(shape, n_nodes: int) -> BoundaryMesh:

@@ -4,11 +4,14 @@ exit codes, all run in-process through main()."""
 import csv
 import filecmp
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crackbem.cli import main
+from crackbem.cli import load_config, main
+
+DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -149,6 +152,45 @@ def test_non_finite_config_numbers_rejected(tmp_path, capsys, command, section, 
     cfg.write_text(cfg.read_text(encoding="utf-8").replace('"@"', raw), encoding="utf-8")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert f"key '{key}' in section '{section}' must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("solve", "discretization", "tol", "nan"),
+        ("solve", "material", "lambda", "1.0"),
+        ("solve", "discretization", "n_boundary", True),
+        ("td-map", "td_map", "n_angles", 0),
+        ("solve", "discretization", "max_iterations", 0),
+        ("solve", "discretization", "tol", -1),
+    ],
+)
+def test_config_values_checked_against_schema(tmp_path, capsys, command, section, key, value):
+    cfg = write_config(tmp_path, **{section: {key: value}})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert f"key '{key}' in section '{section}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda path: path.stem)
+def test_demo_configs_load(path):
+    config = load_config(str(path))
+    assert config["discretization"]["quad_points"] == 32
+    assert config["output"]["directory"] == "out"
+    assert config["td_map"]["n_grid"] in (8, 15)
+
+
+def test_exterior_crack_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, crack={"center": [2.0, 0.0], "lengths": [0.2, 0.15, 0.1]})
+    assert main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "point (2, 0) is outside the boundary" in capsys.readouterr().err
+
+
+def test_td_map_margin_floored(tmp_path):
+    # a zero margin would keep the grid points that sit on boundary nodes
+    cfg = write_config(tmp_path, td_map={"n_grid": 3, "n_angles": 4, "margin": 0.0})
+    out = tmp_path / "td"
+    assert main(["td-map", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(read_csv(out / "td_map.csv")) == 1 + 4  # only the center is kept
 
 
 def test_unknown_keys_rejected(tmp_path, capsys):

@@ -120,6 +120,14 @@ def test_solver_guard_rails(solver_128):
         )
 
 
+@pytest.mark.parametrize("options", [{"max_iterations": 0}, {"tol": 0.0}, {"tol": -1.0}])
+def test_solve_cracked_refuses_bad_arguments(solver_128, options):
+    background = constant_stress_background(solver_128, np.diag([0.0, 1.0]))
+    crack = CrackSegment(center=(0.0, 0.0), direction=(1.0, 0.0), length=0.2)
+    with pytest.raises(ValueError):
+        solve_cracked(background, crack, **options)
+
+
 def test_trace_values_adds_perturbation(tilted_crack_sweep):
     rec = tilted_crack_sweep["records"][0]
     total = rec["solution"].trace_values()

@@ -3,15 +3,22 @@ Neumann solve, interior evaluation, and the Green-function rows."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crackbem import (
     BoundaryField,
+    BoundarySolver,
+    CrackSegment,
+    FourierStar,
     LameParams,
+    build_mesh,
     conormal_derivative,
     kelvin_gradient,
     kelvin_matrix,
     project_off_rigid_motions,
     rigid_motion_traces,
+    solve_cracked,
 )
 from crackbem.errors import CrackTooCloseToBoundary, EquilibriumViolated
 from oracles import linear_field
@@ -157,3 +164,29 @@ def test_interior_guard(solver_128):
     assert solver_128.minimum_interior_distance == pytest.approx(
         2 * solver_128.mesh.h, abs=1e-14
     )
+
+
+coefficients = st.lists(st.floats(-0.15, 0.15), max_size=2)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    cos=coefficients,
+    sin=coefficients,
+    theta=st.floats(0.0, 2.0 * np.pi),
+    factor=st.floats(1.05, 3.0),
+)
+def test_exterior_points_refused(cos, sin, theta, factor):
+    # the ray from the origin leaves a star-shaped curve once, so a point
+    # beyond the curve along it lies outside
+    star = FourierStar(r0=1.0, cos_coeffs=tuple(cos), sin_coeffs=tuple(sin))
+    solver = BoundarySolver(build_mesh(star, 64), LameParams(1.0, 1.0))
+    point = factor * star.point(theta)
+    g = BoundaryField(solver.mesh, solver.mesh.normals @ np.diag([1.0, 0.5]).T)
+    crack = CrackSegment(center=tuple(point), direction=(1.0, 0.0), length=0.05)
+    with pytest.raises(CrackTooCloseToBoundary, match="outside the boundary"):
+        solve_cracked(solver.solve_background(g), crack)
+    with pytest.raises(CrackTooCloseToBoundary, match="outside the boundary"):
+        solver.neumann_trace(point)
+    with pytest.raises(CrackTooCloseToBoundary, match="outside the boundary"):
+        solver.neumann_conormal_row(point, np.array([0.0, 1.0]))

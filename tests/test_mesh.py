@@ -68,6 +68,7 @@ def test_distance_to():
     mesh = build_mesh(Disk(), 128)
     assert mesh.distance_to((0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
     assert mesh.distance_to((0.5, 0.0)) == pytest.approx(0.5, abs=1e-3)
+    assert mesh.distance_to((2.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_boundary_field_algebra():
