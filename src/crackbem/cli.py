@@ -395,10 +395,10 @@ def cmd_td_map(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> N
     extent = float(np.max(np.abs(ws.mesh.points)))
     coords = np.linspace(-extent, extent, section["n_grid"])
     kept, skipped = [], []
-    for y in coords:
-        for x in coords:
-            point = np.array([x, y])
-            (kept if ws.mesh.distance_to(point) >= margin else skipped).append(point)
+    for y in coords:  # one row per call: the whole grid at once costs memory
+        row = np.stack([coords, np.full_like(coords, y)], axis=-1)
+        for point, keep in zip(row, ws.mesh.distance_to(row) >= margin):
+            (kept if keep else skipped).append(point)
     for point in skipped:
         print(
             f"log: skipped grid point ({point[0]:g}, {point[1]:g}): "

@@ -32,6 +32,7 @@ every transfer term converges spectrally in the number of crack modes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,8 @@ class CrackSegment:
     """Straight crack of total length `length`, centered at `center`.
 
     `direction` is the tangent; it is normalized on construction.  The crack
-    normal is the 90-degree counterclockwise rotation of the tangent.
+    normal is the 90-degree counterclockwise rotation of the tangent.  A
+    non-finite center, direction or length raises ValueError naming it.
     """
 
     center: tuple
@@ -69,6 +71,13 @@ class CrackSegment:
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
         e = np.asarray(self.direction, dtype=float)
+        for name, finite in (
+            ("center", math.isfinite(c[0]) and math.isfinite(c[1])),
+            ("direction", math.isfinite(e[0]) and math.isfinite(e[1])),
+            ("length", math.isfinite(self.length)),
+        ):
+            if not finite:
+                raise ValueError(f"crack {name} must be finite")
         norm = float(np.hypot(e[0], e[1]))
         if norm == 0.0:
             raise ValueError("crack direction must be a nonzero vector")

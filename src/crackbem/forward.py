@@ -27,20 +27,24 @@ the bordered system
     [   C^T W    0 ] [mu] = [ 0 ],
 
 whose constraint rows enforce the rigid-motion orthogonality of w and whose
-extra columns absorb the compatibility defect of the right-hand side.  One
+extra columns absorb the compatibility defect of the right-hand side (the
+multipliers mu are discarded).  One
 LU factorization serves every right-hand side (background solves, Green
 function columns, crack feedback updates).
 
 Green-function rows
 -------------------
 N(x, y) is the traction (Neumann) domain Green function: a point force at y
-balanced by the boundary traction -sum_a chi_a(x) chi_a(y)^T over an
-L2-orthonormal rigid-motion basis chi_a, with rigid-orthogonal trace.  Only
-this projector datum is force- AND torque-compatible for every source
-position, and it is what makes N(x, y) = N(y, x)^T hold exactly.  The trace
-is computed by solving the crack-free problem for the regular part
-R = N + Phi(. - z) and subtracting the Kelvin trace; interior values follow
-from the representation formula plus a rigid correction.
+balanced by the boundary traction -psi(x) G^-1 psi(y)^T, with
+rigid-orthogonal trace.  Here psi is the (2, 3) matrix of rigid-motion
+generators and G = Int psi^T psi dsigma their Gram matrix, the same moments
+C^T W C that the bordered constraint rows apply; the rigid part of nodal
+data f is C G^-1 (C^T W f).  Only this projector datum is force- AND
+torque-compatible for every source position, and it is what makes
+N(x, y) = N(y, x)^T hold exactly.  The trace is computed by solving the
+crack-free problem for the regular part R = N + Phi(. - z) and subtracting
+the Kelvin trace; interior values follow from the representation formula
+plus a rigid correction.
 
 The trace of the crack-directional conormal x -> dN/dnu_y (x, z) solves the
 boundary system with the double-layer traction kernel as data directly: the
@@ -50,8 +54,10 @@ stress-free.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import cholesky, lu_factor, lu_solve, solve_triangular
+from scipy.linalg import lu_factor, lu_solve
 
 from .errors import CrackTooCloseToBoundary, EquilibriumViolated, SolveFailed
 from .kernels import (
@@ -67,10 +73,6 @@ from .mesh import BoundaryField, BoundaryMesh, rigid_motion_traces
 __all__ = [
     "assemble_double_layer",
     "assemble_single_layer",
-    "double_layer_interior",
-    "double_layer_interior_gradient",
-    "single_layer_interior",
-    "single_layer_interior_gradient",
     "BackgroundField",
     "BoundarySolver",
     "solve_background",
@@ -182,50 +184,11 @@ def assemble_single_layer(mesh: BoundaryMesh, mat: LameParams) -> np.ndarray:
     return _blocks_to_matrix(blocks)
 
 
-def double_layer_interior(
-    mesh: BoundaryMesh, mat: LameParams, density: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    """Double-layer potential of a nodal density at interior points, (p, 2)."""
-    k = dlp_traction_kernel(
-        np.asarray(points, dtype=float)[:, None, :],
-        mesh.points[None, :, :],
-        mesh.normals[None, :, :],
-        mat,
-    )
-    return np.einsum("j,pjkl,jl->pk", mesh.weights, k, np.asarray(density, dtype=float))
-
-
-def double_layer_interior_gradient(
-    mesh: BoundaryMesh, mat: LameParams, density: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    """Jacobian of the double-layer potential, shape (p, 2, 2): [i, l] = du_i/dx_l."""
-    g = dlp_traction_gradient(
-        np.asarray(points, dtype=float)[:, None, :],
-        mesh.points[None, :, :],
-        mesh.normals[None, :, :],
-        mat,
-    )
-    return np.einsum("j,pjklm,jl->pkm", mesh.weights, g, np.asarray(density, dtype=float))
-
-
-def single_layer_interior(
-    mesh: BoundaryMesh, mat: LameParams, density: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    """Single-layer potential of a nodal density at interior points, (p, 2)."""
-    phi = kelvin_matrix(
-        np.asarray(points, dtype=float)[:, None, :] - mesh.points[None, :, :], mat
-    )
-    return np.einsum("j,pjkl,jl->pk", mesh.weights, phi, np.asarray(density, dtype=float))
-
-
-def single_layer_interior_gradient(
-    mesh: BoundaryMesh, mat: LameParams, density: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    """Jacobian of the single-layer potential, shape (p, 2, 2)."""
-    g = kelvin_gradient(
-        np.asarray(points, dtype=float)[:, None, :] - mesh.points[None, :, :], mat
-    )
-    return np.einsum("j,pjklm,jl->pkm", mesh.weights, g, np.asarray(density, dtype=float))
+def _layer_sum(mesh: BoundaryMesh, kernel: np.ndarray, density: np.ndarray) -> np.ndarray:
+    """Trapezoidal layer sum at interior points: kernel values (p, n, 2, 2, ...)
+    between the points and the nodes, contracted with a nodal density
+    (n, 2, ...); shape (p, 2, ...)."""
+    return np.einsum("j,pjkl...,jl...->pk...", mesh.weights, kernel, density)
 
 
 class BackgroundField:
@@ -245,16 +208,19 @@ class BackgroundField:
         self.g = g
 
     def displacement(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return double_layer_interior(
-            self.mesh, self.mat, self.trace.values, points
-        ) - single_layer_interior(self.mesh, self.mat, self.g.values, points)
+        x = np.atleast_2d(np.asarray(points, dtype=float))[:, None, :]
+        m = self.mesh
+        double = dlp_traction_kernel(x, m.points, m.normals, self.mat)
+        single = kelvin_matrix(x - m.points, self.mat)
+        return _layer_sum(m, double, self.trace.values) - _layer_sum(m, single, self.g.values)
 
     def gradient(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return double_layer_interior_gradient(
-            self.mesh, self.mat, self.trace.values, points
-        ) - single_layer_interior_gradient(self.mesh, self.mat, self.g.values, points)
+        """Jacobian of the displacement, shape (p, 2, 2): [i, l] = du_i/dx_l."""
+        x = np.atleast_2d(np.asarray(points, dtype=float))[:, None, :]
+        m = self.mesh
+        double = dlp_traction_gradient(x, m.points, m.normals, self.mat)
+        single = kelvin_gradient(x - m.points, self.mat)
+        return _layer_sum(m, double, self.trace.values) - _layer_sum(m, single, self.g.values)
 
     def stress(self, points) -> np.ndarray:
         grad = self.gradient(points)
@@ -275,47 +241,22 @@ class BoundarySolver:
     def __init__(self, mesh: BoundaryMesh, mat: LameParams):
         self.mesh = mesh
         self.mat = mat
-        n = mesh.n
+        n2 = 2 * mesh.n
         self.double_layer = assemble_double_layer(mesh, mat)
         self.single_layer = assemble_single_layer(mesh, mat)
-        self.operator = -0.5 * np.eye(2 * n) + self.double_layer
+        self.operator = -0.5 * np.eye(n2) + self.double_layer
 
         basis = rigid_motion_traces(mesh)  # (n, 2, 3)
-        self._columns = basis.reshape(2 * n, 3)
-        self._rows = (mesh.weights[:, None, None] * basis).reshape(2 * n, 3).T
-
-        self._neumann_lu = lu_factor(self._bordered(self.operator))
-
-        # L2(dsigma)-orthonormal rigid basis: traces for projections, the
-        # triangular transform for evaluating the same basis at interior points
-        gram = self._rows @ self._columns
-        chol_lower = cholesky(gram, lower=True)
-        self._rigid_transform = solve_triangular(
-            chol_lower, np.eye(3), lower=True, trans="T"
-        )
-        self._ortho_rigid = self._columns @ self._rigid_transform  # (2n, 3)
-        self._weights2 = np.repeat(mesh.weights, 2)
-
-    # -- plumbing ---------------------------------------------------------
-
-    def _bordered(self, matrix: np.ndarray) -> np.ndarray:
-        n2 = matrix.shape[0]
-        out = np.zeros((n2 + 3, n2 + 3))
-        out[:n2, :n2] = matrix
-        out[:n2, n2:] = self._columns
-        out[n2:, :n2] = self._rows
-        return out
-
-    def _solve(self, rhs_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rhs_flat = np.asarray(rhs_flat, dtype=float)
-        single = rhs_flat.ndim == 1
-        rhs2 = rhs_flat[:, None] if single else rhs_flat
-        ext = np.vstack([rhs2, np.zeros((3, rhs2.shape[1]))])
-        sol = lu_solve(self._neumann_lu, ext)
-        w, mult = sol[:-3], sol[-3:]
-        if single:
-            return w[:, 0], mult[:, 0]
-        return w, mult
+        self._columns = basis.reshape(n2, 3)  # C
+        self._rows = (mesh.weights[:, None, None] * basis).reshape(n2, 3).T  # C^T W
+        bordered = np.zeros((n2 + 3, n2 + 3))
+        bordered[:n2, :n2] = self.operator
+        bordered[:n2, n2:] = self._columns
+        bordered[n2:, :n2] = self._rows
+        self._neumann_lu = lu_factor(bordered)
+        # inverse Gram matrix of the rigid traces in L2(dsigma): the rigid
+        # part of nodal data f is C G^-1 (C^T W f)
+        self._gram_inv = np.linalg.inv(self._rows @ self._columns)
 
     @property
     def minimum_interior_distance(self) -> float:
@@ -325,10 +266,13 @@ class BoundarySolver:
     def require_clearance(self, points, length: float = 0.0) -> None:
         """The one clearance rule: raise CrackTooCloseToBoundary, naming the
         point, unless every point lies inside the curve at a node distance of
-        at least max(minimum_interior_distance, length)."""
+        at least max(minimum_interior_distance, length).  Non-finite points
+        raise ValueError."""
         need = max(self.minimum_interior_distance, length)
-        for x, y in np.atleast_2d(np.asarray(points, dtype=float)):
-            d = self.mesh.distance_to((x, y))
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        for (x, y), d in zip(points, np.atleast_1d(self.mesh.distance_to(points))):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"point ({x:.3g}, {y:.3g}) is not finite")
             if d < 0.0:
                 raise CrackTooCloseToBoundary(
                     f"point ({x:.3g}, {y:.3g}) is outside the boundary"
@@ -341,24 +285,18 @@ class BoundarySolver:
 
     # -- core solves ------------------------------------------------------
 
-    def apply_operator(self, values: np.ndarray) -> np.ndarray:
-        """Apply -I/2 + K to nodal values (n, 2)."""
-        flat = np.asarray(values, dtype=float).reshape(-1)
-        return (self.operator @ flat).reshape(self.mesh.n, 2)
-
     def solve_neumann(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (-I/2 + K) w = rhs with rigid-motion orthogonality.
 
-        rhs may be (n, 2) nodal values, a flat (2n,) vector, or a stack
-        (2n, k); the solution matches the input layout.
+        rhs holds 2n rows per right-hand side: (n, 2) nodal values, a flat
+        (2n,) vector, or a stack (2n, k) or (n, 2, k); the solution has the
+        input's shape.  The border columns absorb the off-range part of rhs;
+        their multipliers are not returned.
         """
         rhs = np.asarray(rhs, dtype=float)
-        nodal = rhs.ndim == 2 and rhs.shape == (self.mesh.n, 2)
-        flat = rhs.reshape(-1) if nodal else rhs
-        w, _ = self._solve(flat)
-        if nodal:
-            w = w.reshape(self.mesh.n, 2)
-        return w
+        columns = rhs.reshape(2 * self.mesh.n, -1)
+        bordered = np.vstack([columns, np.zeros((3, columns.shape[1]))])
+        return lu_solve(self._neumann_lu, bordered)[:-3].reshape(rhs.shape)
 
     def solve_background(self, g: BoundaryField, tol: float = 1e-8) -> BackgroundField:
         """Solve the crack-free traction problem for equilibrated data g."""
@@ -370,7 +308,7 @@ class BoundarySolver:
                 "the problem is unsolvable"
             )
         rhs = self.single_layer @ g.flat()
-        w, _ = self._solve(rhs)
+        w = self.solve_neumann(rhs)
         residual = np.max(np.abs(self.operator @ w - rhs))
         if residual > 1e-6 * max(1.0, np.max(np.abs(rhs))):
             raise SolveFailed(f"background solve residual {residual:.3g}")
@@ -378,29 +316,27 @@ class BoundarySolver:
 
     # -- Green-function rows ----------------------------------------------
 
-    def rigid_project(self, flat: np.ndarray) -> np.ndarray:
-        """Remove the rigid-motion component of flat nodal data (2n,) or (2n, k)."""
-        stacked = flat.reshape(flat.shape[0], -1)
-        coeff = self._ortho_rigid.T @ (self._weights2[:, None] * stacked)
-        return flat - (self._ortho_rigid @ coeff).reshape(flat.shape)
+    def _rigid_coefficients(self, flat: np.ndarray) -> np.ndarray:
+        """Coefficients G^-1 (C^T W f) of the rigid part of flat nodal data."""
+        return self._gram_inv @ (self._rows @ flat)
 
-    def orthonormal_rigid_at(self, points) -> np.ndarray:
-        """Orthonormal rigid basis fields evaluated off the boundary, (p, 2, 3)."""
-        basis = rigid_motion_basis(np.atleast_2d(np.asarray(points, dtype=float)))
-        return basis @ self._rigid_transform
+    def _regular_part(self, z):
+        """Solve for the regular part R = N(., z) + Phi(. - z).
 
-    def _neumann_data(self, z: np.ndarray) -> np.ndarray:
-        """Boundary traction of the regular part of N(., z), flat (2n, 2).
-
-        Column k: conormal of the Kelvin column Phi(. - z) e_k plus the
-        torque-compatible projector datum -sum_a chi_a(x) chi_a(z)^T e_k.
+        Returns the traction datum of R, the trace of R, and the trace
+        R - Phi(. - z) of N(., z) before its rigid part is removed, each flat
+        (2n, 2).  Column k of the datum is the conormal of the Kelvin column
+        Phi(. - z) e_k plus the projector datum -psi(x) G^-1 psi(z)^T e_k.
         """
-        kelvin_traction = dlp_traction_kernel(
-            z, self.mesh.points, self.mesh.normals, self.mat
-        ).transpose(0, 2, 1)  # [i, j, k] = traction component j of column k
-        chi_z = self.orthonormal_rigid_at(z)[0]  # (2, 3)
-        datum = -np.einsum("ija,ka->ijk", self._ortho_rigid.reshape(self.mesh.n, 2, 3), chi_z)
-        return (kelvin_traction + datum).reshape(2 * self.mesh.n, 2)
+        self.require_clearance(z)
+        m, n2 = self.mesh, 2 * self.mesh.n
+        kelvin_traction = dlp_traction_kernel(z, m.points, m.normals, self.mat)
+        datum = -self._columns @ self._gram_inv @ rigid_motion_basis(z).T
+        # [i, j, k] = traction component j of column k
+        data = kelvin_traction.transpose(0, 2, 1).reshape(n2, 2) + datum
+        regular = self.solve_neumann(self.single_layer @ data)
+        raw_trace = regular - kelvin_matrix(m.points - z, self.mat).reshape(n2, 2)
+        return data, regular, raw_trace
 
     def neumann_trace(self, z) -> np.ndarray:
         """Boundary trace of the Neumann function N(., z), shape (n, 2, 2).
@@ -408,13 +344,9 @@ class BoundarySolver:
         Entry [i, :, k] is the trace at node i of the field generated by a
         unit source e_k at z; the result is rigid-motion orthogonal.
         """
-        self.require_clearance(z)
-        z = np.asarray(z, dtype=float)
-        rhs = self.single_layer @ self._neumann_data(z)
-        regular, _ = self._solve(rhs)
-        phi = kelvin_matrix(self.mesh.points - z, self.mat)
-        trace = regular - phi.reshape(2 * self.mesh.n, 2)
-        return self.rigid_project(trace).reshape(self.mesh.n, 2, 2)
+        trace = self._regular_part(z)[2]
+        trace = trace - self._columns @ self._rigid_coefficients(trace)
+        return trace.reshape(self.mesh.n, 2, 2)
 
     def neumann_interior(self, z, points) -> np.ndarray:
         """Neumann function N(x, z) at interior points x, shape (p, 2, 2).
@@ -423,28 +355,17 @@ class BoundarySolver:
         component read off the trace, where R is the regular-part trace and
         g_N its traction datum.
         """
-        self.require_clearance(z)
-        z = np.asarray(z, dtype=float)
+        data, regular, trace = self._regular_part(z)
+        m = self.mesh
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        data = self._neumann_data(z)
-        rhs = self.single_layer @ data
-        regular, _ = self._solve(rhs)
-
-        out = np.empty((points.shape[0], 2, 2))
-        for k in range(2):
-            out[:, :, k] = double_layer_interior(
-                self.mesh, self.mat, regular[:, k].reshape(self.mesh.n, 2), points
-            ) - single_layer_interior(
-                self.mesh, self.mat, data[:, k].reshape(self.mesh.n, 2), points
-            )
-        out -= kelvin_matrix(points[:, None, :] - z, self.mat)[:, 0, :, :]
-
+        x = points[:, None, :]
+        double = dlp_traction_kernel(x, m.points, m.normals, self.mat)
+        single = kelvin_matrix(x - m.points, self.mat)
+        out = _layer_sum(m, double, regular.reshape(m.n, 2, 2))
+        out -= _layer_sum(m, single, data.reshape(m.n, 2, 2))
+        out -= kelvin_matrix(points - z, self.mat)
         # subtract the rigid component so the trace is Psi-orthogonal
-        phi = kelvin_matrix(self.mesh.points - z, self.mat)
-        raw_trace = regular - phi.reshape(2 * self.mesh.n, 2)
-        coeff = self._ortho_rigid.T @ (self._weights2[:, None] * raw_trace)  # (3, 2)
-        out -= np.einsum("pia,ak->pik", self.orthonormal_rigid_at(points), coeff)
-        return out
+        return out - rigid_motion_basis(points) @ self._rigid_coefficients(trace)
 
     def neumann_conormal_row(self, z, e_perp) -> np.ndarray:
         """Trace of x -> dN/dnu_y (x, z) for crack normal e_perp, (n, 2, 2).
@@ -453,11 +374,8 @@ class BoundarySolver:
         kernel column as data; the result is rigid-motion orthogonal.
         """
         self.require_clearance(z)
-        z = np.asarray(z, dtype=float)
-        data = dlp_traction_kernel(self.mesh.points, z, np.asarray(e_perp, float), self.mat)
-        rhs = data.reshape(2 * self.mesh.n, 2)
-        w, _ = self._solve(rhs)
-        return w.reshape(self.mesh.n, 2, 2)
+        data = dlp_traction_kernel(self.mesh.points, z, e_perp, self.mat)
+        return self.solve_neumann(data)
 
 
 def solve_background(mesh: BoundaryMesh, mat: LameParams, g: BoundaryField) -> BackgroundField:

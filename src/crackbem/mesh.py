@@ -187,16 +187,18 @@ class BoundaryMesh:
     def perimeter(self) -> float:
         return float(self.weights.sum())
 
-    def distance_to(self, point) -> float:
-        """Distance from a point to the sampled boundary nodes, negated when
-        the point lies outside the curve."""
-        d = self.points - np.asarray(point, dtype=float)
-        distance = float(np.min(np.linalg.norm(d, axis=-1)))
-        # winding of the node polygon around the point; the boundary is CCW
-        angles = np.arctan2(d[:, 1], d[:, 0])
-        turns = np.diff(np.concatenate([angles, angles[:1]]))
+    def distance_to(self, points):
+        """Distance from points (..., 2) to the sampled boundary nodes, negated
+        where a point lies outside the curve; shape (...), a float for one
+        point."""
+        d = self.points - np.asarray(points, dtype=float)[..., None, :]
+        distance = np.min(np.linalg.norm(d, axis=-1), axis=-1)
+        # winding of the node polygon around each point; the boundary is CCW
+        angles = np.arctan2(d[..., 1], d[..., 0])
+        turns = np.diff(angles, axis=-1, append=angles[..., :1])
         turns = (turns + np.pi) % (2 * np.pi) - np.pi
-        return distance if abs(turns.sum()) > np.pi else -distance
+        signed = np.where(np.abs(turns.sum(axis=-1)) > np.pi, distance, -distance)
+        return float(signed) if signed.ndim == 0 else signed
 
 
 def build_mesh(shape, n_nodes: int) -> BoundaryMesh:

@@ -3,12 +3,15 @@ opening, representation cross-checks, and failure modes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crackbem import (
     BoundaryField,
     BoundarySolver,
     CrackSegment,
     Disk,
+    LameParams,
     build_mesh,
     crack_traction_samples,
     solve_cracked,
@@ -32,6 +35,22 @@ def test_crack_segment_validation():
         CrackSegment(center=(0.0, 0.0), direction=(0.0, 0.0), length=0.1)
     with pytest.raises(ValueError):
         CrackSegment(center=(0.0, 0.0), direction=(1.0, 0.0), length=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("center", (np.nan, 0.0)),
+        ("center", (0.0, np.inf)),
+        ("direction", (np.nan, 1.0)),
+        ("length", np.inf),
+        ("length", np.nan),
+    ],
+)
+def test_crack_segment_refuses_non_finite(field, value):
+    args = {"center": (0.0, 0.0), "direction": (1.0, 0.0), "length": 0.1, field: value}
+    with pytest.raises(ValueError, match=f"crack {field} must be finite"):
+        CrackSegment(**args)
 
 
 def test_crack_traction_samples_constant_stress(solver_128):
@@ -104,6 +123,40 @@ def test_frame_invariance(solver_128, mat):
     assert np.allclose(
         np.roll(rotated.w.values, -k, axis=0), base.w.values @ rot.T, atol=1e-10
     )
+
+
+def cracked_w(shape, mat, center, angle):
+    """Perturbation trace w of a 0.1-long crack under a fixed constant stress."""
+    solver = BoundarySolver(build_mesh(shape, 64), mat)
+    background = constant_stress_background(solver, [[1.0, 0.3], [0.3, -0.5]])
+    crack = CrackSegment(center=center, direction=(np.cos(angle), np.sin(angle)), length=0.1)
+    return background, solve_cracked(background, crack).w.values
+
+
+inside = st.floats(-0.4, 0.4)
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(center=st.tuples(inside, inside), angle=st.floats(0.0, np.pi),
+       shift=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
+def test_translation_invariance(center, angle, shift):
+    # moving the disk, the crack and the load together leaves w unchanged
+    mat = LameParams(1.0, 1.0)
+    _, w = cracked_w(Disk(), mat, center, angle)
+    moved = tuple(np.add(center, shift))
+    _, w_moved = cracked_w(Disk(center=shift), mat, moved, angle)
+    assert np.allclose(w_moved, w, rtol=0.0, atol=1e-10)
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(center=st.tuples(inside, inside), angle=st.floats(0.0, np.pi),
+       lam=st.floats(0.2, 3.0), mu=st.floats(0.2, 3.0), c=st.floats(0.1, 10.0))
+def test_material_scaling(center, angle, lam, mu, c):
+    # (lam, mu) -> c (lam, mu) divides every displacement by c
+    background, w = cracked_w(Disk(), LameParams(lam, mu), center, angle)
+    scaled, w_scaled = cracked_w(Disk(), LameParams(c * lam, c * mu), center, angle)
+    assert np.allclose(c * scaled.trace.values, background.trace.values, rtol=0.0, atol=1e-12)
+    assert np.allclose(c * w_scaled, w, rtol=0.0, atol=1e-9)
 
 
 def test_solver_guard_rails(solver_128):

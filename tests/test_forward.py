@@ -3,10 +3,11 @@ Neumann solve, interior evaluation, and the Green-function rows."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crackbem import (
+    BackgroundField,
     BoundaryField,
     BoundarySolver,
     CrackSegment,
@@ -38,7 +39,7 @@ def exterior_kelvin_field(mesh, mat, source, strength):
 def test_rigid_traces_span_the_null_space(solver_128):
     basis = rigid_motion_traces(solver_128.mesh)
     for a in range(3):
-        out = solver_128.apply_operator(basis[:, :, a])
+        out = solver_128.operator @ basis[:, :, a].reshape(-1)
         assert np.max(np.abs(out)) < 1e-12
 
 
@@ -64,19 +65,19 @@ def test_jump_relation_for_regular_field(solver_128, mat):
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-def test_double_layer_reproduces_rigid_motions_inside(solver_128, mat):
-    # rigid motions have zero traction, so u(x) = D[u|](x) in the interior
-    from crackbem.forward import double_layer_interior
-
+def test_double_layer_reproduces_rigid_motions_inside(solver_128):
+    # rigid motions have zero traction, so u(x) = D[u|](x) in the interior:
+    # a background field with zero traction data has exactly that displacement
     mesh = solver_128.mesh
+    zero = BoundaryField(mesh, np.zeros((mesh.n, 2)))
     pts = np.array([[0.3, 0.1], [-0.4, -0.5], [0.0, 0.6]])
     basis = rigid_motion_traces(mesh)
     for a, exact in enumerate(
         [np.tile([1.0, 0.0], (3, 1)), np.tile([0.0, 1.0], (3, 1)),
          np.stack([pts[:, 1], -pts[:, 0]], axis=-1)]
     ):
-        vals = double_layer_interior(mesh, mat, basis[:, :, a], pts)
-        assert np.allclose(vals, exact, atol=1e-12)
+        rigid = BackgroundField(solver_128, BoundaryField(mesh, basis[:, :, a]), zero)
+        assert np.allclose(rigid.displacement(pts), exact, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -117,12 +118,16 @@ def test_solve_neumann_layout_round_trip(solver_128):
     flat = solver_128.solve_neumann(rhs)
     nodal = solver_128.solve_neumann(rhs.reshape(-1, 2))
     stacked = solver_128.solve_neumann(np.stack([rhs, 2 * rhs], axis=-1))
+    nodal_stack = solver_128.solve_neumann(np.stack([rhs, 2 * rhs], axis=-1).reshape(-1, 2, 2))
+    assert nodal_stack.shape == (solver_128.mesh.n, 2, 2)
+    assert np.allclose(nodal_stack.reshape(-1, 2), stacked, atol=1e-14)
     assert np.allclose(nodal.reshape(-1), flat, atol=1e-14)
     assert np.allclose(stacked[:, 0], flat, atol=1e-14)
     assert np.allclose(stacked[:, 1], 2 * flat, atol=1e-12)
     # the solution solves the equation and is rigid-orthogonal
     assert np.max(np.abs(solver_128.operator @ flat - rhs)) < 1e-10
-    assert np.max(np.abs(solver_128.rigid_project(flat) - flat)) < 1e-12
+    moments = BoundaryField.from_flat(solver_128.mesh, flat).rigid_moments()
+    assert np.max(np.abs(moments)) < 1e-12
 
 
 def test_neumann_reciprocity(solver_128):
@@ -131,6 +136,14 @@ def test_neumann_reciprocity(solver_128):
     n12 = solver_128.neumann_interior(z1, z2[None, :])[0]
     n21 = solver_128.neumann_interior(z2, z1[None, :])[0]
     assert np.max(np.abs(n12 - n21.T)) < 1e-9
+
+
+@pytest.mark.parametrize("point", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, np.nan)])
+def test_clearance_refuses_non_finite_points(solver_128, point):
+    with pytest.raises(ValueError, match="is not finite"):
+        solver_128.require_clearance(point)
+    with pytest.raises(ValueError, match="is not finite"):
+        solver_128.require_clearance([(0.0, 0.0), point])
 
 
 def test_neumann_trace_is_rigid_orthogonal(solver_128):
@@ -190,3 +203,23 @@ def test_exterior_points_refused(cos, sin, theta, factor):
         solver.neumann_trace(point)
     with pytest.raises(CrackTooCloseToBoundary, match="outside the boundary"):
         solver.neumann_conormal_row(point, np.array([0.0, 1.0]))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    cos=coefficients,
+    sin=coefficients,
+    angles=st.tuples(st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi)),
+    fractions=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+)
+def test_neumann_reciprocity_on_stars(cos, sin, angles, fractions):
+    # N(x, z) = N(z, x)^T for interior pairs; the source datum, the Gram
+    # projector and the rigid correction all enter both sides
+    star = FourierStar(r0=1.0, cos_coeffs=tuple(cos), sin_coeffs=tuple(sin))
+    solver = BoundarySolver(build_mesh(star, 128), LameParams(1.0, 1.0))
+    x, z = (f * star.point(t) for f, t in zip(fractions, angles))
+    assume(np.linalg.norm(x - z) > 0.05)
+    assume(np.min(solver.mesh.distance_to([x, z])) > 2.0 * solver.minimum_interior_distance)
+    n_xz = solver.neumann_interior(z, x[None, :])[0]
+    n_zx = solver.neumann_interior(x, z[None, :])[0]
+    assert np.max(np.abs(n_xz - n_zx.T)) < 1e-10

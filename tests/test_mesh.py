@@ -71,6 +71,18 @@ def test_distance_to():
     assert mesh.distance_to((2.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_distance_to_batches():
+    # any (..., 2) stack of points gives one signed distance per point
+    mesh = build_mesh(Disk(), 128)
+    axis = np.linspace(-1.5, 1.5, 8)
+    grid = np.stack(np.meshgrid(axis, axis[:5]), axis=-1)  # (5, 8, 2)
+    batched = mesh.distance_to(grid)
+    assert batched.shape == (5, 8)
+    assert isinstance(mesh.distance_to(grid[0, 0]), float)
+    assert np.array_equal(batched, [[mesh.distance_to(p) for p in row] for row in grid])
+    assert np.array_equal(batched < 0.0, np.hypot(grid[..., 0], grid[..., 1]) > 1.0)
+
+
 def test_boundary_field_algebra():
     mesh = build_mesh(Disk(), 32)
     f = BoundaryField(mesh, mesh.points)
