@@ -34,7 +34,7 @@ import numpy as np
 
 from .cracks import CrackSegment
 from .forward import BackgroundField
-from .kernels import LameParams
+from .kernels import LameParams, rot90
 from .mesh import BoundaryField
 
 __all__ = [
@@ -56,7 +56,8 @@ class StressIntensity:
     """Normalized stress intensity pair of a crack orientation.
 
     k1 is the normal (opening) component of the background traction across
-    the crack line, k2 the tangential (sliding) component.
+    the crack line, k2 the tangential (sliding) component; arrays of them
+    describe a batch of points or orientations.
     """
 
     k1: float
@@ -74,12 +75,14 @@ def traction_at_crack(background: BackgroundField, crack: CrackSegment) -> np.nd
 
 
 def stress_intensity_from_stress(stress: np.ndarray, direction) -> StressIntensity:
-    """Intensity pair of a stress tensor for a crack tangent `direction`."""
+    """Intensity pair of stress tensors (..., 2, 2) for crack tangents
+    `direction` (..., 2); the two broadcast, so k1 and k2 are floats for one
+    tensor and tangent and arrays of the broadcast shape otherwise."""
     e = np.asarray(direction, dtype=float)
-    e = e / np.hypot(e[0], e[1])
-    e_perp = np.array([-e[1], e[0]])
-    t = np.asarray(stress, dtype=float) @ e_perp
-    return StressIntensity(k1=float(t @ e_perp), k2=float(t @ e))
+    e = e / np.hypot(e[..., 0], e[..., 1])[..., None]
+    e_perp = rot90(e)
+    t = (np.asarray(stress, dtype=float) @ e_perp[..., None])[..., 0]
+    return StressIntensity(k1=np.sum(t * e_perp, axis=-1), k2=np.sum(t * e, axis=-1))
 
 
 def stress_intensity(background: BackgroundField, crack: CrackSegment) -> StressIntensity:

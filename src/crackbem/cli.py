@@ -394,34 +394,27 @@ def cmd_td_map(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> N
 
     extent = float(np.max(np.abs(ws.mesh.points)))
     coords = np.linspace(-extent, extent, section["n_grid"])
-    kept, skipped = [], []
+    angles = np.arange(section["n_angles"]) * (180.0 / section["n_angles"])
+    directions = _angle_direction(angles).T  # (n_angles, 2)
+    rows = []
     for y in coords:  # one row per call: the whole grid at once costs memory
         row = np.stack([coords, np.full_like(coords, y)], axis=-1)
-        for point, keep in zip(row, ws.mesh.distance_to(row) >= margin):
-            (kept if keep else skipped).append(point)
-    for point in skipped:
-        print(
-            f"log: skipped grid point ({point[0]:g}, {point[1]:g}): "
-            f"closer than margin {margin:g} to the boundary",
-            file=sys.stderr,
-        )
-
-    angles = np.arange(section["n_angles"]) * (180.0 / section["n_angles"])
-
-    def point_rows(point: np.ndarray) -> list:
-        stress = ws.background.stress(point)[0]
-        entries = []
-        for angle in angles:
-            sif = stress_intensity_from_stress(stress, _angle_direction(angle))
-            td = topological_derivative(sif, ws.material)
-            entries.append((angle, sif.k1, sif.k2, td))
-        best = min(entries, key=lambda e: e[3])
-        return [
-            (point[0], point[1], angle, k1, k2, td, best[0])
-            for (angle, k1, k2, td) in entries
-        ]
-
-    rows = [row for point in kept for row in point_rows(point)]
+        keep = ws.mesh.distance_to(row) >= margin
+        for point in row[~keep]:
+            print(
+                f"log: skipped grid point ({point[0]:g}, {point[1]:g}): "
+                f"closer than margin {margin:g} to the boundary",
+                file=sys.stderr,
+            )
+        points = row[keep]
+        stress = ws.background.stress(points)[:, None]  # against every angle
+        sif = stress_intensity_from_stress(stress, directions)  # (k, n_angles)
+        td = topological_derivative(sif, ws.material)
+        best = angles[np.argmin(td, axis=1)]  # the first of equal minima
+        rows.extend(np.column_stack([
+            np.repeat(points, len(angles), axis=0), np.tile(angles, len(points)),
+            sif.k1.ravel(), sif.k2.ravel(), td.ravel(), np.repeat(best, len(angles)),
+        ]))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(

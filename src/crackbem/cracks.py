@@ -43,7 +43,7 @@ from .chebyshev import (
     invert_finite_part_operator,
 )
 from .errors import SolveFailed
-from .forward import BackgroundField
+from .forward import BackgroundField, _blocks_to_matrix
 from .kernels import dlp_traction_kernel, double_conormal_kernel, rot90
 from .mesh import BoundaryField
 
@@ -61,7 +61,8 @@ class CrackSegment:
 
     `direction` is the tangent; it is normalized on construction.  The crack
     normal is the 90-degree counterclockwise rotation of the tangent.  A
-    non-finite center, direction or length raises ValueError naming it.
+    center or direction that is not a 2-vector, or a non-finite center,
+    direction or length, raises ValueError naming it.
     """
 
     center: tuple
@@ -71,13 +72,13 @@ class CrackSegment:
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
         e = np.asarray(self.direction, dtype=float)
-        for name, finite in (
-            ("center", math.isfinite(c[0]) and math.isfinite(c[1])),
-            ("direction", math.isfinite(e[0]) and math.isfinite(e[1])),
-            ("length", math.isfinite(self.length)),
-        ):
-            if not finite:
+        for name, v in (("center", c), ("direction", e)):
+            if v.shape != (2,):
+                raise ValueError(f"crack {name} must be a 2-vector")
+            if not (math.isfinite(v[0]) and math.isfinite(v[1])):
                 raise ValueError(f"crack {name} must be finite")
+        if not math.isfinite(self.length):
+            raise ValueError("crack length must be finite")
         norm = float(np.hypot(e[0], e[1]))
         if norm == 0.0:
             raise ValueError("crack direction must be a nonzero vector")
@@ -196,30 +197,30 @@ def solve_cracked(
     f0 = crack_traction_samples(background, crack, eta_c)  # (m, 2)
 
     # boundary -> crack: traction of the boundary double layer at collocation
-    # points, contracted against nodal trace values
-    feedback = double_conormal_kernel(
-        coll[:, None, :],
-        mesh.points[None, :, :],
-        crack.normal,
-        mesh.normals[None, :, :],
-        mat,
-    ) * mesh.weights[None, :, None, None]
+    # points, a (2m, 2n) matrix applied to the flat nodal trace
+    feedback = _blocks_to_matrix(
+        double_conormal_kernel(
+            coll[:, None, :], mesh.points[None, :, :], crack.normal, mesh.normals[None], mat
+        )
+    ) * np.repeat(mesh.weights, 2)
 
-    # crack -> boundary: double-layer transfer evaluated at quadrature nodes
+    # crack -> boundary: double-layer transfer evaluated at quadrature nodes,
+    # a (2n, 2q) matrix applied to the flat polynomial part of the opening
     eta_q, gc_weights = gauss_chebyshev_u(quad_points)
-    transfer = dlp_traction_kernel(
-        mesh.points[:, None, :], crack.points(eta_q)[None, :, :], crack.normal, mat
-    )
-    transfer = transfer * (crack.half_length**2 * gc_weights)[None, :, None, None]
+    transfer = _blocks_to_matrix(
+        dlp_traction_kernel(
+            mesh.points[:, None, :], crack.points(eta_q)[None, :, :], crack.normal, mat
+        )
+    ) * np.repeat(crack.half_length**2 * gc_weights, 2)
 
     w = np.zeros((mesh.n, 2))
     psi = None
     history = []
     for iteration in range(1, max_iterations + 1):
-        f = f0 + np.einsum("qjkl,jl->qk", feedback, w)
+        f = f0 + (feedback @ w.reshape(-1)).reshape(-1, 2)
         psi = invert_finite_part_operator(-(4.0 / mat.E) * f, n_modes)
         poly = psi.polynomial_part(eta_q)  # (q, 2)
-        rhs = np.einsum("iqkl,ql->ik", transfer, poly)
+        rhs = (transfer @ poly.reshape(-1)).reshape(-1, 2)
         w_new = solver.solve_neumann(rhs)
         update = float(np.max(np.abs(w_new - w)))
         history.append(update)

@@ -117,8 +117,9 @@ def _pairwise(mesh: BoundaryMesh):
 
 
 def _blocks_to_matrix(blocks: np.ndarray) -> np.ndarray:
-    n = blocks.shape[0]
-    return blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+    """Pairwise blocks (p, n, 2, 2) as one (2p, 2n) matrix."""
+    p, n = blocks.shape[:2]
+    return blocks.transpose(0, 2, 1, 3).reshape(2 * p, 2 * n)
 
 
 def assemble_double_layer(mesh: BoundaryMesh, mat: LameParams) -> np.ndarray:
@@ -186,9 +187,11 @@ def assemble_single_layer(mesh: BoundaryMesh, mat: LameParams) -> np.ndarray:
 
 def _layer_sum(mesh: BoundaryMesh, kernel: np.ndarray, density: np.ndarray) -> np.ndarray:
     """Trapezoidal layer sum at interior points: kernel values (p, n, 2, 2, ...)
-    between the points and the nodes, contracted with a nodal density
-    (n, 2, ...); shape (p, 2, ...)."""
-    return np.einsum("j,pjkl...,jl...->pk...", mesh.weights, kernel, density)
+    between the points and the nodes, contracted over (node, density component)
+    with a nodal density (n, 2, ...); one of the two `...` is empty, and the
+    result is (p, 2, ...)."""
+    weighted = mesh.weights.reshape((-1,) + (1,) * (density.ndim - 1)) * density
+    return np.tensordot(kernel, weighted, axes=([1, 3], [0, 1]))
 
 
 class BackgroundField:

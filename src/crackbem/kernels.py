@@ -37,6 +37,7 @@ interior evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,8 @@ class LameParams:
     Parameters
     ----------
     lam, mu : float
-        Lame parameters; admissibility requires mu > 0 and lam + mu > 0.
+        Lame parameters; admissibility requires both finite, mu > 0 and
+        lam + mu > 0.
 
     Attributes
     ----------
@@ -99,6 +101,9 @@ class LameParams:
 
     def __post_init__(self) -> None:
         lam, mu = float(self.lam), float(self.mu)
+        for name, value in (("lam", lam), ("mu", mu)):
+            if not math.isfinite(value):
+                raise ValueError(f"material parameter {name} must be finite, got {value}")
         if not (mu > 0.0 and lam + mu > 0.0):
             raise ValueError(
                 f"inadmissible material: need mu > 0 and lam + mu > 0, "
@@ -122,12 +127,25 @@ def rot90(v: np.ndarray) -> np.ndarray:
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
-def _separation(dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dx = np.asarray(dx, dtype=float)
-    rho2 = np.einsum("...i,...i->...", dx, dx)
+def _offset(x, y=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Components r0, r1 of r = x - y and rho^2 = |r|^2; zero separation raises."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r0, r1 = x[..., 0] - y[..., 0], x[..., 1] - y[..., 1]
+    rho2 = r0 * r0 + r1 * r1
     if np.any(rho2 == 0.0):
         raise ValueError("kernel evaluated at zero separation")
-    return dx, rho2
+    return r0, r1, rho2
+
+
+def _tensor(components: dict) -> np.ndarray:
+    """Array (..., 2, 2) or (..., 2, 2, 2) whose entry [..., *index] is
+    components[index]; the components broadcast against each other."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in components.values()))
+    out = np.empty(shape + (2,) * len(next(iter(components))))
+    for index, value in components.items():
+        out[(..., *index)] = value
+    return out
 
 
 def kelvin_matrix(dx: np.ndarray, mat: LameParams) -> np.ndarray:
@@ -136,10 +154,14 @@ def kelvin_matrix(dx: np.ndarray, mat: LameParams) -> np.ndarray:
     Phi_ij = lam' delta_ij log|dx| - mu' dx_i dx_j / |dx|^2.  Symmetric and
     even in dx; singular at dx = 0 (rejected).
     """
-    dx, rho2 = _separation(dx)
-    logr = 0.5 * np.log(rho2)
-    outer = np.einsum("...i,...j->...ij", dx, dx) / rho2[..., None, None]
-    return mat.lam_prime * logr[..., None, None] * _EYE2 - mat.mu_prime * outer
+    r0, r1, rho2 = _offset(dx)
+    diag = (0.5 * mat.lam_prime) * np.log(rho2)
+    scale = mat.mu_prime / rho2
+    off = -scale * r0 * r1
+    return _tensor({
+        (0, 0): diag - scale * r0 * r0, (0, 1): off,
+        (1, 0): off, (1, 1): diag - scale * r1 * r1,
+    })
 
 
 def kelvin_gradient(dx: np.ndarray, mat: LameParams) -> np.ndarray:
@@ -150,15 +172,18 @@ def kelvin_gradient(dx: np.ndarray, mat: LameParams) -> np.ndarray:
         lam' delta_ij dx_l / rho^2
         - mu' [(delta_li dx_j + delta_lj dx_i)/rho^2 - 2 dx_i dx_j dx_l/rho^4]
     """
-    dx, rho2 = _separation(dx)
-    inv = 1.0 / rho2
-    d_over = dx * inv[..., None]
-    term1 = np.einsum("ij,...l->...ijl", _EYE2, d_over)
-    term2 = np.einsum("li,...j->...ijl", _EYE2, d_over) + np.einsum(
-        "lj,...i->...ijl", _EYE2, d_over
-    )
-    term3 = 2.0 * np.einsum("...i,...j,...l->...ijl", d_over, d_over, dx)
-    return mat.lam_prime * term1 - mat.mu_prime * (term2 - term3)
+    r0, r1, rho2 = _offset(dx)
+    u0, u1 = r0 / rho2, r1 / rho2
+    lam, mu = mat.lam_prime, mat.mu_prime
+    # p_ij = 2 mu' dx_i dx_j / rho^4
+    p00, p01, p11 = (2.0 * mu) * u0 * u0, (2.0 * mu) * u0 * u1, (2.0 * mu) * u1 * u1
+    off0, off1 = p01 * r0 - mu * u1, p01 * r1 - mu * u0
+    return _tensor({
+        (0, 0, 0): (lam - 2.0 * mu) * u0 + p00 * r0, (0, 0, 1): lam * u1 + p00 * r1,
+        (0, 1, 0): off0, (0, 1, 1): off1,
+        (1, 0, 0): off0, (1, 0, 1): off1,
+        (1, 1, 0): lam * u0 + p11 * r0, (1, 1, 1): (lam - 2.0 * mu) * u1 + p11 * r1,
+    })
 
 
 def traction_operator(normal: np.ndarray, xi: np.ndarray, mat: LameParams) -> np.ndarray:
@@ -209,17 +234,42 @@ def dlp_traction_kernel(
     so the density index j of the double layer potential pairs with the
     traction component.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    r0, r1, rho2 = _offset(x, y)
     n = np.asarray(normal_y, dtype=float)
-    r, rho2 = _separation(x - y)
-    s = np.einsum("...i,...i->...", n, r) / rho2
-    rr = np.einsum("...i,...j->...ij", r, r) / rho2[..., None, None]
-    sym = (mat.a * _EYE2 + mat.b * rr) * s[..., None, None]
-    skew = (
-        np.einsum("...i,...j->...ij", r, n) - np.einsum("...i,...j->...ij", n, r)
-    ) / rho2[..., None, None]
-    return sym - mat.a * skew
+    n0, n1 = n[..., 0], n[..., 1]
+    s = (n0 * r0 + n1 * r1) / rho2
+    bs = mat.b * s / rho2
+    skew = mat.a * (r0 * n1 - n0 * r1) / rho2
+    off = bs * r0 * r1
+    return _tensor({
+        (0, 0): mat.a * s + bs * r0 * r0, (0, 1): off - skew,
+        (1, 0): off + skew, (1, 1): mat.a * s + bs * r1 * r1,
+    })
+
+
+def _dlp_gradient_components(x, y, normal_y, mat: LameParams) -> dict:
+    """Components {(k, j, l): d K_kj / d x_l}, see dlp_traction_gradient."""
+    r0, r1, rho2 = _offset(x, y)
+    n = np.asarray(normal_y, dtype=float)
+    n0, n1 = n[..., 0] / rho2, n[..., 1] / rho2  # n~
+    u0, u1 = r0 / rho2, r1 / rho2
+    a, b = mat.a, mat.b
+    s = n0 * r0 + n1 * r1
+    bs = b * s
+    p00, p01, p11 = a + b * r0 * u0, b * r0 * u1, a + b * r1 * u1
+    # q_kj = 2 Q_kj, and skew = 2 a skew_01 = -2 a skew_10
+    skew = (2.0 * a) * (r0 * n1 - n0 * r1)
+    q00, q11 = 2.0 * a * s + 4.0 * bs * r0 * u0, 2.0 * a * s + 4.0 * bs * r1 * u1
+    q01 = 4.0 * bs * r0 * u1 - skew
+    q10 = q01 + 2.0 * skew
+    v0, v1 = bs * u0 - a * n0, bs * u1 - a * n1
+    w0, w1 = bs * u0 + a * n0, bs * u1 + a * n1
+    return {
+        (0, 0, 0): p00 * n0 - q00 * u0 + v0 + w0, (0, 0, 1): p00 * n1 - q00 * u1,
+        (0, 1, 0): p01 * n0 - q01 * u0 + v1, (0, 1, 1): p01 * n1 - q01 * u1 + w0,
+        (1, 0, 0): p01 * n0 - q10 * u0 + w1, (1, 0, 1): p01 * n1 - q10 * u1 + v0,
+        (1, 1, 0): p11 * n0 - q11 * u0, (1, 1, 1): p11 * n1 - q11 * u1 + v1 + w1,
+    }
 
 
 def dlp_traction_gradient(
@@ -227,48 +277,17 @@ def dlp_traction_gradient(
 ) -> np.ndarray:
     """Gradient in x of the double-layer traction kernel, shape (..., 2, 2, 2).
 
-    Entry [k, j, l] is d K_kj / d x_l, assembled from
+    Entry [k, j, l] is d K_kj / d x_l.  With u = r/rho^2, n~ = n/rho^2,
+    s = (n.r)/rho^2 and skew_kj = (r_k n_j - n_k r_j)/rho^2, differentiating
+    K_kj = P_kj s - a skew_kj gives
 
-        d_l s = n_l/rho^2 - 2 (n.r) r_l/rho^4,
-        d_l (r_k r_j/rho^2) = (delta_lk r_j + delta_lj r_k)/rho^2
-                              - 2 r_k r_j r_l/rho^4,
-        d_l ((r_k n_j - n_k r_j)/rho^2)
-            = (delta_lk n_j - n_k delta_lj)/rho^2
-              - 2 (r_k n_j - n_k r_j) r_l/rho^4.
+        d_l K_kj = P_kj n~_l - 2 Q_kj u_l + delta_lk v_j + delta_lj w_k,
+
+    P_kj = a delta_kj + b r_k r_j/rho^2,
+    Q_kj = a s delta_kj + 2 b s r_k r_j/rho^2 - a skew_kj,
+    v = b s u - a n~,  w = b s u + a n~.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = np.asarray(normal_y, dtype=float)
-    r, rho2 = _separation(x - y)
-    inv = 1.0 / rho2
-    ndotr = np.einsum("...i,...i->...", n, r)
-    s = ndotr * inv
-    r_scaled = r * inv[..., None]
-
-    ds = n * inv[..., None] - 2.0 * ndotr[..., None] * r * (inv**2)[..., None]
-
-    rr = np.einsum("...k,...j->...kj", r, r) * inv[..., None, None]
-    drr = (
-        np.einsum("lk,...j->...kjl", _EYE2, r_scaled)
-        + np.einsum("lj,...k->...kjl", _EYE2, r_scaled)
-        - 2.0 * np.einsum("...kj,...l->...kjl", rr, r_scaled)
-    )
-
-    skew = (
-        np.einsum("...k,...j->...kj", r, n) - np.einsum("...k,...j->...kj", n, r)
-    ) * inv[..., None, None]
-    dskew = (
-        np.einsum("lk,...j->...kjl", _EYE2, n * inv[..., None])
-        - np.einsum("lj,...k->...kjl", _EYE2, n * inv[..., None])
-        - 2.0 * np.einsum("...kj,...l->...kjl", skew, r_scaled)
-    )
-
-    sym_part = (
-        mat.a * np.einsum("kj,...l->...kjl", _EYE2, ds)
-        + mat.b * drr * s[..., None, None, None]
-        + mat.b * np.einsum("...kj,...l->...kjl", rr, ds)
-    )
-    return sym_part - mat.a * dskew
+    return _tensor(_dlp_gradient_components(x, y, normal_y, mat))
 
 
 def double_conormal_kernel(
@@ -282,17 +301,21 @@ def double_conormal_kernel(
     traction kernel, shape (..., 2, 2).
 
     Column j of the result is the traction, in direction normal_x, of the
-    vector field x -> K(x, y; normal_y) e_j.  On a straight crack with
-    normal_x = normal_y perpendicular to x - y this reduces to the canonical
-    -E/(4 pi |x-y|^2) I form.
+    vector field x -> K(x, y; normal_y) e_j, whose gradient is g[k, j, l] =
+    d_l K_kj:  lam (g[0, j, 0] + g[1, j, 1]) m_i + mu (g[i, j, l] + g[l, j, i]) m_l.
+    On a straight crack with normal_x = normal_y perpendicular to x - y this
+    reduces to the canonical -E/(4 pi |x-y|^2) I form.
     """
+    g = _dlp_gradient_components(x, y, normal_y, mat)
     m = np.asarray(normal_x, dtype=float)
-    grad = dlp_traction_gradient(x, y, normal_y, mat)
-    div = np.einsum("...kjk->...j", grad)
-    sym = grad + np.einsum("...kjl->...ljk", grad)
-    return mat.lam * np.einsum("...i,...j->...ij", m, div) + mat.mu * np.einsum(
-        "...l,...ijl->...ij", m, sym
-    )
+    m = (m[..., 0], m[..., 1])
+    div = [g[0, j, 0] + g[1, j, 1] for j in (0, 1)]
+    return _tensor({
+        (i, j): mat.lam * m[i] * div[j]
+        + mat.mu * (m[0] * (g[i, j, 0] + g[0, j, i]) + m[1] * (g[i, j, 1] + g[1, j, i]))
+        for i in (0, 1)
+        for j in (0, 1)
+    })
 
 
 def hypersingular_kernel_canonical(x1, y1, mat: LameParams) -> np.ndarray:

@@ -52,6 +52,23 @@ def test_intensity_normalizes_direction():
     assert a.k2 == pytest.approx(b.k2, abs=1e-14)
 
 
+def test_intensity_broadcasts_over_stresses_and_directions():
+    # one call on (p, 1, 2, 2) stresses and (a, 2) tangents, against the
+    # one-tensor-one-tangent evaluation of every pair
+    rng = np.random.default_rng(17)
+    sigma = rng.standard_normal((3, 2, 2))
+    sigma = sigma + np.swapaxes(sigma, -1, -2)
+    directions = rng.standard_normal((5, 2))
+    batch = stress_intensity_from_stress(sigma[:, None], directions)
+    assert batch.k1.shape == batch.k2.shape == (3, 5)
+    for p in range(3):
+        for a in range(5):
+            one = stress_intensity_from_stress(sigma[p], directions[a])
+            assert isinstance(one.k1, float) and isinstance(one.k2, float)
+            assert batch.k1[p, a] == pytest.approx(one.k1, rel=1e-15, abs=1e-15)
+            assert batch.k2[p, a] == pytest.approx(one.k2, rel=1e-15, abs=1e-15)
+
+
 def test_energy_asymptotic_literal():
     # lam = mu = 1 (E = 8/3), eps = 0.1, K = (1, 0): -pi eps^2 / (4 E) = -3 pi/3200
     mat = LameParams(1.0, 1.0)

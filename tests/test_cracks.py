@@ -53,6 +53,22 @@ def test_crack_segment_refuses_non_finite(field, value):
         CrackSegment(**args)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("direction", (1.0, 0.0, 0.0)),
+        ("direction", 1.0),
+        ("center", (0.0, 0.0, 0.0)),
+        ("center", ((0.0, 0.0), (0.1, 0.0))),
+        ("center", (0.0,)),
+    ],
+)
+def test_crack_segment_refuses_non_2_vectors(field, value):
+    args = {"center": (0.0, 0.0), "direction": (1.0, 0.0), "length": 0.1, field: value}
+    with pytest.raises(ValueError, match=f"crack {field} must be a 2-vector"):
+        CrackSegment(**args)
+
+
 def test_crack_traction_samples_constant_stress(solver_128):
     background = constant_stress_background(solver_128, np.diag([0.0, 1.0]))
     crack = CrackSegment(center=(0.2, 0.1), direction=(1.0, 0.0), length=0.1)

@@ -22,7 +22,7 @@ from crackbem import (
     solve_cracked,
 )
 from crackbem.errors import CrackTooCloseToBoundary, EquilibriumViolated
-from oracles import linear_field
+from oracles import fd_jacobian, linear_field
 
 
 def exterior_kelvin_field(mesh, mat, source, strength):
@@ -103,6 +103,24 @@ def test_background_interior_fields(solver_256, mat):
     assert np.allclose(background.displacement(pts), linear_field(grad)(pts), atol=1e-10)
     assert np.allclose(background.gradient(pts), np.broadcast_to(grad, (3, 2, 2)), atol=1e-10)
     assert np.allclose(background.stress(pts), np.broadcast_to(sigma, (3, 2, 2)), atol=1e-10)
+
+
+def test_background_gradient_matches_fd_on_star(mat):
+    # a Fourier-traction load on a Fourier star: a non-polynomial interior field
+    mesh = build_mesh(FourierStar(r0=1.0, cos_coeffs=(0.12,), sin_coeffs=(0.0, 0.08)), 256)
+    t = mesh.params
+    values = np.cos(t)[:, None] * [1.0, 0.0] + np.sin(t)[:, None] * [0.0, 0.5]
+    values += np.cos(3.0 * t)[:, None] * [0.3, -0.2]
+    g = project_off_rigid_motions(BoundaryField(mesh, values))
+    background = BoundarySolver(mesh, mat).solve_background(g)
+    points = np.array([[0.1, 0.1], [-0.35, 0.2], [0.2, -0.4], [0.5, 0.05]])
+    grad = background.gradient(points)
+    curvature = 0.0
+    for point, value in zip(points, grad):
+        ref = fd_jacobian(lambda p: background.displacement(p)[0], point)
+        assert np.allclose(value, ref, atol=1e-9)
+        curvature = max(curvature, float(np.max(np.abs(value - grad[0]))))
+    assert curvature > 1e-2  # the gradient varies: the field is not linear
 
 
 def test_unbalanced_traction_rejected(solver_128):

@@ -17,7 +17,16 @@ from crackbem import (
     rot90,
     traction_operator,
 )
-from oracles import fd_conormal, fd_jacobian, fd_navier_residual
+from oracles import (
+    dlp_traction_gradient_ref,
+    dlp_traction_kernel_ref,
+    double_conormal_kernel_ref,
+    fd_conormal,
+    fd_jacobian,
+    fd_navier_residual,
+    kelvin_gradient_ref,
+    kelvin_matrix_ref,
+)
 
 MATERIALS = [LameParams(1.0, 1.0), LameParams(2.5, 0.7), LameParams(-0.3, 1.2)]
 
@@ -50,6 +59,15 @@ def test_material_admissibility():
         LameParams(1.0, 0.0)
     with pytest.raises(ValueError):
         LameParams(-2.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "lam, mu, name",
+    [(1.0, np.inf, "mu"), (np.inf, 1.0, "lam"), (-np.inf, 1.0, "lam"), (1.0, np.nan, "mu")],
+)
+def test_material_refuses_non_finite(lam, mu, name):
+    with pytest.raises(ValueError, match=f"material parameter {name} must be finite"):
+        LameParams(lam, mu)
 
 
 def test_rot90():
@@ -183,6 +201,61 @@ def test_double_conormal_reduces_to_canonical(mat):
     e2 = np.array([0.0, 1.0])
     w = double_conormal_kernel(x, y, np.broadcast_to(e2, (3, 2)), e2, mat)
     assert np.allclose(w, hypersingular_kernel_canonical(x1, y1, mat), atol=1e-13)
+
+
+def unit_vectors(rng, shape):
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+
+def assert_pairwise_close(value, reference, rank, rtol=1e-13):
+    """Equal shapes, and per pair every entry within rtol of the pair's
+    largest reference entry."""
+    assert value.shape == reference.shape
+    axes = tuple(range(-rank, 0))
+    scale = np.max(np.abs(reference), axis=axes)
+    assert np.all(np.max(np.abs(value - reference), axis=axes) <= rtol * scale)
+
+
+@pytest.mark.parametrize("mat", MATERIALS)
+def test_kernels_match_einsum_oracles(mat):
+    # (p, 1, 2) targets against (1, n, 2) sources, random unit normals
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.5, 1.5, size=(6, 1, 2))
+    y = rng.uniform(-1.5, 1.5, size=(1, 9, 2))
+    n_y = unit_vectors(rng, (1, 9))
+    n_x = unit_vectors(rng, (6, 9))  # one normal per pair of points
+    for kernel, oracle, rank in (
+        (kelvin_matrix, kelvin_matrix_ref, 2),
+        (kelvin_gradient, kelvin_gradient_ref, 3),
+    ):
+        assert_pairwise_close(kernel(x - y, mat), oracle(x - y, mat), rank)
+    for kernel, oracle, rank in (
+        (dlp_traction_kernel, dlp_traction_kernel_ref, 2),
+        (dlp_traction_gradient, dlp_traction_gradient_ref, 3),
+    ):
+        assert_pairwise_close(kernel(x, y, n_y, mat), oracle(x, y, n_y, mat), rank)
+    for m in (n_x, n_x[0, 0]):
+        assert_pairwise_close(
+            double_conormal_kernel(x, y, m, n_y, mat),
+            double_conormal_kernel_ref(x, y, m, n_y, mat),
+            2,
+        )
+
+
+@pytest.mark.parametrize("mat", MATERIALS)
+def test_double_conormal_matches_fd_conormal(mat):
+    # general position: non-collinear points, non-parallel normals
+    rng = np.random.default_rng(13)
+    for _ in range(4):
+        x = rng.uniform(-1.0, 1.0, size=2)
+        y = x + rng.uniform(0.4, 1.2) * unit_vectors(rng, ())
+        m, n = unit_vectors(rng, (2,))
+        assert abs(m[0] * n[1] - m[1] * n[0]) > 0.1
+        w = double_conormal_kernel(x, y, m, n, mat)
+        for j in range(2):
+            ref = fd_conormal(lambda p: dlp_traction_kernel(p, y, n, mat)[:, j], x, m, mat)
+            assert np.allclose(w[:, j], ref, atol=1e-8)
 
 
 def test_canonical_kernel_value():
