@@ -252,8 +252,9 @@ def _crack_section(config: dict) -> tuple[np.ndarray, float, list]:
 def _write_csv(path: Path, header: list, rows: list, precision: int) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
+        fmt = ",".join([f"%.{precision}g"] * len(header)) + "\n"
         for row in rows:
-            f.write(",".join(format(float(v), f".{precision}g") for v in row) + "\n")
+            f.write(fmt % tuple(row))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -410,8 +411,11 @@ def cmd_td_map(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> N
         stress = ws.background.stress(points)[:, None]  # against every angle
         sif = stress_intensity_from_stress(stress, directions)  # (k, n_angles)
         td = topological_derivative(sif, ws.material)
-        best = angles[np.argmin(td, axis=1)]  # the first of equal minima
-        rows.extend(np.column_stack([
+        # the first angle within rounding of the minimum: where td is flat over
+        # the angles, a bare argmin would pick whichever rounding came out lowest
+        tol = 1e-12 * np.max(np.abs(td), axis=1, keepdims=True)
+        best = angles[np.argmax(td <= np.min(td, axis=1, keepdims=True) + tol, axis=1)]
+        rows.append(np.column_stack([
             np.repeat(points, len(angles), axis=0), np.tile(angles, len(points)),
             sif.k1.ravel(), sif.k2.ravel(), td.ravel(), np.repeat(best, len(angles)),
         ]))
@@ -420,7 +424,7 @@ def cmd_td_map(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> N
     _write_csv(
         out_dir / "td_map.csv",
         ["x", "y", "angle_deg", "K1", "K2", "td", "min_angle_deg"],
-        rows,
+        np.concatenate(rows).tolist(),
         precision,
     )
 

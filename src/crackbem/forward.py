@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import circulant, lu_factor, lu_solve
 
 from .errors import CrackTooCloseToBoundary, EquilibriumViolated, SolveFailed
 from .kernels import (
@@ -78,42 +78,21 @@ __all__ = [
     "solve_background",
 ]
 
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-
-def _circulant(n: int, multipliers: np.ndarray) -> np.ndarray:
-    """Matrix applying a Fourier multiplier operator on the equispaced grid."""
-    spectrum = np.fft.fft(np.eye(n), axis=0)
-    return np.real(np.fft.ifft(multipliers[:, None] * spectrum, axis=0))
-
-
-def conjugate_circulant(n: int) -> np.ndarray:
-    """Nodal matrix H of the conjugate operator: e^{ikt} -> -i sgn(k) e^{ikt}.
-
-    pi H is the exact quadrature of p.v. Int (1/2) cot((t-s)/2) phi(s) ds for
-    band-limited phi.
-    """
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    return _circulant(n, -1j * np.sign(k))
-
-
-def log_circulant(n: int) -> np.ndarray:
-    """Nodal matrix of phi -> Int log|2 sin((t-s)/2)| phi(s) ds.
-
-    Fourier multipliers -pi/|k| for k != 0 and 0 for the mean mode.
-    """
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    mult = np.zeros(n)
-    mult[1:] = -np.pi / np.abs(k[1:])
-    return _circulant(n, mult.astype(complex))
-
-
-def _pairwise(mesh: BoundaryMesh):
-    pts = mesh.points
-    r = pts[:, None, :] - pts[None, :, :]
-    rho2 = np.einsum("ijk,ijk->ij", r, r)
-    np.fill_diagonal(rho2, 1.0)  # dummy, diagonals are overwritten with limits
-    return r, rho2
+def _pair_geometry(mesh: BoundaryMesh):
+    """Node-pair arrays (n, n): the components r0, r1 of r_ij = x_i - x_j,
+    rho^2 = |r|^2 with 1 on the diagonal (a placeholder: every diagonal entry
+    built from it is overwritten with its limit), and the unique components
+    rr00, rr01, rr11 of rhat rhat^T, whose diagonal limit is tau tau^T."""
+    x, y = mesh.points.T
+    r0, r1 = np.subtract.outer(x, x), np.subtract.outer(y, y)
+    rho2 = r0 * r0 + r1 * r1
+    np.fill_diagonal(rho2, 1.0)
+    tau = mesh.first_deriv / mesh.speed[:, None]
+    rr = (r0 * r0 / rho2, r0 * r1 / rho2, r1 * r1 / rho2)
+    for rr_kl, (k, l) in zip(rr, ((0, 0), (0, 1), (1, 1))):
+        np.fill_diagonal(rr_kl, tau[:, k] * tau[:, l])
+    return r0, r1, rho2, rr
 
 
 def _blocks_to_matrix(blocks: np.ndarray) -> np.ndarray:
@@ -124,65 +103,63 @@ def _blocks_to_matrix(blocks: np.ndarray) -> np.ndarray:
 
 def assemble_double_layer(mesh: BoundaryMesh, mat: LameParams) -> np.ndarray:
     """Dense 2n x 2n Nystrom matrix of the double-layer traction operator."""
-    n = mesh.n
-    t = mesh.params
-    r, rho2 = _pairwise(mesh)
-    tau = mesh.first_deriv / mesh.speed[:, None]
+    n, h, speed = mesh.n, mesh.h, mesh.speed
+    r0, r1, rho2, (rr00, rr01, rr11) = _pair_geometry(mesh)
+    diag = np.diag_indices(n)
 
-    # smooth symmetric part  [a I + b rhat rhat^T] (n(s).r)/rho^2 |x'(s)|
-    ndotr = np.einsum("jk,ijk->ij", mesh.normals, r) / rho2
-    rhat = r / np.sqrt(rho2)[..., None]
-    rr = np.einsum("ijk,ijl->ijkl", rhat, rhat)
-    diag_rr = np.einsum("ik,il->ikl", tau, tau)
-    rr[np.arange(n), np.arange(n)] = diag_rr
+    # smooth symmetric part  h [a I + b rhat rhat^T] (n(s).r)/rho^2 |x'(s)|
+    weighted_normals = (h * speed)[:, None] * mesh.normals
+    s = (r0 * weighted_normals[:, 0] + r1 * weighted_normals[:, 1]) / rho2
     ncurv = np.einsum("ik,ik->i", mesh.normals, mesh.second_deriv)
-    np.fill_diagonal(ndotr, ncurv / (2.0 * mesh.speed**2))
-    sym = (mat.a * np.eye(2) + mat.b * rr) * (ndotr * mesh.speed[None, :])[
-        ..., None, None
-    ]
+    s[diag] = h * ncurv / (2.0 * speed)
 
-    # Cauchy part  a [ (1/2) cot((t-s)/2) + gsm ] J, quadratured spectrally
-    g = np.einsum("ijk,jk->ij", r, mesh.first_deriv) / rho2
-    dt = t[:, None] - t[None, :]
-    np.fill_diagonal(dt, 1.0)
-    cot = 0.5 / np.tan(0.5 * dt)
-    gsm = g - cot
-    np.fill_diagonal(
-        gsm,
-        -np.einsum("ik,ik->i", mesh.first_deriv, mesh.second_deriv)
-        / (2.0 * mesh.speed**2),
-    )
-    skew_weights = mesh.h * gsm + np.pi * conjugate_circulant(n)
+    # Cauchy part  a [ (1/2) cot((t-s)/2) + gsm ] J: the conjugate circulant
+    # pi H (multipliers -i sgn k) minus h cot is one column in the offset
+    # k = i - j, taken signed so the column is exactly odd
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    column = np.pi * np.real(np.fft.ifft(-1j * np.sign(k)))
+    column[1:] -= h * 0.5 / np.tan(0.5 * h * k[1:])
+    skew = circulant(column)
+    skew += h * (r0 * mesh.first_deriv[:, 0] + r1 * mesh.first_deriv[:, 1]) / rho2
+    skew[diag] = column[0] - h * np.einsum(
+        "ik,ik->i", mesh.first_deriv, mesh.second_deriv
+    ) / (2.0 * speed**2)
 
-    blocks = mesh.h * sym + mat.a * skew_weights[..., None, None] * _J
-    return _blocks_to_matrix(blocks)
+    out = np.empty((2 * n, 2 * n))
+    iso, bs = mat.a * s, mat.b * s
+    off = bs * rr01
+    skew *= mat.a
+    out[0::2, 0::2] = iso + bs * rr00
+    out[0::2, 1::2] = off + skew
+    out[1::2, 0::2] = off - skew
+    out[1::2, 1::2] = iso + bs * rr11
+    return out
 
 
 def assemble_single_layer(mesh: BoundaryMesh, mat: LameParams) -> np.ndarray:
     """Dense 2n x 2n Nystrom matrix of the single-layer (Kelvin) operator."""
-    n = mesh.n
-    t = mesh.params
-    r, rho2 = _pairwise(mesh)
-    tau = mesh.first_deriv / mesh.speed[:, None]
+    n, h, speed = mesh.n, mesh.h, mesh.speed
+    _, _, rho2, (rr00, rr01, rr11) = _pair_geometry(mesh)
 
-    dt = t[:, None] - t[None, :]
-    np.fill_diagonal(dt, 1.0)
-    sin2 = 4.0 * np.sin(0.5 * dt) ** 2
-    np.fill_diagonal(sin2, 1.0)
-    logfac = 0.5 * np.log(rho2 / sin2)
-    np.fill_diagonal(logfac, np.log(mesh.speed))
+    # log|x - y| = log|2 sin((t-s)/2)| + (1/2) log(rho^2 / 4 sin^2): the log
+    # circulant (multipliers -pi/|k|, 0 for the mean) minus h/2 log(4 sin^2)
+    # is one column in the signed offset k = i - j
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    mult = np.zeros(n)
+    mult[1:] = -np.pi / np.abs(k[1:])
+    column = np.real(np.fft.ifft(mult))
+    column[1:] -= 0.5 * h * np.log(4.0 * np.sin(0.5 * h * k[1:]) ** 2)
+    log_part = circulant(column)
+    log_part += 0.5 * h * np.log(rho2)
+    log_part[np.diag_indices(n)] = column[0] + h * np.log(speed)
 
-    log_part = log_circulant(n) + mesh.h * logfac
-
-    rhat = r / np.sqrt(rho2)[..., None]
-    rr = np.einsum("ijk,ijl->ijkl", rhat, rhat)
-    rr[np.arange(n), np.arange(n)] = np.einsum("ik,il->ikl", tau, tau)
-
-    blocks = (
-        mat.lam_prime * log_part[..., None, None] * np.eye(2)
-        - mat.mu_prime * mesh.h * rr
-    ) * mesh.speed[None, :, None, None]
-    return _blocks_to_matrix(blocks)
+    out = np.empty((2 * n, 2 * n))
+    iso = (mat.lam_prime * speed) * log_part
+    m = (-mat.mu_prime * h) * speed
+    out[0::2, 1::2] = out[1::2, 0::2] = m * rr01
+    out[0::2, 0::2] = iso + m * rr00
+    out[1::2, 1::2] = iso + m * rr11
+    return out
 
 
 def _layer_sum(mesh: BoundaryMesh, kernel: np.ndarray, density: np.ndarray) -> np.ndarray:
@@ -235,8 +212,8 @@ class BackgroundField:
 class BoundarySolver:
     """Factorized boundary operators for one mesh and material.
 
-    Builds the double- and single-layer Nystrom matrices once, borders them
-    with the rigid-motion columns and constraint rows, and exposes the
+    Builds the double- and single-layer Nystrom matrices once, borders
+    -I/2 + K with the rigid-motion columns and constraint rows, and exposes the
     solves needed by the background problem, the crack coupling, and the
     Green-function evaluators.  The factorization is immutable.
     """
@@ -245,15 +222,15 @@ class BoundarySolver:
         self.mesh = mesh
         self.mat = mat
         n2 = 2 * mesh.n
-        self.double_layer = assemble_double_layer(mesh, mat)
         self.single_layer = assemble_single_layer(mesh, mat)
-        self.operator = -0.5 * np.eye(n2) + self.double_layer
 
         basis = rigid_motion_traces(mesh)  # (n, 2, 3)
         self._columns = basis.reshape(n2, 3)  # C
         self._rows = (mesh.weights[:, None, None] * basis).reshape(n2, 3).T  # C^T W
         bordered = np.zeros((n2 + 3, n2 + 3))
-        bordered[:n2, :n2] = self.operator
+        bordered[:n2, :n2] = assemble_double_layer(mesh, mat)
+        self.operator = bordered[:n2, :n2]  # -I/2 + K, a view into the bordered matrix
+        self.operator[np.diag_indices(n2)] -= 0.5
         bordered[:n2, n2:] = self._columns
         bordered[n2:, :n2] = self._rows
         self._neumann_lu = lu_factor(bordered)

@@ -173,3 +173,107 @@ def double_conormal_kernel_ref(x, y, normal_x, normal_y, mat: LameParams):
     return mat.lam * np.einsum("...i,...j->...ij", m, div) + mat.mu * np.einsum(
         "...l,...ijl->...ij", m, sym
     )
+
+
+# -- identity-FFT / einsum references for the boundary assembly in crackbem.forward --
+#
+# The Nystrom matrices built the generic way: the conjugate and log circulants
+# as Fourier multipliers applied to every column of the identity, the cot and
+# sin^2 factors evaluated on the full (t_i - t_j) matrix, and the smooth parts
+# as (n, n, 2, 2) block tensors.  The package builds the same matrices from
+# one length-n column per circulant part and explicit components; these are
+# the independent references the assembly tests compare against.
+
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _circulant_ref(n, multipliers):
+    """Matrix applying a Fourier multiplier operator on the equispaced grid."""
+    spectrum = np.fft.fft(np.eye(n), axis=0)
+    return np.real(np.fft.ifft(multipliers[:, None] * spectrum, axis=0))
+
+
+def conjugate_circulant_ref(n):
+    """Nodal matrix H of the conjugate operator: e^{ikt} -> -i sgn(k) e^{ikt}."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    return _circulant_ref(n, -1j * np.sign(k))
+
+
+def log_circulant_ref(n):
+    """Nodal matrix of phi -> Int log|2 sin((t-s)/2)| phi(s) ds."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    mult = np.zeros(n)
+    mult[1:] = -np.pi / np.abs(k[1:])
+    return _circulant_ref(n, mult.astype(complex))
+
+
+def _pairwise_ref(mesh):
+    pts = mesh.points
+    r = pts[:, None, :] - pts[None, :, :]
+    rho2 = np.einsum("ijk,ijk->ij", r, r)
+    np.fill_diagonal(rho2, 1.0)  # dummy, diagonals are overwritten with limits
+    return r, rho2
+
+
+def _blocks_to_matrix_ref(blocks):
+    p, n = blocks.shape[:2]
+    return blocks.transpose(0, 2, 1, 3).reshape(2 * p, 2 * n)
+
+
+def assemble_double_layer_ref(mesh, mat: LameParams):
+    """Dense 2n x 2n Nystrom matrix of the double-layer traction operator."""
+    n = mesh.n
+    t = mesh.params
+    r, rho2 = _pairwise_ref(mesh)
+    tau = mesh.first_deriv / mesh.speed[:, None]
+
+    # smooth symmetric part  [a I + b rhat rhat^T] (n(s).r)/rho^2 |x'(s)|
+    ndotr = np.einsum("jk,ijk->ij", mesh.normals, r) / rho2
+    rhat = r / np.sqrt(rho2)[..., None]
+    rr = np.einsum("ijk,ijl->ijkl", rhat, rhat)
+    rr[np.arange(n), np.arange(n)] = np.einsum("ik,il->ikl", tau, tau)
+    ncurv = np.einsum("ik,ik->i", mesh.normals, mesh.second_deriv)
+    np.fill_diagonal(ndotr, ncurv / (2.0 * mesh.speed**2))
+    sym = (mat.a * _EYE2 + mat.b * rr) * (ndotr * mesh.speed[None, :])[..., None, None]
+
+    # Cauchy part  a [ (1/2) cot((t-s)/2) + gsm ] J, quadratured spectrally
+    g = np.einsum("ijk,jk->ij", r, mesh.first_deriv) / rho2
+    dt = t[:, None] - t[None, :]
+    np.fill_diagonal(dt, 1.0)
+    cot = 0.5 / np.tan(0.5 * dt)
+    gsm = g - cot
+    np.fill_diagonal(
+        gsm,
+        -np.einsum("ik,ik->i", mesh.first_deriv, mesh.second_deriv)
+        / (2.0 * mesh.speed**2),
+    )
+    skew_weights = mesh.h * gsm + np.pi * conjugate_circulant_ref(n)
+
+    blocks = mesh.h * sym + mat.a * skew_weights[..., None, None] * _J
+    return _blocks_to_matrix_ref(blocks)
+
+
+def assemble_single_layer_ref(mesh, mat: LameParams):
+    """Dense 2n x 2n Nystrom matrix of the single-layer (Kelvin) operator."""
+    n = mesh.n
+    t = mesh.params
+    r, rho2 = _pairwise_ref(mesh)
+    tau = mesh.first_deriv / mesh.speed[:, None]
+
+    dt = t[:, None] - t[None, :]
+    np.fill_diagonal(dt, 1.0)
+    sin2 = 4.0 * np.sin(0.5 * dt) ** 2
+    np.fill_diagonal(sin2, 1.0)
+    logfac = 0.5 * np.log(rho2 / sin2)
+    np.fill_diagonal(logfac, np.log(mesh.speed))
+
+    log_part = log_circulant_ref(n) + mesh.h * logfac
+
+    rhat = r / np.sqrt(rho2)[..., None]
+    rr = np.einsum("ijk,ijl->ijkl", rhat, rhat)
+    rr[np.arange(n), np.arange(n)] = np.einsum("ik,il->ikl", tau, tau)
+
+    blocks = (
+        mat.lam_prime * log_part[..., None, None] * _EYE2 - mat.mu_prime * mesh.h * rr
+    ) * mesh.speed[None, :, None, None]
+    return _blocks_to_matrix_ref(blocks)

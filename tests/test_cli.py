@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crackbem.cli import load_config, main
+from crackbem.cli import _write_csv, load_config, main
 
 DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
 
@@ -104,6 +104,39 @@ def test_td_map_outputs(tmp_path, capsys):
     assert np.all(data[:, 5] <= 1e-15)
     assert np.all(data[:, 6] == 90.0)
 
+
+
+@pytest.mark.parametrize("sigma, best", [
+    ([[0.0, 1.0], [1.0, 0.0]], 0.0),  # pure shear: td is the same at every angle
+    ([[1.0, 0.0], [0.0, 0.0]], 90.0),  # uniaxial: the crack across the load
+])
+def test_td_map_best_angle_is_first_within_rounding(tmp_path, sigma, best):
+    cfg = write_config(
+        tmp_path,
+        load={"sigma": sigma},
+        discretization={"n_boundary": 128},
+        td_map={"n_grid": 7, "n_angles": 12, "margin": 0.3},
+    )
+    out = tmp_path / "td"
+    assert main(["td-map", "--config", str(cfg), "--out", str(out)]) == 0
+    data = np.array(read_csv(out / "td_map.csv")[1:], dtype=float)
+    assert len(data) == 13 * 12
+    assert np.all(data[:, 6] == best)
+
+
+def test_csv_rows_match_per_value_format(tmp_path):
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((200, 7)) * 10.0 ** rng.uniform(-300, 300, (200, 7))
+    values[0] = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308]
+    values[1] = [1.0, -1.0, 0.1, 1e16, 123456789.0, 1.5e-310, 2.0 ** 60]
+    header = list("abcdefg")
+    for precision in (17, 6, 1):
+        path = tmp_path / f"p{precision}.csv"
+        _write_csv(path, header, values.tolist(), precision)
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(format(float(v), f".{precision}g") for v in row) + "\n" for row in values
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
 
 def test_energy_outputs(tmp_path):
     cfg = write_config(tmp_path)

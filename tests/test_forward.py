@@ -11,6 +11,8 @@ from crackbem import (
     BoundaryField,
     BoundarySolver,
     CrackSegment,
+    Disk,
+    Ellipse,
     FourierStar,
     LameParams,
     build_mesh,
@@ -22,7 +24,20 @@ from crackbem import (
     solve_cracked,
 )
 from crackbem.errors import CrackTooCloseToBoundary, EquilibriumViolated
-from oracles import fd_jacobian, linear_field
+from crackbem.forward import assemble_double_layer, assemble_single_layer
+from oracles import (
+    assemble_double_layer_ref,
+    assemble_single_layer_ref,
+    fd_jacobian,
+    linear_field,
+)
+
+MATERIALS = [LameParams(1.0, 1.0), LameParams(2.5, 0.7), LameParams(-0.3, 1.2)]
+SHAPES = [
+    Disk(),
+    Ellipse(a=1.3, b=0.7),
+    FourierStar(r0=1.0, cos_coeffs=(0.0, 0.0, 0.15), sin_coeffs=(0.0, 0.05)),
+]
 
 
 def exterior_kelvin_field(mesh, mat, source, strength):
@@ -35,6 +50,23 @@ def exterior_kelvin_field(mesh, mat, source, strength):
     )
     return trace, g
 
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("shape", SHAPES, ids=["disk", "ellipse", "star"])
+def test_assembly_matches_identity_fft_oracles(shape, n):
+    mesh = build_mesh(shape, n)
+    for mat in MATERIALS:
+        double = assemble_double_layer_ref(mesh, mat)
+        single = assemble_single_layer_ref(mesh, mat)
+        for value, reference in (
+            (assemble_double_layer(mesh, mat), double),
+            (assemble_single_layer(mesh, mat), single),
+            (BoundarySolver(mesh, mat).operator, double - 0.5 * np.eye(2 * n)),
+        ):
+            assert value.shape == (2 * n, 2 * n)
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(value - reference)) <= 1e-13 * scale
 
 def test_rigid_traces_span_the_null_space(solver_128):
     basis = rigid_motion_traces(solver_128.mesh)
