@@ -15,17 +15,12 @@ import numpy as np
 
 from crackbem import (
     BoundaryField,
-    CrackSegment,
     Disk,
     LameParams,
     build_mesh,
-    energy_asymptotic,
     fit_log_slope,
-    neumann_perturbation,
-    potential_energy_difference,
+    length_sweep,
     solve_background,
-    solve_cracked,
-    stress_intensity,
 )
 
 N_NODES = 256
@@ -42,40 +37,28 @@ def main():
     g = BoundaryField(mesh, mesh.normals @ sigma.T)
     background = solve_background(mesh, mat, g)
 
-    sup_w, sup_mismatch, energy_gap = [], [], []
+    t0 = time.perf_counter()
+    records = length_sweep(background, CENTER, DIRECTION, EPS_VALUES)
+    elapsed = time.perf_counter() - t0
+
     print("uniaxial tension, crack tilted 45 degrees at (0.3, 0)")
     print(
         f"{'eps':>6} {'sup |w|':>12} {'sup |w - lead|':>15} "
         f"{'energy diff':>13} {'closed form':>13} {'|gap|':>10}"
     )
-    t0 = time.perf_counter()
-    for eps in EPS_VALUES:
-        crack = CrackSegment(center=CENTER, direction=DIRECTION, length=eps)
-        solution = solve_cracked(background, crack)
-        leading = neumann_perturbation(background, crack)
-        w = solution.w.values
-
-        diff = potential_energy_difference(
-            g, solution.trace_values(), background.trace
-        )
-        formula = energy_asymptotic(crack, stress_intensity(background, crack), mat)
-
-        sup_w.append(np.abs(w).max())
-        sup_mismatch.append(np.abs(w - leading).max())
-        energy_gap.append(abs(diff - formula))
+    for r in records:
         print(
-            f"{eps:6.3f} {sup_w[-1]:12.4e} {sup_mismatch[-1]:15.4e} "
-            f"{diff:13.6e} {formula:13.6e} {energy_gap[-1]:10.2e}"
+            f"{r['eps']:6.3f} {r['sup_w']:12.4e} {r['sup_mismatch']:15.4e} "
+            f"{r['energy_diff']:13.6e} {r['energy_formula']:13.6e} {r['energy_mismatch']:10.2e}"
         )
-    elapsed = time.perf_counter() - t0
 
     eps = np.array(EPS_VALUES)
-    for label, values, expect in (
-        ("sup |w|", sup_w, 2.0),
-        ("sup |w - leading|", sup_mismatch, 4.0),
-        ("energy difference gap", energy_gap, 4.0),
+    for label, key, expect in (
+        ("sup |w|", "sup_w", 2.0),
+        ("sup |w - leading|", "sup_mismatch", 4.0),
+        ("energy difference gap", "energy_mismatch", 4.0),
     ):
-        fit = fit_log_slope(eps, np.array(values))
+        fit = fit_log_slope(eps, np.array([r[key] for r in records]))
         print(f"slope of {label:<22}: {fit.slope:.3f}  (expected about {expect:.0f})")
     print(f"sweep time: {elapsed:.2f} s")
 

@@ -12,6 +12,7 @@ from .asymptotics import (
     StressIntensity,
     energy_asymptotic,
     fit_log_slope,
+    length_sweep,
     neumann_perturbation,
     potential_energy_difference,
     stress_intensity,
@@ -101,6 +102,7 @@ __all__ = [
     "invert_finite_part_operator",
     "kelvin_gradient",
     "kelvin_matrix",
+    "length_sweep",
     "neumann_perturbation",
     "potential_energy_difference",
     "project_off_rigid_motions",

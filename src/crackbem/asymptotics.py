@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cracks import CrackSegment
+from .cracks import CrackSegment, solve_cracked
 from .forward import BackgroundField
 from .kernels import LameParams, rot90
 from .mesh import BoundaryField
@@ -46,6 +46,7 @@ __all__ = [
     "potential_energy_difference",
     "energy_asymptotic",
     "topological_derivative",
+    "length_sweep",
     "SlopeFit",
     "fit_log_slope",
 ]
@@ -119,6 +120,49 @@ def energy_asymptotic(crack: CrackSegment, sif: StressIntensity, mat: LameParams
 def topological_derivative(sif: StressIntensity, mat: LameParams) -> float:
     """Energy sensitivity per unit crack area pi eps^2: -(1/4E)(K_I^2+K_II^2)."""
     return -sif.magnitude_squared / (4.0 * mat.E)
+
+
+def length_sweep(
+    background: BackgroundField, center, direction, lengths, **solve_kwargs
+) -> list:
+    """Solve one crack per length at a fixed center and direction.
+
+    One record (a dict) per length: "solution" (the CrackedSolution), "eps",
+    "K1", "K2", "sup_w", "sup_leading" (of the neumann_perturbation formula),
+    "sup_mismatch", "energy_diff", "energy_formula" (energy_asymptotic) and
+    "energy_mismatch".  solve_kwargs go to solve_cracked.  Every crack must
+    pass require_clearance before the first solve, so a sweep is refused
+    whole; the stress intensity depends only on the center and direction and
+    is evaluated once.  Raises ValueError for an empty list of lengths.
+    """
+    cracks = [CrackSegment(center, direction, length) for length in lengths]
+    if not cracks:
+        raise ValueError("length sweep needs at least one crack length")
+    solver = background.solver
+    for crack in cracks:
+        solver.require_clearance(crack.clearance_points, crack.length)
+    sif = stress_intensity(background, cracks[0])
+    records = []
+    for crack in cracks:
+        solution = solve_cracked(background, crack, **solve_kwargs)
+        leading = neumann_perturbation(background, crack)
+        diff = potential_energy_difference(
+            background.g, solution.trace_values(), background.trace
+        )
+        formula = energy_asymptotic(crack, sif, solver.mat)
+        records.append({
+            "solution": solution,
+            "eps": crack.length,
+            "K1": sif.k1,
+            "K2": sif.k2,
+            "sup_w": solution.w.sup_norm(),
+            "sup_leading": float(np.max(np.abs(leading))),
+            "sup_mismatch": float(np.max(np.abs(solution.w.values - leading))),
+            "energy_diff": diff,
+            "energy_formula": formula,
+            "energy_mismatch": abs(diff - formula),
+        })
+    return records
 
 
 @dataclass(frozen=True)

@@ -33,16 +33,12 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import (
-    energy_asymptotic,
     fit_log_slope,
-    neumann_perturbation,
-    potential_energy_difference,
-    stress_intensity,
+    length_sweep,
     stress_intensity_from_stress,
     topological_derivative,
 )
 from .chebyshev import gauss_chebyshev_u
-from .cracks import CrackSegment, solve_cracked
 from .errors import (
     ConfigError,
     CrackBemError,
@@ -235,18 +231,19 @@ def _load_field(config: dict, mesh) -> tuple[BoundaryField, list]:
     raise ConfigError("load.kind must be constant-stress or fourier-traction")
 
 
-def _crack_section(config: dict) -> tuple[np.ndarray, float, list]:
+def _crack_section(config: dict) -> tuple[np.ndarray, np.ndarray, list]:
+    """Center, unit direction and lengths of the configured crack sweep."""
     if "crack" not in config:
         raise ConfigError("missing config section 'crack'")
     section = config["crack"]
     center = np.asarray(section.get("center"), dtype=float)
     if center.shape != (2,):
         raise ConfigError("crack.center must be a 2-vector")
-    angle = _required(section, "crack", "angle_degrees")
+    direction = _angle_direction(_required(section, "crack", "angle_degrees"))
     lengths = section["lengths"]
     if not lengths:
         raise ConfigError("crack.lengths must be a nonempty list of positive numbers")
-    return center, angle, lengths
+    return center, direction, lengths
 
 
 def _write_csv(path: Path, header: list, rows: list, precision: int) -> None:
@@ -269,55 +266,22 @@ def _angle_direction(angle_degrees: float) -> np.ndarray:
 
 
 class _Workspace:
-    """Mesh, solver, and background shared by every solve of one command."""
+    """Mesh, solver, background and solve_cracked options shared by every
+    solve of one command."""
 
     def __init__(self, config: dict):
         self.material = _material(config)
         self.disc = config["discretization"]
         self.mesh = build_mesh(_shape(config), self.disc["n_boundary"])
         self.solver = BoundarySolver(self.mesh, self.material)
-        self.g, self.warnings = _load_field(config, self.mesh)
-        self.background = self.solver.solve_background(self.g)
-
-    def sweep(self, center: np.ndarray, angle: float, lengths: list) -> list:
-        """Solve one crack per length at a fixed center and angle.
-
-        Returns one record per length: the cracked solution plus every column
-        a command writes.  The stress intensity depends only on the center
-        and direction, so one evaluation serves every length.
-        """
-        direction = _angle_direction(angle)
-        cracks = [CrackSegment(tuple(center), tuple(direction), length) for length in lengths]
-        for crack in cracks:  # refuse the whole sweep before the first solve
-            self.solver.require_clearance(crack.clearance_points, crack.length)
-        sif = stress_intensity(self.background, cracks[0])
-        records = []
-        for crack in cracks:
-            solution = solve_cracked(
-                self.background,
-                crack,
-                n_modes=self.disc["n_cheb_modes"],
-                quad_points=self.disc["quad_points"],
-                tol=self.disc["tol"],
-                max_iterations=self.disc["max_iterations"],
-            )
-            formula = neumann_perturbation(self.background, crack)
-            diff = potential_energy_difference(
-                self.g, solution.trace_values(), self.background.trace
-            )
-            formula_energy = energy_asymptotic(crack, sif, self.material)
-            records.append({
-                "solution": solution,
-                "eps": crack.length,
-                "K1": sif.k1,
-                "K2": sif.k2,
-                "sup_w": solution.w.sup_norm(),
-                "sup_mismatch": float(np.max(np.abs(solution.w.values - formula))),
-                "energy_diff": diff,
-                "energy_formula": formula_energy,
-                "energy_mismatch": abs(diff - formula_energy),
-            })
-        return records
+        g, self.warnings = _load_field(config, self.mesh)
+        self.background = self.solver.solve_background(g)
+        self.solve_options = {
+            "n_modes": self.disc["n_cheb_modes"],
+            "quad_points": self.disc["quad_points"],
+            "tol": self.disc["tol"],
+            "max_iterations": self.disc["max_iterations"],
+        }
 
 
 def _write_records(path: Path, records: list, columns: list, precision: int) -> None:
@@ -334,8 +298,8 @@ def _write_trace(path: Path, field: BoundaryField, precision: int) -> None:
 
 
 def cmd_solve(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> None:
-    center, angle, lengths = _crack_section(config)
-    records = ws.sweep(center, angle, lengths)
+    center, direction, lengths = _crack_section(config)
+    records = length_sweep(ws.background, center, direction, lengths, **ws.solve_options)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_trace(out_dir / "trace_u0.csv", ws.background.trace, precision)
@@ -368,10 +332,10 @@ def cmd_solve(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> No
 
 
 def cmd_convergence(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> None:
-    center, angle, lengths = _crack_section(config)
+    center, direction, lengths = _crack_section(config)
     if len(lengths) < 3:
         raise ConfigError("convergence requires at least 3 crack lengths")
-    records = ws.sweep(center, angle, lengths)
+    records = length_sweep(ws.background, center, direction, lengths, **ws.solve_options)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_records(
@@ -430,8 +394,8 @@ def cmd_td_map(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> N
 
 
 def cmd_energy(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> None:
-    center, angle, lengths = _crack_section(config)
-    records = ws.sweep(center, angle, lengths)
+    center, direction, lengths = _crack_section(config)
+    records = length_sweep(ws.background, center, direction, lengths, **ws.solve_options)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_records(
         out_dir / "energy.csv",

@@ -150,23 +150,6 @@ class CrackedSolution:
         """Trace of the cracked solution on the outer boundary, u0 + w."""
         return self.background.trace + self.w
 
-    def trace_from_neumann_representation(self, n_quad: int = 48) -> np.ndarray:
-        """Perturbation trace recomputed through Neumann-function rows.
-
-        Integrates the conormal rows x -> dN/dnu_y(x, y(eta)) against the
-        opening with an independent quadrature order; agreement with the
-        coupled solve validates both Green-function paths.
-        """
-        solver = self.solver
-        eta, weights = gauss_chebyshev_u(n_quad)
-        poly = self.psi.polynomial_part(eta)  # (q, 2)
-        scale = self.crack.half_length**2
-        out = np.zeros((solver.mesh.n, 2))
-        for q in range(n_quad):
-            row = solver.neumann_conormal_row(self.crack.points(eta[q]), self.crack.normal)
-            out += scale * weights[q] * np.einsum("ick,k->ic", row, poly[q])
-        return out
-
 
 def solve_cracked(
     background: BackgroundField,

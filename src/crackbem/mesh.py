@@ -158,9 +158,13 @@ class BoundaryMesh:
         if n < 16 or n % 2 != 0:
             raise MeshError("node count must be even and at least 16")
         t = 2.0 * np.pi * np.arange(n) / n
-        pts = np.asarray(self.shape.point(t), dtype=float)
-        d1 = np.asarray(self.shape.derivative(t), dtype=float)
-        d2 = np.asarray(self.shape.second_derivative(t), dtype=float)
+        # NaN passes the positivity checks below, so non-finite samples are refused here
+        with np.errstate(invalid="ignore", over="ignore"):
+            pts = np.asarray(self.shape.point(t), dtype=float)
+            d1 = np.asarray(self.shape.derivative(t), dtype=float)
+            d2 = np.asarray(self.shape.second_derivative(t), dtype=float)
+        if not np.all(np.isfinite([pts, d1, d2])):
+            raise MeshError("curve samples must be finite")
         speed = np.linalg.norm(d1, axis=-1)
         if np.min(speed) <= 0.0:
             raise MeshError("parametrization is degenerate (vanishing speed)")

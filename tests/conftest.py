@@ -13,15 +13,10 @@ import pytest
 from crackbem import (
     BoundaryField,
     BoundarySolver,
-    CrackSegment,
     Disk,
     LameParams,
     build_mesh,
-    energy_asymptotic,
-    neumann_perturbation,
-    potential_energy_difference,
-    solve_cracked,
-    stress_intensity,
+    length_sweep,
 )
 
 SWEEP_EPS = (0.2, 0.1, 0.05, 0.025)
@@ -65,34 +60,9 @@ def constant_stress_background(solver, sigma):
 
 
 def run_sweep(background, center, direction, eps_values=SWEEP_EPS):
-    """Cracked solves over a length sweep with the acceptance metrics.
-
-    Per length: sup norm of the trace perturbation, sup norm of its leading
-    formula and of their mismatch, the quadrature energy difference, and the
-    closed-form energy asymptote.
-    """
-    solver = background.solver
-    records = []
+    """Timed length_sweep: its records, their lengths and the elapsed seconds."""
     start = time.perf_counter()
-    for eps in eps_values:
-        crack = CrackSegment(center=center, direction=direction, length=eps)
-        solution = solve_cracked(background, crack)
-        leading = neumann_perturbation(background, crack)
-        sif = stress_intensity(background, crack)
-        records.append(
-            {
-                "eps": eps,
-                "sup_w": solution.w.sup_norm(),
-                "sup_leading": float(np.max(np.abs(leading))),
-                "sup_mismatch": float(np.max(np.abs(solution.w.values - leading))),
-                "energy_diff": potential_energy_difference(
-                    background.g, solution.trace_values(), background.trace
-                ),
-                "energy_formula": energy_asymptotic(crack, sif, solver.mat),
-                "iterations": solution.diagnostics["iterations"],
-                "solution": solution,
-            }
-        )
+    records = length_sweep(background, center, direction, eps_values)
     return {
         "background": background,
         "records": records,

@@ -8,7 +8,7 @@ the tests account for the O(h^4) / O(h^2) truncation of these stencils.
 
 import numpy as np
 
-from crackbem import LameParams
+from crackbem import LameParams, gauss_chebyshev_u
 
 
 def fd_jacobian(fn, x, h=None):
@@ -277,3 +277,22 @@ def assemble_single_layer_ref(mesh, mat: LameParams):
         mat.lam_prime * log_part[..., None, None] * _EYE2 - mat.mu_prime * mesh.h * rr
     ) * mesh.speed[None, :, None, None]
     return _blocks_to_matrix_ref(blocks)
+
+
+def trace_from_neumann_representation(solution, n_quad: int = 48) -> np.ndarray:
+    """Perturbation trace of a CrackedSolution recomputed through
+    Neumann-function rows.
+
+    Integrates the conormal rows x -> dN/dnu_y(x, y(eta)) against the
+    opening with an independent quadrature order; agreement with the
+    coupled solve validates both Green-function paths.
+    """
+    solver, crack = solution.solver, solution.crack
+    eta, weights = gauss_chebyshev_u(n_quad)
+    poly = solution.psi.polynomial_part(eta)  # (q, 2)
+    scale = crack.half_length**2
+    out = np.zeros((solver.mesh.n, 2))
+    for q in range(n_quad):
+        row = solver.neumann_conormal_row(crack.points(eta[q]), crack.normal)
+        out += scale * weights[q] * np.einsum("ick,k->ic", row, poly[q])
+    return out

@@ -3,20 +3,29 @@ rows, energy asymptote, topological derivative, and the slope fitter."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import crackbem.asymptotics
 from crackbem import (
+    BoundarySolver,
     CrackSegment,
+    FourierStar,
     LameParams,
     StressIntensity,
+    build_mesh,
     energy_asymptotic,
     fit_log_slope,
+    length_sweep,
     neumann_perturbation,
     potential_energy_difference,
+    solve_cracked,
     stress_intensity,
     stress_intensity_from_stress,
     topological_derivative,
     traction_at_crack,
 )
+from crackbem.errors import CrackTooCloseToBoundary
 from crackbem.mesh import BoundaryField
 from conftest import constant_stress_background
 
@@ -123,6 +132,82 @@ def test_potential_energy_difference_quadrature(solver_128):
     assert potential_energy_difference(g, u_eps, u0) == pytest.approx(
         -0.5 * np.pi, abs=1e-12
     )
+
+
+def test_length_sweep_records_match_direct_calls(solver_128):
+    background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
+    center, direction = (0.2, -0.1), (0.6, 0.8)
+    options = {"n_modes": 24, "tol": 1e-10}
+    records = length_sweep(background, center, direction, (0.15, 0.08), **options)
+    assert [r["eps"] for r in records] == [0.15, 0.08]
+    for record in records:
+        crack = CrackSegment(center, direction, record["eps"])
+        solution = solve_cracked(background, crack, **options)
+        leading = neumann_perturbation(background, crack)
+        sif = stress_intensity(background, crack)
+        diff = potential_energy_difference(
+            background.g, solution.trace_values(), background.trace
+        )
+        formula = energy_asymptotic(crack, sif, solver_128.mat)
+        assert np.array_equal(record["solution"].w.values, solution.w.values)
+        assert record["solution"].diagnostics == solution.diagnostics
+        assert (record["K1"], record["K2"]) == (sif.k1, sif.k2)
+        assert record["sup_w"] == solution.w.sup_norm()
+        assert record["sup_leading"] == np.max(np.abs(leading))
+        assert record["sup_mismatch"] == np.max(np.abs(solution.w.values - leading))
+        assert record["energy_diff"] == diff
+        assert record["energy_formula"] == formula
+        assert record["energy_mismatch"] == abs(diff - formula)
+
+
+def test_length_sweep_refuses_whole_sweep_before_solving(solver_128, monkeypatch):
+    # the 0.9 crack fails the clearance rule, so not even 0.1 is solved
+    background = constant_stress_background(solver_128, np.diag([1.0, 0.0]))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_cracked(*args, **kwargs)
+
+    monkeypatch.setattr(crackbem.asymptotics, "solve_cracked", counting)
+    with pytest.raises(CrackTooCloseToBoundary):
+        length_sweep(background, (0.3, 0.0), (1.0, 0.0), (0.1, 0.2, 0.9))
+    assert calls == []
+
+
+def test_length_sweep_refuses_no_lengths(solver_128):
+    background = constant_stress_background(solver_128, np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="at least one crack length"):
+        length_sweep(background, (0.3, 0.0), (1.0, 0.0), ())
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    modes=st.lists(
+        st.tuples(st.floats(0.0, 0.12), st.floats(0.0, 2.0 * np.pi)), min_size=1, max_size=3
+    ),
+    lam=st.floats(0.2, 3.0),
+    mu=st.floats(0.3, 2.0),
+    center=st.tuples(st.floats(-0.15, 0.15), st.floats(-0.15, 0.15)),
+    angle=st.floats(0.0, 2.0 * np.pi),
+)
+def test_sup_w_is_order_eps_squared_on_random_stars(modes, lam, mu, center, angle):
+    # r(L) = sup|w| / L^2 = c2 + c4 L^2 when the eps^3 term vanishes, so each
+    # halving of L shrinks the change in r four times (ratio 1/4); an eps^3
+    # term would leave a ratio of about 1/2.  Each mode has amplitude <= 0.12,
+    # so the radius stays >= 0.64 and every crack passes the clearance rule.
+    star = FourierStar(
+        r0=1.0,
+        cos_coeffs=tuple(a * np.cos(phase) for a, phase in modes),
+        sin_coeffs=tuple(a * np.sin(phase) for a, phase in modes),
+    )
+    solver = BoundarySolver(build_mesh(star, 128), LameParams(lam, mu))
+    # |sigma e_perp| >= 0.5 for every orientation, so the leading term never vanishes
+    background = constant_stress_background(solver, np.diag([1.0, 0.5]))
+    direction = (np.cos(angle), np.sin(angle))
+    records = length_sweep(background, center, direction, (0.2, 0.1, 0.05))
+    r = [rec["sup_w"] / rec["eps"] ** 2 for rec in records]
+    assert abs(r[1] - r[2]) <= 0.35 * abs(r[0] - r[1])
 
 
 def test_fit_log_slope_exact_power():

@@ -64,6 +64,23 @@ def test_mesh_validation():
         Ellipse(a=1.0, b=0.0)
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda: Disk(radius=np.nan),
+        lambda: Disk(radius=np.inf),
+        lambda: Disk(center=(np.nan, 0.0)),
+        lambda: Ellipse(np.nan, 1.0),
+        lambda: FourierStar(r0=np.nan),
+    ],
+    ids=["disk-nan-radius", "disk-inf-radius", "disk-nan-center", "ellipse-nan", "star-nan"],
+)
+def test_mesh_refuses_non_finite_curves(shape):
+    # NaN slips past every positivity check, so the samples themselves are checked
+    with pytest.raises(MeshError, match="curve samples must be finite"):
+        build_mesh(shape(), 32)
+
+
 def test_distance_to():
     mesh = build_mesh(Disk(), 128)
     assert mesh.distance_to((0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
