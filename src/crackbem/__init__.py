@@ -24,9 +24,7 @@ from .chebyshev import (
     ChebyshevUExpansion,
     apply_finite_part_operator,
     chebyshev_u_values,
-    finite_hilbert_transform,
     gauss_chebyshev_u,
-    hadamard_finite_part,
     invert_finite_part_operator,
 )
 from .cracks import CrackedSolution, CrackSegment, crack_traction_samples, solve_cracked
@@ -41,16 +39,13 @@ from .errors import (
 from .forward import BackgroundField, BoundarySolver, solve_background
 from .kernels import (
     LameParams,
-    conormal_derivative,
     dlp_traction_gradient,
     dlp_traction_kernel,
     double_conormal_kernel,
-    hypersingular_kernel_canonical,
     kelvin_gradient,
     kelvin_matrix,
     rigid_motion_basis,
     rot90,
-    traction_operator,
 )
 from .mesh import (
     BoundaryField,
@@ -60,7 +55,7 @@ from .mesh import (
     FourierStar,
     build_mesh,
     project_off_rigid_motions,
-    rigid_motion_traces,
+    rigid_gram,
 )
 
 __version__ = "0.1.0"
@@ -88,17 +83,13 @@ __all__ = [
     "apply_finite_part_operator",
     "build_mesh",
     "chebyshev_u_values",
-    "conormal_derivative",
     "crack_traction_samples",
     "dlp_traction_gradient",
     "dlp_traction_kernel",
     "double_conormal_kernel",
     "energy_asymptotic",
-    "finite_hilbert_transform",
     "fit_log_slope",
     "gauss_chebyshev_u",
-    "hadamard_finite_part",
-    "hypersingular_kernel_canonical",
     "invert_finite_part_operator",
     "kelvin_gradient",
     "kelvin_matrix",
@@ -106,8 +97,8 @@ __all__ = [
     "neumann_perturbation",
     "potential_energy_difference",
     "project_off_rigid_motions",
+    "rigid_gram",
     "rigid_motion_basis",
-    "rigid_motion_traces",
     "rot90",
     "solve_background",
     "solve_cracked",
@@ -115,5 +106,4 @@ __all__ = [
     "stress_intensity_from_stress",
     "topological_derivative",
     "traction_at_crack",
-    "traction_operator",
 ]

@@ -17,12 +17,7 @@ psi(y)/(x-y) dy, give the diagonal action
 
     A[sqrt(1-x^2) U_n] = -(n+1) U_n.
 
-Production inversion of A is therefore a coefficient division in this basis.
-The brute-force quadrature routines `hadamard_finite_part` and
-`finite_hilbert_transform` exist as slow reference implementations used for
-verification only; they regularize by explicit singularity subtraction and
-integrate under the substitution y = cos(phi), which absorbs the endpoint
-square-root behavior into a smooth integrand.
+Inversion of A is therefore a coefficient division in this basis.
 """
 
 from __future__ import annotations
@@ -37,8 +32,6 @@ __all__ = [
     "ChebyshevUExpansion",
     "apply_finite_part_operator",
     "invert_finite_part_operator",
-    "hadamard_finite_part",
-    "finite_hilbert_transform",
 ]
 
 
@@ -141,87 +134,3 @@ def invert_finite_part_operator(rhs, n_modes: int) -> ChebyshevUExpansion:
     coeffs = -(d.T / n1).T
     return ChebyshevUExpansion(coeffs)
 
-
-def _panel_gauss(n_panels: int, gauss_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on (0, pi)."""
-    gx, gw = np.polynomial.legendre.leggauss(gauss_order)
-    edges = np.linspace(0.0, np.pi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    phi = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
-    return phi, w
-
-
-def _fd_derivative(fn, x: float, order: int) -> float:
-    """Centered finite difference of order 1 or 2 staying inside (-1, 1)."""
-    h = min(1e-5 * (1.0 + abs(x)), (1.0 - abs(x)) / 4.0)
-    if order == 1:
-        return (
-            fn(x - 2 * h) - 8.0 * fn(x - h) + 8.0 * fn(x + h) - fn(x + 2 * h)
-        ) / (12.0 * h)
-    return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
-
-
-def hadamard_finite_part(
-    fn, x: float, n_panels: int = 2048, gauss_order: int = 4, deriv=None
-) -> float:
-    """Brute-force finite part f.p. Integral fn(y)/(x-y)^2 dy over (-1, 1).
-
-    Reference quadrature (slow, verification only).  Subtracting the first
-    order Taylor polynomial of fn about x leaves the regular integrand
-    h(y) = [fn(y) - fn(x) - fn'(x) (y-x)] / (x-y)^2, whose finite-part
-    complement is exact:
-
-        f.p. = Integral h - 2 fn(x)/(1-x^2) - fn'(x) log((1+x)/(1-x)).
-
-    The integral is evaluated under y = cos(phi) with composite
-    Gauss-Legendre panels in phi; `deriv` optionally supplies fn' exactly,
-    otherwise a centered difference is used.  Requires |x| < 1.
-    """
-    if not -1.0 < x < 1.0:
-        raise ValueError("finite part defined for |x| < 1 only")
-    phi, w = _panel_gauss(n_panels, gauss_order)
-    y = np.cos(phi)
-    fx = float(fn(x))
-    dfx = float(deriv(x)) if deriv is not None else _fd_derivative(fn, x, 1)
-    diff = x - y
-    near = np.abs(diff) < 1e-13
-    safe = np.where(near, 1.0, diff)
-    h = (np.asarray(fn(y), dtype=float) - fx - dfx * (y - x)) / safe**2
-    if np.any(near):
-        h = np.where(near, 0.5 * _fd_derivative(fn, x, 2), h)
-    integral = float(np.sum(w * h * np.sin(phi)))
-    return (
-        integral
-        - 2.0 * fx / (1.0 - x * x)
-        - dfx * np.log((1.0 + x) / (1.0 - x))
-    )
-
-
-def finite_hilbert_transform(
-    fn, x: float, n_panels: int = 2048, gauss_order: int = 4
-) -> float:
-    """Brute-force transform (1/pi) p.v. Integral fn(y)/(x-y) dy over (-1, 1).
-
-    Reference quadrature (slow, verification only), via subtraction of
-    fn(x):
-
-        pi H[fn](x) = Integral (fn(y) - fn(x))/(x-y) dy
-                      + fn(x) log((1+x)/(1-x)),
-
-    integrated under y = cos(phi) as above.  Requires |x| < 1.
-    """
-    if not -1.0 < x < 1.0:
-        raise ValueError("transform defined for |x| < 1 only")
-    phi, w = _panel_gauss(n_panels, gauss_order)
-    y = np.cos(phi)
-    fx = float(fn(x))
-    diff = x - y
-    near = np.abs(diff) < 1e-13
-    safe = np.where(near, 1.0, diff)
-    g = (np.asarray(fn(y), dtype=float) - fx) / safe
-    if np.any(near):
-        g = np.where(near, -_fd_derivative(fn, x, 1), g)
-    integral = float(np.sum(w * g * np.sin(phi)))
-    return (integral + fx * np.log((1.0 + x) / (1.0 - x))) / np.pi

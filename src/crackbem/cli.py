@@ -299,6 +299,11 @@ def _write_trace(path: Path, field: BoundaryField, precision: int) -> None:
 
 def cmd_solve(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> None:
     center, direction, lengths = _crack_section(config)
+    # output files are named by tag, so two lengths with one tag would overwrite
+    tags = [f"{eps:g}" for eps in lengths]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise ConfigError(f"crack.lengths share the output tag '{tag}'")
     records = length_sweep(ws.background, center, direction, lengths, **ws.solve_options)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -311,8 +316,7 @@ def cmd_solve(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> No
         "warnings": ws.warnings,
     }
     eta, _ = gauss_chebyshev_u(ws.disc["n_cheb_modes"])
-    for record in records:
-        tag = f"{record['eps']:g}"
+    for tag, record in zip(tags, records):
         solution = record["solution"]
         _write_trace(out_dir / f"trace_ueps_{tag}.csv", solution.trace_values(), precision)
         s = 0.5 * record["eps"] * eta

@@ -68,7 +68,7 @@ from .kernels import (
     kelvin_matrix,
     rigid_motion_basis,
 )
-from .mesh import BoundaryField, BoundaryMesh, rigid_motion_traces
+from .mesh import BoundaryField, BoundaryMesh, rigid_gram
 
 __all__ = [
     "assemble_double_layer",
@@ -224,7 +224,7 @@ class BoundarySolver:
         n2 = 2 * mesh.n
         self.single_layer = assemble_single_layer(mesh, mat)
 
-        basis = rigid_motion_traces(mesh)  # (n, 2, 3)
+        basis = rigid_motion_basis(mesh.points)  # (n, 2, 3)
         self._columns = basis.reshape(n2, 3)  # C
         self._rows = (mesh.weights[:, None, None] * basis).reshape(n2, 3).T  # C^T W
         bordered = np.zeros((n2 + 3, n2 + 3))
@@ -234,9 +234,8 @@ class BoundarySolver:
         bordered[:n2, n2:] = self._columns
         bordered[n2:, :n2] = self._rows
         self._neumann_lu = lu_factor(bordered)
-        # inverse Gram matrix of the rigid traces in L2(dsigma): the rigid
-        # part of nodal data f is C G^-1 (C^T W f)
-        self._gram_inv = np.linalg.inv(self._rows @ self._columns)
+        # the rigid part of nodal data f is C G^-1 (C^T W f)
+        self._gram = rigid_gram(mesh)
 
     @property
     def minimum_interior_distance(self) -> float:
@@ -280,11 +279,9 @@ class BoundarySolver:
 
     def solve_background(self, g: BoundaryField, tol: float = 1e-8) -> BackgroundField:
         """Solve the crack-free traction problem for equilibrated data g."""
-        moments = g.rigid_moments()
-        scale = max(1.0, g.sup_norm()) * self.mesh.perimeter
-        if np.max(np.abs(moments)) > tol * scale:
+        if not g.is_equilibrated(tol):
             raise EquilibriumViolated(
-                f"traction data has rigid-motion moments {moments}; "
+                f"traction data has rigid-motion moments {g.rigid_moments()}; "
                 "the problem is unsolvable"
             )
         rhs = self.single_layer @ g.flat()
@@ -295,10 +292,6 @@ class BoundarySolver:
         return BackgroundField(self, BoundaryField.from_flat(self.mesh, w), g)
 
     # -- Green-function rows ----------------------------------------------
-
-    def _rigid_coefficients(self, flat: np.ndarray) -> np.ndarray:
-        """Coefficients G^-1 (C^T W f) of the rigid part of flat nodal data."""
-        return self._gram_inv @ (self._rows @ flat)
 
     def _regular_part(self, z):
         """Solve for the regular part R = N(., z) + Phi(. - z).
@@ -311,7 +304,7 @@ class BoundarySolver:
         self.require_clearance(z)
         m, n2 = self.mesh, 2 * self.mesh.n
         kelvin_traction = dlp_traction_kernel(z, m.points, m.normals, self.mat)
-        datum = -self._columns @ self._gram_inv @ rigid_motion_basis(z).T
+        datum = -self._columns @ np.linalg.solve(self._gram, rigid_motion_basis(z).T)
         # [i, j, k] = traction component j of column k
         data = kelvin_traction.transpose(0, 2, 1).reshape(n2, 2) + datum
         regular = self.solve_neumann(self.single_layer @ data)
@@ -325,7 +318,7 @@ class BoundarySolver:
         unit source e_k at z; the result is rigid-motion orthogonal.
         """
         trace = self._regular_part(z)[2]
-        trace = trace - self._columns @ self._rigid_coefficients(trace)
+        trace = trace - self._columns @ np.linalg.solve(self._gram, self._rows @ trace)
         return trace.reshape(self.mesh.n, 2, 2)
 
     def neumann_interior(self, z, points) -> np.ndarray:
@@ -345,7 +338,7 @@ class BoundarySolver:
         out -= _layer_sum(m, single, data.reshape(m.n, 2, 2))
         out -= kelvin_matrix(points - z, self.mat)
         # subtract the rigid component so the trace is Psi-orthogonal
-        return out - rigid_motion_basis(points) @ self._rigid_coefficients(trace)
+        return out - rigid_motion_basis(points) @ np.linalg.solve(self._gram, self._rows @ trace)
 
     def neumann_conormal_row(self, z, e_perp) -> np.ndarray:
         """Trace of x -> dN/dnu_y (x, z) for crack normal e_perp, (n, 2, 2).

@@ -47,16 +47,11 @@ __all__ = [
     "rot90",
     "kelvin_matrix",
     "kelvin_gradient",
-    "traction_operator",
-    "conormal_derivative",
     "dlp_traction_kernel",
     "dlp_traction_gradient",
     "double_conormal_kernel",
-    "hypersingular_kernel_canonical",
     "rigid_motion_basis",
 ]
-
-_EYE2 = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -186,40 +181,6 @@ def kelvin_gradient(dx: np.ndarray, mat: LameParams) -> np.ndarray:
     })
 
 
-def traction_operator(normal: np.ndarray, xi: np.ndarray, mat: LameParams) -> np.ndarray:
-    """Symbol matrix T(n, xi) of the traction operator, shape (..., 2, 2).
-
-    T_jl = lam n_j xi_l + mu xi_j n_l + mu (n . xi) delta_jl.  Substituting
-    xi -> grad and applying to a displacement yields the conormal derivative
-    lam (div u) n + mu (grad u + grad u^T) n.  The normal must be unit.
-    """
-    normal = np.asarray(normal, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    nrm = np.einsum("...i,...i->...", normal, normal)
-    if np.any(np.abs(nrm - 1.0) > 1e-10):
-        raise ValueError("traction_operator requires a unit normal")
-    ndotxi = np.einsum("...i,...i->...", normal, xi)
-    return (
-        mat.lam * np.einsum("...j,...l->...jl", normal, xi)
-        + mat.mu * np.einsum("...j,...l->...jl", xi, normal)
-        + mat.mu * ndotxi[..., None, None] * _EYE2
-    )
-
-
-def conormal_derivative(grad_u: np.ndarray, normal: np.ndarray, mat: LameParams) -> np.ndarray:
-    """Traction lam tr(grad_u) n + mu (grad_u + grad_u^T) n, shape (..., 2).
-
-    Vanishes when grad_u is antisymmetric (rigid rotations are stress free).
-    """
-    grad_u = np.asarray(grad_u, dtype=float)
-    normal = np.asarray(normal, dtype=float)
-    tr = np.trace(grad_u, axis1=-2, axis2=-1)
-    sym = grad_u + np.swapaxes(grad_u, -2, -1)
-    return mat.lam * tr[..., None] * normal + mat.mu * np.einsum(
-        "...ij,...j->...i", sym, normal
-    )
-
-
 def dlp_traction_kernel(
     x: np.ndarray, y: np.ndarray, normal_y: np.ndarray, mat: LameParams
 ) -> np.ndarray:
@@ -316,19 +277,6 @@ def double_conormal_kernel(
         for i in (0, 1)
         for j in (0, 1)
     })
-
-
-def hypersingular_kernel_canonical(x1, y1, mat: LameParams) -> np.ndarray:
-    """Canonical straight-crack hypersingular kernel -E/(4 pi (x1-y1)^2) I.
-
-    Scalar abscissas along the crack line; diagonal with negative entries,
-    even in x1 - y1.  Coinciding abscissas are rejected.
-    """
-    d = np.asarray(x1, dtype=float) - np.asarray(y1, dtype=float)
-    if np.any(d == 0.0):
-        raise ValueError("kernel evaluated at zero separation")
-    coeff = -mat.E / (4.0 * np.pi * d * d)
-    return coeff[..., None, None] * _EYE2
 
 
 def rigid_motion_basis(points: np.ndarray) -> np.ndarray:

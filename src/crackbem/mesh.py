@@ -24,7 +24,7 @@ __all__ = [
     "BoundaryMesh",
     "BoundaryField",
     "build_mesh",
-    "rigid_motion_traces",
+    "rigid_gram",
     "project_off_rigid_motions",
 ]
 
@@ -267,9 +267,10 @@ class BoundaryField:
         return BoundaryField(self.mesh, self.values - other.values)
 
 
-def rigid_motion_traces(mesh: BoundaryMesh) -> np.ndarray:
-    """Rigid-motion generators sampled at the nodes, shape (n, 2, 3)."""
-    return rigid_motion_basis(mesh.points)
+def rigid_gram(mesh: BoundaryMesh) -> np.ndarray:
+    """Gram matrix G = C^T W C of the rigid-motion traces in L^2(d sigma), (3, 3)."""
+    basis = rigid_motion_basis(mesh.points)
+    return np.einsum("i,ija,ijb->ab", mesh.weights, basis, basis)
 
 
 def project_off_rigid_motions(f: BoundaryField) -> BoundaryField:
@@ -279,9 +280,5 @@ def project_off_rigid_motions(f: BoundaryField) -> BoundaryField:
     already orthogonal are returned unchanged up to roundoff, and rigid
     traces map to zero.
     """
-    basis = rigid_motion_traces(f.mesh)
-    w = f.mesh.weights
-    gram = np.einsum("i,ija,ijb->ab", w, basis, basis)
-    moments = np.einsum("i,ija,ij->a", w, basis, f.values)
-    coef = np.linalg.solve(gram, moments)
-    return BoundaryField(f.mesh, f.values - basis @ coef)
+    coef = np.linalg.solve(rigid_gram(f.mesh), f.rigid_moments())
+    return BoundaryField(f.mesh, f.values - rigid_motion_basis(f.mesh.points) @ coef)

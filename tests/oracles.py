@@ -1,9 +1,15 @@
-"""Finite-difference reference derivatives used to validate analytic kernels.
+"""Slow, independent references the package is checked against.
 
-Everything here is slow and independent of the closed-form gradient code in
-the package: plain central differences with one Richardson step for first
-derivatives, second-order stencils for the Navier operator.  Tolerances in
-the tests account for the O(h^4) / O(h^2) truncation of these stencils.
+Three kinds live here, none of which the solver pipeline calls:
+
+- finite differences: central differences with one Richardson step for first
+  derivatives and second-order stencils for the Navier operator; tolerances
+  in the tests account for their O(h^4) / O(h^2) truncation;
+- closed forms: the conormal derivative of a displacement gradient and the
+  canonical straight-crack hypersingular kernel;
+- quadratures: einsum forms of the pairwise kernels, identity-FFT forms of
+  the boundary assembly, the brute-force Hadamard finite part, and the
+  crack trace recomputed through Neumann-function rows.
 """
 
 import numpy as np
@@ -63,6 +69,20 @@ def fd_navier_residual(fn, x, mat: LameParams, h=1e-4):
 
     grad_div = np.array([div_grad(0), div_grad(1)])
     return mat.mu * lap + (mat.lam + mat.mu) * grad_div
+
+
+def conormal_derivative(grad_u, normal, mat: LameParams):
+    """Traction lam tr(grad_u) n + mu (grad_u + grad_u^T) n, shape (..., 2).
+
+    Vanishes when grad_u is antisymmetric (rigid rotations are stress free).
+    """
+    grad_u = np.asarray(grad_u, dtype=float)
+    normal = np.asarray(normal, dtype=float)
+    tr = np.trace(grad_u, axis1=-2, axis2=-1)
+    sym = grad_u + np.swapaxes(grad_u, -2, -1)
+    return mat.lam * tr[..., None] * normal + mat.mu * np.einsum(
+        "...ij,...j->...i", sym, normal
+    )
 
 
 def linear_field(grad):
@@ -296,3 +316,74 @@ def trace_from_neumann_representation(solution, n_quad: int = 48) -> np.ndarray:
         row = solver.neumann_conormal_row(crack.points(eta[q]), crack.normal)
         out += scale * weights[q] * np.einsum("ick,k->ic", row, poly[q])
     return out
+
+
+# -- closed-form and quadrature references for the crack equation --
+
+
+def hypersingular_kernel_canonical(x1, y1, mat: LameParams):
+    """Canonical straight-crack hypersingular kernel -E/(4 pi (x1-y1)^2) I.
+
+    Scalar abscissas along the crack line; diagonal with negative entries,
+    even in x1 - y1.  Coinciding abscissas are rejected.
+    """
+    d = np.asarray(x1, dtype=float) - np.asarray(y1, dtype=float)
+    if np.any(d == 0.0):
+        raise ValueError("kernel evaluated at zero separation")
+    coeff = -mat.E / (4.0 * np.pi * d * d)
+    return coeff[..., None, None] * _EYE2
+
+
+def _panel_gauss(n_panels: int, gauss_order: int):
+    """Composite Gauss-Legendre rule on (0, pi)."""
+    gx, gw = np.polynomial.legendre.leggauss(gauss_order)
+    edges = np.linspace(0.0, np.pi, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    phi = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+    w = (half[:, None] * gw[None, :]).ravel()
+    return phi, w
+
+
+def _fd_derivative(fn, x: float, order: int) -> float:
+    """Centered finite difference of order 1 or 2 staying inside (-1, 1)."""
+    h = min(1e-5 * (1.0 + abs(x)), (1.0 - abs(x)) / 4.0)
+    if order == 1:
+        return (
+            fn(x - 2 * h) - 8.0 * fn(x - h) + 8.0 * fn(x + h) - fn(x + 2 * h)
+        ) / (12.0 * h)
+    return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
+
+
+def hadamard_finite_part(fn, x: float, n_panels: int = 2048, gauss_order: int = 4, deriv=None):
+    """Brute-force finite part f.p. Integral fn(y)/(x-y)^2 dy over (-1, 1).
+
+    Subtracting the first order Taylor polynomial of fn about x leaves the
+    regular integrand h(y) = [fn(y) - fn(x) - fn'(x) (y-x)] / (x-y)^2, whose
+    finite-part complement is exact:
+
+        f.p. = Integral h - 2 fn(x)/(1-x^2) - fn'(x) log((1+x)/(1-x)).
+
+    The integral is evaluated under y = cos(phi), which absorbs endpoint
+    square-root behavior into a smooth integrand, with composite
+    Gauss-Legendre panels in phi; `deriv` optionally supplies fn' exactly,
+    otherwise a centered difference is used.  Requires |x| < 1.
+    """
+    if not -1.0 < x < 1.0:
+        raise ValueError("finite part defined for |x| < 1 only")
+    phi, w = _panel_gauss(n_panels, gauss_order)
+    y = np.cos(phi)
+    fx = float(fn(x))
+    dfx = float(deriv(x)) if deriv is not None else _fd_derivative(fn, x, 1)
+    diff = x - y
+    near = np.abs(diff) < 1e-13
+    safe = np.where(near, 1.0, diff)
+    h = (np.asarray(fn(y), dtype=float) - fx - dfx * (y - x)) / safe**2
+    if np.any(near):
+        h = np.where(near, 0.5 * _fd_derivative(fn, x, 2), h)
+    integral = float(np.sum(w * h * np.sin(phi)))
+    return (
+        integral
+        - 2.0 * fx / (1.0 - x * x)
+        - dfx * np.log((1.0 + x) / (1.0 - x))
+    )

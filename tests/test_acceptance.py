@@ -21,14 +21,17 @@ from crackbem import (
     dlp_traction_kernel,
     fit_log_slope,
     gauss_chebyshev_u,
-    hadamard_finite_part,
-    hypersingular_kernel_canonical,
     invert_finite_part_operator,
     project_off_rigid_motions,
 )
 from crackbem.cli import main
 from conftest import record_acceptance
-from oracles import fd_conormal, linear_field
+from oracles import (
+    fd_conormal,
+    hadamard_finite_part,
+    hypersingular_kernel_canonical,
+    linear_field,
+)
 
 MATERIALS = [LameParams(1.0, 1.0), LameParams(2.5, 0.7), LameParams(-0.3, 1.2)]
 

@@ -1,5 +1,5 @@
 """Weighted Chebyshev machinery: quadrature, the finite-part operator and
-its inverse, and the brute-force singular quadratures they are checked by."""
+its inverse, and the brute-force finite-part quadrature they are checked by."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,10 @@ from crackbem import (
     ChebyshevUExpansion,
     apply_finite_part_operator,
     chebyshev_u_values,
-    finite_hilbert_transform,
     gauss_chebyshev_u,
-    hadamard_finite_part,
     invert_finite_part_operator,
 )
+from oracles import hadamard_finite_part
 
 
 def test_quadrature_nodes_and_weights():
@@ -117,17 +116,7 @@ def test_hadamard_matches_operator_off_center():
     assert raw / np.pi == pytest.approx(float(apply_finite_part_operator(psi, x)), rel=1e-8)
 
 
-def test_finite_hilbert_reference_values():
-    # H[y sqrt(1-y^2)](0) = -1/2; H[(1-y^2)^(-1/2)] = 0
-    val = finite_hilbert_transform(lambda y: y * np.sqrt(1 - y * y), 0.0)
-    assert val == pytest.approx(-0.5, rel=1e-9)
-    val = finite_hilbert_transform(lambda y: 1.0 / np.sqrt(1 - y * y), 0.3)
-    assert val == pytest.approx(0.0, abs=1e-7)
-
-
 def test_singular_quadratures_reject_exterior_points():
     for x in (-1.0, 1.0, 1.5):
         with pytest.raises(ValueError):
             hadamard_finite_part(lambda y: 1.0 - y * y, x)
-        with pytest.raises(ValueError):
-            finite_hilbert_transform(lambda y: 1.0 - y * y, x)

@@ -61,6 +61,15 @@ def test_solve_outputs(tmp_path):
     assert diag["n_boundary"] == 64
 
 
+@pytest.mark.parametrize("lengths", [[0.1, 0.1000001, 0.05], [0.1, 0.1]])
+def test_solve_refuses_lengths_sharing_a_tag(tmp_path, capsys, lengths):
+    cfg = write_config(tmp_path, crack={"lengths": lengths})
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "crack.lengths share the output tag '0.1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_deterministic_across_threads(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

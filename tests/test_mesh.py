@@ -12,7 +12,8 @@ from crackbem import (
     FourierStar,
     build_mesh,
     project_off_rigid_motions,
-    rigid_motion_traces,
+    rigid_gram,
+    rigid_motion_basis,
 )
 from crackbem.errors import MeshError
 
@@ -128,7 +129,7 @@ def test_fields_on_different_meshes_do_not_combine():
 
 def test_rigid_moments_and_projection():
     mesh = build_mesh(Ellipse(a=1.2, b=0.7), 64)
-    basis = rigid_motion_traces(mesh)
+    basis = rigid_motion_basis(mesh.points)
     for a in range(3):
         rigid = BoundaryField(mesh, basis[:, :, a])
         projected = project_off_rigid_motions(rigid)
@@ -139,6 +140,12 @@ def test_rigid_moments_and_projection():
     # projection is idempotent and changes nothing orthogonal
     again = project_off_rigid_motions(projected)
     assert (again - projected).sup_norm() < 1e-13
+
+
+def test_rigid_gram_of_unit_circle():
+    # Int 1 = Int (x2^2 + x1^2) = 2 pi on the unit circle, and the
+    # translations are orthogonal to each other and to the rotation
+    assert np.allclose(rigid_gram(build_mesh(Disk(), 64)), 2 * np.pi * np.eye(3), atol=1e-13)
 
 
 def test_is_equilibrated():
