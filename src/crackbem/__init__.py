@@ -7,103 +7,20 @@ of the boundary perturbation, the energy change, and the topological
 derivative.
 """
 
-from .asymptotics import (
-    SlopeFit,
-    StressIntensity,
-    energy_asymptotic,
-    fit_log_slope,
-    length_sweep,
-    neumann_perturbation,
-    potential_energy_difference,
-    stress_intensity,
-    stress_intensity_from_stress,
-    topological_derivative,
-    traction_at_crack,
-)
-from .chebyshev import (
-    ChebyshevUExpansion,
-    apply_finite_part_operator,
-    chebyshev_u_values,
-    gauss_chebyshev_u,
-    invert_finite_part_operator,
-)
-from .cracks import CrackedSolution, CrackSegment, crack_traction_samples, solve_cracked
-from .errors import (
-    ConfigError,
-    CrackBemError,
-    CrackTooCloseToBoundary,
-    EquilibriumViolated,
-    MeshError,
-    SolveFailed,
-)
-from .forward import BackgroundField, BoundarySolver, solve_background
-from .kernels import (
-    LameParams,
-    dlp_traction_gradient,
-    dlp_traction_kernel,
-    double_conormal_kernel,
-    kelvin_gradient,
-    kelvin_matrix,
-    rigid_motion_basis,
-    rot90,
-)
-from .mesh import (
-    BoundaryField,
-    BoundaryMesh,
-    Disk,
-    Ellipse,
-    FourierStar,
-    build_mesh,
-    project_off_rigid_motions,
-    rigid_gram,
-)
+from . import asymptotics, chebyshev, cracks, errors, forward, kernels, mesh
+from .asymptotics import *  # noqa: F403
+from .chebyshev import *  # noqa: F403
+from .cracks import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .forward import *  # noqa: F403
+from .kernels import *  # noqa: F403
+from .mesh import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BackgroundField",
-    "BoundaryField",
-    "BoundaryMesh",
-    "BoundarySolver",
-    "ChebyshevUExpansion",
-    "ConfigError",
-    "CrackBemError",
-    "CrackSegment",
-    "CrackTooCloseToBoundary",
-    "CrackedSolution",
-    "Disk",
-    "Ellipse",
-    "EquilibriumViolated",
-    "FourierStar",
-    "LameParams",
-    "MeshError",
-    "SlopeFit",
-    "SolveFailed",
-    "StressIntensity",
-    "apply_finite_part_operator",
-    "build_mesh",
-    "chebyshev_u_values",
-    "crack_traction_samples",
-    "dlp_traction_gradient",
-    "dlp_traction_kernel",
-    "double_conormal_kernel",
-    "energy_asymptotic",
-    "fit_log_slope",
-    "gauss_chebyshev_u",
-    "invert_finite_part_operator",
-    "kelvin_gradient",
-    "kelvin_matrix",
-    "length_sweep",
-    "neumann_perturbation",
-    "potential_energy_difference",
-    "project_off_rigid_motions",
-    "rigid_gram",
-    "rigid_motion_basis",
-    "rot90",
-    "solve_background",
-    "solve_cracked",
-    "stress_intensity",
-    "stress_intensity_from_stress",
-    "topological_derivative",
-    "traction_at_crack",
-]
+# each module's __all__ is the one declaration of its public names
+__all__ = sorted(
+    name
+    for module in (asymptotics, chebyshev, cracks, errors, forward, kernels, mesh)
+    for name in module.__all__
+)

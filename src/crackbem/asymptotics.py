@@ -32,14 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cracks import CrackSegment, solve_cracked
+from .cracks import CrackSegment, crack_traction_samples, solve_cracked
 from .forward import BackgroundField
 from .kernels import LameParams, rot90
 from .mesh import BoundaryField
 
 __all__ = [
     "StressIntensity",
-    "traction_at_crack",
     "stress_intensity",
     "stress_intensity_from_stress",
     "neumann_perturbation",
@@ -69,12 +68,6 @@ class StressIntensity:
         return self.k1**2 + self.k2**2
 
 
-def traction_at_crack(background: BackgroundField, crack: CrackSegment) -> np.ndarray:
-    """Background traction sigma(u0)(z) . e_perp at the crack center."""
-    stress = background.stress(np.asarray(crack.center))[0]
-    return stress @ crack.normal
-
-
 def stress_intensity_from_stress(stress: np.ndarray, direction) -> StressIntensity:
     """Intensity pair of stress tensors (..., 2, 2) for crack tangents
     `direction` (..., 2); the two broadcast, so k1 and k2 are floats for one
@@ -100,7 +93,7 @@ def neumann_perturbation(background: BackgroundField, crack: CrackSegment) -> np
     """
     solver = background.solver
     row = solver.neumann_conormal_row(np.asarray(crack.center), crack.normal)
-    t0 = traction_at_crack(background, crack)
+    t0 = crack_traction_samples(background, crack, 0.0)[0]
     factor = np.pi * crack.length**2 / (2.0 * solver.mat.E)
     return factor * np.einsum("ick,k->ic", row, t0)
 

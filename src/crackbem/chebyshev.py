@@ -22,7 +22,7 @@ Inversion of A is therefore a coefficient division in this basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,17 +61,18 @@ def chebyshev_u_values(x: np.ndarray, n_modes: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChebyshevUExpansion:
     """Weighted expansion psi(x) = sqrt(1-x^2) sum_n c_n U_n(x).
 
     `coeffs` has shape (n_modes,) for scalar densities or (n_modes, d) for
     vector-valued ones (crack openings use d = 2).  Values are evaluated
     through theta = arccos(x) as sum_n c_n sin((n+1) theta), which is exact
-    and vanishes identically at the endpoints.
+    and vanishes identically at the endpoints.  Expansions compare and hash
+    by identity.
     """
 
-    coeffs: np.ndarray = field()
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))

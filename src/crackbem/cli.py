@@ -80,7 +80,7 @@ _SCHEMA = {
     },
     "discretization": {
         "n_boundary": (int, 256, 0), "n_cheb_modes": (int, 32, 0), "tol": (float, 1e-11, 0.0),
-        "quad_points": (int, 32, 0), "max_iterations": (int, 50, 0),
+        "max_iterations": (int, 50, 0),
     },
     "output": {"directory": (str, "out", None), "precision": (int, 17, 0)},
     # the margin is floored at the solver's minimum interior distance
@@ -278,7 +278,6 @@ class _Workspace:
         self.background = self.solver.solve_background(g)
         self.solve_options = {
             "n_modes": self.disc["n_cheb_modes"],
-            "quad_points": self.disc["quad_points"],
             "tol": self.disc["tol"],
             "max_iterations": self.disc["max_iterations"],
         }

@@ -25,9 +25,11 @@ rate O(len^2) and a handful of sweeps reaches solver tolerance; failure to
 contract within the iteration budget raises SolveFailed with the last update
 size attached.
 
-Quadrature across the gap uses Gauss-Chebyshev nodes of the second kind,
-which integrate the weight sqrt(1 - eta^2) exactly against polynomials, so
-every transfer term converges spectrally in the number of crack modes.
+One set of n_modes Gauss-Chebyshev nodes of the second kind serves both the
+collocation of the crack equation and the quadrature of the crack-to-boundary
+transfer.  These nodes integrate the weight sqrt(1 - eta^2) exactly against
+polynomials of degree < 2 n_modes, so every transfer term converges
+spectrally in the number of crack modes.
 """
 
 from __future__ import annotations
@@ -155,7 +157,6 @@ def solve_cracked(
     background: BackgroundField,
     crack: CrackSegment,
     n_modes: int = 32,
-    quad_points: int = 32,
     tol: float = 1e-11,
     max_iterations: int = 50,
 ) -> CrackedSolution:
@@ -175,25 +176,23 @@ def solve_cracked(
     mat = solver.mat
     solver.require_clearance(crack.clearance_points, crack.length)
 
-    eta_c, _ = gauss_chebyshev_u(n_modes)
-    coll = crack.points(eta_c)
-    f0 = crack_traction_samples(background, crack, eta_c)  # (m, 2)
+    eta, gc_weights = gauss_chebyshev_u(n_modes)
+    nodes = crack.points(eta)
+    f0 = background.stress(nodes) @ crack.normal  # (m, 2)
 
     # boundary -> crack: traction of the boundary double layer at collocation
     # points, a (2m, 2n) matrix applied to the flat nodal trace
     feedback = _blocks_to_matrix(
         double_conormal_kernel(
-            coll[:, None, :], mesh.points[None, :, :], crack.normal, mesh.normals[None], mat
+            nodes[:, None, :], mesh.points[None, :, :], crack.normal, mesh.normals[None], mat
         )
     ) * np.repeat(mesh.weights, 2)
 
-    # crack -> boundary: double-layer transfer evaluated at quadrature nodes,
-    # a (2n, 2q) matrix applied to the flat polynomial part of the opening
-    eta_q, gc_weights = gauss_chebyshev_u(quad_points)
+    # crack -> boundary: double-layer transfer by Gauss-Chebyshev quadrature
+    # on the same nodes, a (2n, 2m) matrix applied to the flat polynomial
+    # part of the opening
     transfer = _blocks_to_matrix(
-        dlp_traction_kernel(
-            mesh.points[:, None, :], crack.points(eta_q)[None, :, :], crack.normal, mat
-        )
+        dlp_traction_kernel(mesh.points[:, None, :], nodes[None, :, :], crack.normal, mat)
     ) * np.repeat(crack.half_length**2 * gc_weights, 2)
 
     w = np.zeros((mesh.n, 2))
@@ -202,7 +201,7 @@ def solve_cracked(
     for iteration in range(1, max_iterations + 1):
         f = f0 + (feedback @ w.reshape(-1)).reshape(-1, 2)
         psi = invert_finite_part_operator(-(4.0 / mat.E) * f, n_modes)
-        poly = psi.polynomial_part(eta_q)  # (q, 2)
+        poly = psi.polynomial_part(eta)  # (m, 2)
         rhs = (transfer @ poly.reshape(-1)).reshape(-1, 2)
         w_new = solver.solve_neumann(rhs)
         update = float(np.max(np.abs(w_new - w)))

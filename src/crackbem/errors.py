@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CrackBemError",
+    "EquilibriumViolated",
+    "SolveFailed",
+    "CrackTooCloseToBoundary",
+    "MeshError",
+    "ConfigError",
+]
+
 
 class CrackBemError(Exception):
     """Base class for all package-specific errors."""

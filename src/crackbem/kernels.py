@@ -79,20 +79,14 @@ class LameParams:
         Plane-stress Young modulus 4mu(lam+mu)/(lam+2mu); equivalently
         mu(lam+mu)/(lam+2mu) = E/4.
 
-    The derived constants are computed once at construction and stored;
-    they satisfy mu (mu' - lam') = a = (lam+2mu)(mu' - lam') + 2 mu mu'
+    The derived constants are computed once at construction and stored as
+    attributes, not fields: the constructor takes lam and mu only.  They
+    satisfy mu (mu' - lam') = a = (lam+2mu)(mu' - lam') + 2 mu mu'
     and lam (mu' - lam') + 2 mu mu' = -a.
     """
 
     lam: float
     mu: float
-    A: float = 0.0
-    B: float = 0.0
-    lam_prime: float = 0.0
-    mu_prime: float = 0.0
-    a: float = 0.0
-    b: float = 0.0
-    E: float = 0.0
 
     def __post_init__(self) -> None:
         lam, mu = float(self.lam), float(self.mu)

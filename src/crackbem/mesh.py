@@ -10,7 +10,7 @@ on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,6 +132,10 @@ class FourierStar:
 class BoundaryMesh:
     """Equispaced-parameter discretization of a closed boundary curve.
 
+    The constructor takes the curve and the node count only, and meshes
+    compare and hash by (shape, n); the other attributes are computed from
+    them.
+
     Attributes
     ----------
     shape : curve object with point/derivative/second_derivative methods
@@ -144,14 +148,6 @@ class BoundaryMesh:
 
     shape: object
     n: int
-    params: np.ndarray = field(repr=False, default=None)
-    points: np.ndarray = field(repr=False, default=None)
-    first_deriv: np.ndarray = field(repr=False, default=None)
-    second_deriv: np.ndarray = field(repr=False, default=None)
-    speed: np.ndarray = field(repr=False, default=None)
-    normals: np.ndarray = field(repr=False, default=None)
-    weights: np.ndarray = field(repr=False, default=None)
-    h: float = 0.0
 
     def __post_init__(self) -> None:
         n = int(self.n)
@@ -210,9 +206,13 @@ def build_mesh(shape, n_nodes: int) -> BoundaryMesh:
     return BoundaryMesh(shape=shape, n=n_nodes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryField:
-    """Vector-valued nodal function on a boundary mesh, values (n, 2)."""
+    """Vector-valued nodal function on a boundary mesh, values (n, 2).
+
+    Fields compare and hash by identity: equal values on one mesh are two
+    fields, not one.
+    """
 
     mesh: BoundaryMesh
     values: np.ndarray

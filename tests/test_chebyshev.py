@@ -62,6 +62,14 @@ def test_expansion_polynomial_part_vector_valued():
     assert np.allclose(poly[:, 1], 2.0 * 2.0 * x)
 
 
+def test_expansions_compare_by_identity():
+    psi = ChebyshevUExpansion(np.array([0.3, -1.2]))
+    twin = ChebyshevUExpansion(psi.coeffs.copy())
+    assert psi == psi
+    assert psi != twin
+    assert len({psi, twin}) == 2
+
+
 def test_finite_part_operator_spectral_law():
     # A[sqrt(1-x^2) U_n] = -(n+1) U_n
     x = np.linspace(-0.9, 0.9, 7)

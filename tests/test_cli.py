@@ -216,7 +216,7 @@ def test_config_values_checked_against_schema(tmp_path, capsys, command, section
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda path: path.stem)
 def test_demo_configs_load(path):
     config = load_config(str(path))
-    assert config["discretization"]["quad_points"] == 32
+    assert config["discretization"]["n_cheb_modes"] == 32
     assert config["output"]["directory"] == "out"
     assert config["td_map"]["n_grid"] in (8, 15)
 
@@ -242,6 +242,10 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, name="cfg2.json", typo_section={"a": 1})
     assert main(["solve", "--config", str(cfg)]) == 2
     assert "unknown config section" in capsys.readouterr().err
+    # the crack transfer quadrature uses the n_cheb_modes nodes: no key of its own
+    cfg = write_config(tmp_path, name="cfg3.json", discretization={"quad_points": 32})
+    assert main(["solve", "--config", str(cfg)]) == 2
+    assert "unknown key 'quad_points' in section 'discretization'" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):

@@ -200,6 +200,16 @@ def test_material_scaling(center, angle, lam, mu, c):
     assert np.allclose(c * w_scaled, w, rtol=0.0, atol=1e-9)
 
 
+def test_coarse_crack_resolution_matches_default(solver_256):
+    # one node set serves collocation and the transfer quadrature; a smooth
+    # load on a short crack is resolved by a dozen modes
+    background = constant_stress_background(solver_256, np.diag([1.0, 0.3]))
+    crack = CrackSegment(center=(0.4, 0.0), direction=(np.sqrt(0.5), -np.sqrt(0.5)), length=0.3)
+    fine = solve_cracked(background, crack, n_modes=32).w.values
+    coarse = solve_cracked(background, crack, n_modes=12).w.values
+    assert np.max(np.abs(coarse - fine)) <= 1e-12 * np.max(np.abs(fine))
+
+
 def test_solver_guard_rails(solver_128):
     background = constant_stress_background(solver_128, np.diag([0.0, 1.0]))
     with pytest.raises(CrackTooCloseToBoundary):

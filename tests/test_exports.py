@@ -1,4 +1,5 @@
-"""Public surface: every name a module exports in __all__ resolves."""
+"""Public surface: every name a module exports in __all__ resolves, and each
+public name is declared in exactly one module's __all__."""
 
 import importlib
 import pkgutil
@@ -17,3 +18,13 @@ def test_exported_names_resolve(name):
     module = importlib.import_module(name)
     missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert missing == []
+
+
+def test_package_exports_are_the_module_exports():
+    declared = [
+        export
+        for name in MODULES[1:]
+        for export in getattr(importlib.import_module(name), "__all__", ())
+    ]
+    assert len(declared) == len(set(declared))  # no name in two modules
+    assert crackbem.__all__ == sorted(declared)

@@ -1,6 +1,8 @@
 """Pointwise kernel values against hand-computed literals and
 finite-difference cross-checks of every analytic derivative."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,14 @@ def test_material_admissibility():
         LameParams(1.0, 0.0)
     with pytest.raises(ValueError):
         LameParams(-2.0, 1.0)
+
+
+def test_material_takes_only_lam_and_mu():
+    assert [f.name for f in dataclasses.fields(LameParams)] == ["lam", "mu"]
+    with pytest.raises(TypeError):
+        LameParams(1.0, 1.0, E=2.0)
+    assert LameParams(1.0, 1.0) == LameParams(1, 1)
+    assert hash(LameParams(1.0, 1.0)) == hash(LameParams(1, 1))
 
 
 @pytest.mark.parametrize(

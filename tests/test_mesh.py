@@ -1,12 +1,15 @@
 """Curve discretization: geometry exactness, quadrature accuracy, and the
 rigid-motion bookkeeping on nodal fields."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import ellipe
 
 from crackbem import (
     BoundaryField,
+    BoundaryMesh,
     Disk,
     Ellipse,
     FourierStar,
@@ -65,6 +68,17 @@ def test_mesh_validation():
         Ellipse(a=1.0, b=0.0)
 
 
+def test_mesh_takes_only_shape_and_node_count():
+    assert [f.name for f in dataclasses.fields(BoundaryMesh)] == ["shape", "n"]
+    with pytest.raises(TypeError):
+        BoundaryMesh(Disk(), 16, h=1.0)
+    # meshes compare and hash by (shape, n), not by their sample arrays
+    a, b = build_mesh(Disk(), 32), build_mesh(Disk(), 32)
+    assert a == b and hash(a) == hash(b)
+    assert a != build_mesh(Disk(), 64)
+    assert a != build_mesh(Disk(radius=2.0), 32)
+
+
 @pytest.mark.parametrize(
     "shape",
     [
@@ -110,6 +124,15 @@ def test_boundary_field_algebra():
     assert np.allclose((f + g).values, 2 * mesh.points, atol=1e-14)
     with pytest.raises(MeshError):
         BoundaryField(mesh, np.zeros((3, 2)))
+
+
+def test_fields_compare_by_identity():
+    mesh = build_mesh(Disk(), 32)
+    f = BoundaryField(mesh, mesh.normals)
+    twin = BoundaryField(mesh, mesh.normals.copy())
+    assert f == f
+    assert f != twin  # equal values, another field; no elementwise comparison
+    assert len({f, twin, f}) == 2
 
 
 def test_fields_on_different_meshes_do_not_combine():
