@@ -22,6 +22,7 @@ Inversion of A is therefore a coefficient division in this basis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,20 @@ def apply_finite_part_operator(expansion: ChebyshevUExpansion, x) -> np.ndarray:
     return np.tensordot(u, scaled, axes=([-1], [0]))
 
 
+@functools.lru_cache(maxsize=8)
+def _sine_transform(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Chebyshev nodes x_k and the discrete sine transform with
+    d_n = (2/(M+1)) sum_k sin(theta_k) sin((n+1) theta_k) f(x_k), where
+    x_k = cos(theta_k); built once per n_modes, so both are read-only."""
+    nodes, _ = gauss_chebyshev_u(n_modes)
+    theta = np.arccos(nodes)
+    n1 = np.arange(1, n_modes + 1)
+    dst = 2.0 / (n_modes + 1) * np.sin(np.outer(n1, theta)) * np.sin(theta)
+    nodes.flags.writeable = False
+    dst.flags.writeable = False
+    return nodes, dst
+
+
 def invert_finite_part_operator(rhs, n_modes: int) -> ChebyshevUExpansion:
     """Solve A[psi] = rhs on the weighted basis.
 
@@ -123,14 +138,11 @@ def invert_finite_part_operator(rhs, n_modes: int) -> ChebyshevUExpansion:
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    nodes, _ = gauss_chebyshev_u(n_modes)
-    theta = np.arccos(nodes)
+    nodes, dst = _sine_transform(n_modes)
     vals = np.asarray(rhs(nodes) if callable(rhs) else rhs, dtype=float)
     if vals.shape[0] != n_modes:
         raise ValueError("rhs samples must match the quadrature nodes")
     n1 = np.arange(1, n_modes + 1)
-    # d_n = (2/(M+1)) sum_k sin(theta_k) sin((n+1) theta_k) rhs(x_k)
-    dst = 2.0 / (n_modes + 1) * np.sin(np.outer(n1, theta)) * np.sin(theta)
     d = np.tensordot(dst, vals, axes=([1], [0]))
     coeffs = -(d.T / n1).T
     return ChebyshevUExpansion(coeffs)

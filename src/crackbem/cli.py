@@ -246,18 +246,19 @@ def _crack_section(config: dict) -> tuple[np.ndarray, np.ndarray, list]:
     return center, direction, lengths
 
 
-def _write_csv(path: Path, header: list, rows: list, precision: int) -> None:
+def _write_text(path: Path, text: str) -> None:
+    """The one writer of output files: UTF-8, '\\n' line ends, one write."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        fmt = ",".join([f"%.{precision}g"] * len(header)) + "\n"
-        for row in rows:
-            f.write(fmt % tuple(row))
+        f.write(text)
+
+
+def _write_csv(path: Path, header: list, rows: list, precision: int) -> None:
+    fmt = ",".join([f"%.{precision}g"] * len(header)) + "\n"
+    _write_text(path, ",".join(header) + "\n" + "".join(fmt % tuple(row) for row in rows))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _angle_direction(angle_degrees: float) -> np.ndarray:
@@ -364,16 +365,19 @@ def cmd_td_map(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> N
     coords = np.linspace(-extent, extent, section["n_grid"])
     angles = np.arange(section["n_angles"]) * (180.0 / section["n_angles"])
     directions = _angle_direction(angles).T  # (n_angles, 2)
-    rows = []
+    # each row is "x,y," + angle + ",K1,K2,td," + best angle: the values that
+    # repeat over a point's angles, or over the points, are formatted once
+    g = f"%.{precision}g"
+    angle_fields = [g % a + f",{g},{g},{g}," for a in angles.tolist()]
+    blocks = []
     for y in coords:  # one row per call: the whole grid at once costs memory
         row = np.stack([coords, np.full_like(coords, y)], axis=-1)
         keep = ws.mesh.distance_to(row) >= margin
-        for point in row[~keep]:
-            print(
-                f"log: skipped grid point ({point[0]:g}, {point[1]:g}): "
-                f"closer than margin {margin:g} to the boundary",
-                file=sys.stderr,
-            )
+        sys.stderr.write("".join(
+            f"log: skipped grid point ({px:g}, {py:g}): "
+            f"closer than margin {margin:g} to the boundary\n"
+            for px, py in row[~keep].tolist()
+        ))
         points = row[keep]
         stress = ws.background.stress(points)[:, None]  # against every angle
         sif = stress_intensity_from_stress(stress, directions)  # (k, n_angles)
@@ -382,17 +386,15 @@ def cmd_td_map(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> N
         # the angles, a bare argmin would pick whichever rounding came out lowest
         tol = 1e-12 * np.max(np.abs(td), axis=1, keepdims=True)
         best = angles[np.argmax(td <= np.min(td, axis=1, keepdims=True) + tol, axis=1)]
-        rows.append(np.column_stack([
-            np.repeat(points, len(angles), axis=0), np.tile(angles, len(points)),
-            sif.k1.ravel(), sif.k2.ravel(), td.ravel(), np.repeat(best, len(angles)),
-        ]))
+        values = np.stack([sif.k1, sif.k2, td], axis=-1)  # (k, n_angles, 3)
+        values = values.reshape(len(points), 3 * len(angles)).tolist()
+        for (px, py), b, v in zip(points.tolist(), best.tolist(), values):
+            prefix, suffix = g % px + "," + g % py + ",", g % b + "\n"
+            blocks.append(prefix + (suffix + prefix).join(angle_fields) % tuple(v) + suffix)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "td_map.csv",
-        ["x", "y", "angle_deg", "K1", "K2", "td", "min_angle_deg"],
-        np.concatenate(rows).tolist(),
-        precision,
+    _write_text(
+        out_dir / "td_map.csv", "x,y,angle_deg,K1,K2,td,min_angle_deg\n" + "".join(blocks)
     )
 
 

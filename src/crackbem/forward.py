@@ -166,9 +166,15 @@ def _layer_sum(mesh: BoundaryMesh, kernel: np.ndarray, density: np.ndarray) -> n
     """Trapezoidal layer sum at interior points: kernel values (p, n, 2, 2, ...)
     between the points and the nodes, contracted over (node, density component)
     with a nodal density (n, 2, ...); one of the two `...` is empty, and the
-    result is (p, 2, ...)."""
+    result is (p, 2, ...).
+
+    The sum is two strided matmuls over the node axis of the kernel viewed as
+    (2, 2, ..., p, n), which is a copy-free view of the component-major
+    storage the kernels module returns."""
     weighted = mesh.weights.reshape((-1,) + (1,) * (density.ndim - 1)) * density
-    return np.tensordot(kernel, weighted, axes=([1, 3], [0, 1]))
+    k = kernel.transpose(*range(2, kernel.ndim), 0, 1)  # (2, 2, ..., p, n)
+    out = k[:, 0] @ weighted[:, 0] + k[:, 1] @ weighted[:, 1]
+    return np.moveaxis(out, kernel.ndim - 3, 0)
 
 
 class BackgroundField:

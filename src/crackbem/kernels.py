@@ -129,12 +129,17 @@ def _offset(x, y=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _tensor(components: dict) -> np.ndarray:
     """Array (..., 2, 2) or (..., 2, 2, 2) whose entry [..., *index] is
-    components[index]; the components broadcast against each other."""
+    components[index]; the components broadcast against each other.
+
+    The storage is component-major, (2, 2[, 2], ...), so every component is
+    written contiguously; the result is a transposed view with the components
+    last (a transpose, not np.moveaxis: this runs on every kernel call)."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in components.values()))
-    out = np.empty(shape + (2,) * len(next(iter(components))))
+    rank = len(next(iter(components)))
+    out = np.empty((2,) * rank + shape)
     for index, value in components.items():
-        out[(..., *index)] = value
-    return out
+        out[index] = value
+    return out.transpose(*range(rank, out.ndim), *range(rank))
 
 
 def kelvin_matrix(dx: np.ndarray, mat: LameParams) -> np.ndarray:

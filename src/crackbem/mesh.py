@@ -190,14 +190,25 @@ class BoundaryMesh:
     def distance_to(self, points):
         """Distance from points (..., 2) to the sampled boundary nodes, negated
         where a point lies outside the curve; shape (...), a float for one
-        point."""
-        d = self.points - np.asarray(points, dtype=float)[..., None, :]
-        distance = np.min(np.linalg.norm(d, axis=-1), axis=-1)
-        # winding of the node polygon around each point; the boundary is CCW
-        angles = np.arctan2(d[..., 1], d[..., 0])
-        turns = np.diff(angles, axis=-1, append=angles[..., :1])
-        turns = (turns + np.pi) % (2 * np.pi) - np.pi
-        signed = np.where(np.abs(turns.sum(axis=-1)) > np.pi, distance, -distance)
+        point.
+
+        Inside means an odd crossing number: a ray from the point in the +x
+        direction crosses an odd number of edges of the node polygon.  For a
+        point on a polygon edge both inside and outside are right, and the
+        sign is whichever the rounding gives; such points lie within half a
+        node spacing of the wall, which the clearance rule refuses anyway.
+        """
+        q = np.asarray(points, dtype=float)[..., None, :]
+        d = self.points - q  # offsets to each node and to the next one
+        e = np.concatenate([self.points[1:], self.points[:1]]) - q
+        d0, d1, e0, e1 = d[..., 0], d[..., 1], e[..., 0], e[..., 1]
+        distance = np.sqrt(np.min(d0 * d0 + d1 * d1, axis=-1))
+        # an edge straddling the ray's line crosses the ray where
+        # (d0 e1 - d1 e0) / (e1 - d1) > 0; a non-finite point makes it NaN
+        with np.errstate(invalid="ignore"):
+            right = (d0 * e1 - d1 * e0 > 0.0) == (e1 > d1)
+        crossings = np.count_nonzero(((d1 > 0.0) != (e1 > 0.0)) & right, axis=-1)
+        signed = np.where(crossings % 2 == 1, distance, -distance)
         return float(signed) if signed.ndim == 0 else signed
 
 

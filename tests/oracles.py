@@ -1,15 +1,17 @@
 """Slow, independent references the package is checked against.
 
-Three kinds live here, none of which the solver pipeline calls:
+Four kinds live here, none of which the solver pipeline calls:
 
 - finite differences: central differences with one Richardson step for first
   derivatives and second-order stencils for the Navier operator; tolerances
   in the tests account for their O(h^4) / O(h^2) truncation;
 - closed forms: the conormal derivative of a displacement gradient and the
   canonical straight-crack hypersingular kernel;
-- quadratures: einsum forms of the pairwise kernels, identity-FFT forms of
-  the boundary assembly, the brute-force Hadamard finite part, and the
-  crack trace recomputed through Neumann-function rows.
+- quadratures: einsum forms of the pairwise kernels and of the interior
+  layer sums, identity-FFT forms of the boundary assembly, the brute-force
+  Hadamard finite part, and the crack trace recomputed through
+  Neumann-function rows;
+- geometry: the winding-number form of the signed node distance.
 """
 
 import numpy as np
@@ -297,6 +299,27 @@ def assemble_single_layer_ref(mesh, mat: LameParams):
         mat.lam_prime * log_part[..., None, None] * _EYE2 - mat.mu_prime * mesh.h * rr
     ) * mesh.speed[None, :, None, None]
     return _blocks_to_matrix_ref(blocks)
+
+
+def layer_sum_ref(mesh, kernel, density):
+    """Trapezoidal layer sum by einsum: kernel (p, n, 2, 2, ...) against the
+    weighted nodal density (n, 2, ...), contracted over node and component."""
+    k_rest = "l" * (np.ndim(kernel) - 4)  # the gradient index of a rank-3 kernel
+    d_rest = "c" * (np.ndim(density) - 2)  # the column index of a matrix density
+    spec = f"j,pjki{k_rest},ji{d_rest}->pk{k_rest}{d_rest}"
+    return np.einsum(spec, mesh.weights, kernel, density)
+
+
+def distance_to_ref(mesh, points):
+    """Signed node distance by the winding number of the node polygon: the
+    minimum node distance, negated where the polygon does not wind once
+    around the point (arctan2 turns summed over the nodes)."""
+    d = mesh.points - np.asarray(points, dtype=float)[..., None, :]
+    distance = np.min(np.linalg.norm(d, axis=-1), axis=-1)
+    angles = np.arctan2(d[..., 1], d[..., 0])
+    turns = np.diff(angles, axis=-1, append=angles[..., :1])
+    turns = (turns + np.pi) % (2 * np.pi) - np.pi
+    return np.where(np.abs(turns.sum(axis=-1)) > np.pi, distance, -distance)
 
 
 def trace_from_neumann_representation(solution, n_quad: int = 48) -> np.ndarray:

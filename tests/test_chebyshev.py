@@ -11,6 +11,7 @@ from crackbem import (
     gauss_chebyshev_u,
     invert_finite_part_operator,
 )
+from crackbem.chebyshev import _sine_transform
 from oracles import hadamard_finite_part
 
 
@@ -128,3 +129,17 @@ def test_singular_quadratures_reject_exterior_points():
     for x in (-1.0, 1.0, 1.5):
         with pytest.raises(ValueError):
             hadamard_finite_part(lambda y: 1.0 - y * y, x)
+
+
+def test_sine_transform_is_built_once_and_read_only():
+    nodes, dst = _sine_transform(9)
+    assert _sine_transform(9)[0] is nodes and _sine_transform(9)[1] is dst
+    assert not nodes.flags.writeable and not dst.flags.writeable
+    # the inversion equals the formula built afresh, to the bit
+    ref_nodes, _ = gauss_chebyshev_u(9)
+    theta, n1 = np.arccos(ref_nodes), np.arange(1, 10)
+    ref_dst = 2.0 / 10 * np.sin(np.outer(n1, theta)) * np.sin(theta)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(dst, ref_dst)
+    vals = np.random.default_rng(2).standard_normal((9, 2))
+    expected = -(np.tensordot(ref_dst, vals, axes=([1], [0])).T / n1).T
+    assert np.array_equal(invert_finite_part_operator(vals, 9).coeffs, expected)

@@ -147,6 +147,30 @@ def test_csv_rows_match_per_value_format(tmp_path):
         )
         assert path.read_bytes() == expected.encode("utf-8")
 
+
+@pytest.mark.parametrize("precision", [17, 6])
+def test_td_map_rows_match_per_value_format(tmp_path, precision):
+    # uniaxial load: the best angle of every kept point is one of the two
+    # next to 90 degrees, so the fields td-map formats once per point or once
+    # per command repeat across rows, and none of the angles is an integer
+    cfg = write_config(
+        tmp_path,
+        output={"precision": precision},
+        td_map={"n_grid": 5, "n_angles": 7, "margin": 0.2},
+    )
+    out = tmp_path / "td"
+    assert main(["td-map", "--config", str(cfg), "--out", str(out)]) == 0
+    written = (out / "td_map.csv").read_bytes()
+    header, *lines = written.decode("utf-8").splitlines()
+    assert len(lines) == 9 * 7
+    assert len({line.split(",")[6] for line in lines}) < 9  # points share best angles
+    rebuilt = header + "\n" + "".join(
+        ",".join(format(float(v), f".{precision}g") for v in line.split(",")) + "\n"
+        for line in lines
+    )
+    assert rebuilt.encode("utf-8") == written
+
+
 def test_energy_outputs(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "en"

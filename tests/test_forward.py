@@ -16,6 +16,7 @@ from crackbem import (
     FourierStar,
     LameParams,
     build_mesh,
+    dlp_traction_kernel,
     kelvin_gradient,
     kelvin_matrix,
     project_off_rigid_motions,
@@ -23,12 +24,13 @@ from crackbem import (
     solve_cracked,
 )
 from crackbem.errors import CrackTooCloseToBoundary, EquilibriumViolated
-from crackbem.forward import assemble_double_layer, assemble_single_layer
+from crackbem.forward import _layer_sum, assemble_double_layer, assemble_single_layer
 from oracles import (
     assemble_double_layer_ref,
     assemble_single_layer_ref,
     conormal_derivative,
     fd_jacobian,
+    layer_sum_ref,
     linear_field,
 )
 
@@ -201,6 +203,28 @@ def test_clearance_refuses_non_finite_points(solver_128, point):
         solver_128.require_clearance(point)
     with pytest.raises(ValueError, match="is not finite"):
         solver_128.require_clearance([(0.0, 0.0), point])
+
+
+@pytest.mark.parametrize("layout", ["component-major", "C-contiguous"])
+def test_layer_sum_matches_einsum(solver_128, layout):
+    # every density shape the evaluators use: vector densities against rank-2
+    # and rank-3 kernels, and a matrix density against a rank-2 kernel
+    m, mat = solver_128.mesh, solver_128.mat
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-0.6, 0.6, (9, 1, 2))
+    vector, matrix = rng.standard_normal((m.n, 2)), rng.standard_normal((m.n, 2, 2))
+    cases = [
+        (kelvin_matrix(x - m.points, mat), vector),
+        (kelvin_gradient(x - m.points, mat), vector),
+        (dlp_traction_kernel(x, m.points, m.normals, mat), matrix),
+    ]
+    for kernel, density in cases:
+        assert not kernel.flags.c_contiguous
+        if layout == "C-contiguous":
+            kernel = np.ascontiguousarray(kernel)
+        got, ref = _layer_sum(m, kernel, density), layer_sum_ref(m, kernel, density)
+        assert got.shape == ref.shape == (9,) + kernel.shape[2:-1] + density.shape[2:]
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_neumann_trace_is_rigid_orthogonal(solver_128):

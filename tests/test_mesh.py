@@ -2,6 +2,7 @@
 rigid-motion bookkeeping on nodal fields."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from crackbem import (
     rigid_motion_basis,
 )
 from crackbem.errors import MeshError
+from oracles import distance_to_ref
 
 
 def test_disk_mesh_geometry():
@@ -113,6 +115,33 @@ def test_distance_to_batches():
     assert isinstance(mesh.distance_to(grid[0, 0]), float)
     assert np.array_equal(batched, [[mesh.distance_to(p) for p in row] for row in grid])
     assert np.array_equal(batched < 0.0, np.hypot(grid[..., 0], grid[..., 1]) > 1.0)
+
+
+@pytest.mark.parametrize("shape", [
+    Disk(),
+    Ellipse(a=1.3, b=0.7),
+    FourierStar(r0=1.0, cos_coeffs=(0.0, 0.0, 0.0, 0.3)),  # non-convex
+])
+def test_distance_to_matches_winding_number(shape):
+    # the crossing-number sign agrees with the winding number off the polygon
+    # edges, and the distances are the same to the bit; the nodes are included
+    mesh = build_mesh(shape, 128)
+    low, high = mesh.points.min(axis=0), mesh.points.max(axis=0)
+    center, half = 0.5 * (low + high), 0.5 * (high - low)
+    rng = np.random.default_rng(17)
+    points = center + 1.5 * half * rng.uniform(-1.0, 1.0, (20000, 2))
+    points = np.concatenate([points, mesh.points])
+    signed = mesh.distance_to(points)
+    assert np.array_equal(signed, distance_to_ref(mesh, points))
+    assert 0 < np.count_nonzero(signed > 0.0) < len(points) - mesh.n
+
+
+def test_distance_to_non_finite_point_is_quiet():
+    # the crossing test meets inf - inf here, which must not warn
+    mesh = build_mesh(Disk(), 128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mesh.distance_to((0.0, np.inf)) == -np.inf
 
 
 def test_boundary_field_algebra():
