@@ -9,14 +9,14 @@ Four subcommands share one JSON config format:
                crack angles
   energy       energy differences against the closed-form asymptotic
 
-Config sections and keys, with their types, defaults and lower bounds, are
+Config sections and keys, with their types, defaults and bounds, are
 the _SCHEMA table; load_config checks every value against it and fills in
 the defaults, and nothing else parses config values.  Unknown keys anywhere
 are rejected: a typo in a sweep config should fail loudly, not run the wrong
 experiment.  Angles enter in degrees and are converted at this boundary.
 Cracks must pass BoundarySolver.require_clearance; td-map skips grid points
 nearer the wall than its margin, floored at the solver's minimum interior
-distance.
+distance, and refuses a grid that keeps no point.
 
 All CSV output uses '.' decimals and a fixed column order, floats printed
 with %.17g so reruns are byte-identical.  Exit codes: 0 success, 2 config or
@@ -57,34 +57,40 @@ from .mesh import (
 
 _VECTORS = "vectors"
 
-# section -> key -> (type, default, lower bound).  Types: float (a number),
-# int (an integer count), str (text), list (a list of numbers) and _VECTORS
-# (a list of 2-vectors).  Numbers, and the numbers of a list, must exceed
-# the lower bound.  A key whose default is None has none: it stays absent
-# and its reader reports it missing.  A section whose keys all have defaults
-# is filled in when absent.
+# section -> key -> (type, default, lower bound, upper bound).  Types: float
+# (a number), int (an integer count), str (text), list (a list of numbers)
+# and _VECTORS (a list of 2-vectors).  Numbers, and the numbers of a list,
+# must exceed the lower bound and may not exceed the upper bound.  The upper
+# bounds keep a run within minutes and memory: a solver retains two
+# (2 n_boundary + 3)^2 matrices, 4.3 GB at 8192.  A key whose default is None
+# has none: it stays absent and its reader reports it missing.  A section
+# whose keys all have defaults is filled in when absent.
 _SCHEMA = {
-    "material": {"lambda": (float, None, None), "mu": (float, None, None)},
+    "material": {"lambda": (float, None, None, None), "mu": (float, None, None, None)},
     "geometry": {
-        "kind": (str, None, None), "radius": (float, 1.0, None), "r0": (float, None, None),
-        "a": (float, None, None), "b": (float, None, None),
-        "cos": (list, (), None), "sin": (list, (), None),
+        "kind": (str, None, None, None), "radius": (float, 1.0, None, None),
+        "r0": (float, None, None, None), "a": (float, None, None, None),
+        "b": (float, None, None, None), "cos": (list, (), None, None),
+        "sin": (list, (), None, None),
     },
     "load": {
-        "kind": (str, None, None), "sigma": (_VECTORS, None, None),
-        "cos": (_VECTORS, (), None), "sin": (_VECTORS, (), None),
+        "kind": (str, None, None, None), "sigma": (_VECTORS, None, None, None),
+        "cos": (_VECTORS, (), None, None), "sin": (_VECTORS, (), None, None),
     },
     "crack": {
-        "center": (list, None, None), "angle_degrees": (float, None, None),
-        "lengths": (list, (), 0.0),
+        "center": (list, None, None, None), "angle_degrees": (float, None, None, None),
+        "lengths": (list, (), 0.0, None),
     },
     "discretization": {
-        "n_boundary": (int, 256, 0), "n_cheb_modes": (int, 32, 0), "tol": (float, 1e-11, 0.0),
-        "max_iterations": (int, 50, 0),
+        "n_boundary": (int, 256, 0, 8192), "n_cheb_modes": (int, 32, 0, 1024),
+        "tol": (float, 1e-11, 0.0, None), "max_iterations": (int, 50, 0, None),
     },
-    "output": {"directory": (str, "out", None), "precision": (int, 17, 0)},
+    "output": {"directory": (str, "out", None, None), "precision": (int, 17, 0, None)},
     # the margin is floored at the solver's minimum interior distance
-    "td_map": {"n_grid": (int, 8, 0), "n_angles": (int, 16, 0), "margin": (float, 0.0, None)},
+    "td_map": {
+        "n_grid": (int, 8, 0, 4096), "n_angles": (int, 16, 0, 4096),
+        "margin": (float, 0.0, None, None),
+    },
 }
 
 
@@ -106,7 +112,7 @@ _TYPES = {
 }
 
 
-def _checked(name: str, key: str, value, kind, low):
+def _checked(name: str, key: str, value, kind, low, high):
     """The value converted to its schema type, or ConfigError naming the key."""
     where = f"key '{key}' in section '{name}'"
     type_name, has_type = _TYPES[kind]
@@ -120,6 +126,8 @@ def _checked(name: str, key: str, value, kind, low):
         raise ConfigError(f"{where} must be an integer")
     if low is not None and not np.all(np.greater(value, low)):
         raise ConfigError(f"{where} must be greater than {low:g}")
+    if high is not None and not np.all(np.less_equal(value, high)):
+        raise ConfigError(f"{where} must be at most {high:g}")
     return int(value) if kind is int else value
 
 
@@ -148,7 +156,7 @@ def load_config(path: str) -> dict:
     config = {}
     for name, schema in _SCHEMA.items():
         section = raw.get(name)
-        if section is None and any(d is None for _, d, _ in schema.values()):
+        if section is None and any(d is None for _, d, _, _ in schema.values()):
             continue
         section = {} if section is None else section
         if not isinstance(section, dict):
@@ -157,10 +165,10 @@ def load_config(path: str) -> dict:
         if unknown:
             raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in section '{name}'")
         config[name] = {}
-        for key, (kind, default, low) in schema.items():
+        for key, (kind, default, low, high) in schema.items():
             value = section.get(key)
             if value is not None:
-                config[name][key] = _checked(name, key, value, kind, low)
+                config[name][key] = _checked(name, key, value, kind, low, high)
             elif default is not None:
                 config[name][key] = default
     for required in ("material", "geometry", "load"):
@@ -392,6 +400,11 @@ def cmd_td_map(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> N
             prefix, suffix = g % px + "," + g % py + ",", g % b + "\n"
             blocks.append(prefix + (suffix + prefix).join(angle_fields) % tuple(v) + suffix)
 
+    if not blocks:
+        raise ConfigError(
+            f"td_map keeps no grid point: every point of the {len(coords)}x{len(coords)} "
+            f"grid is outside the boundary or closer than margin {margin:g} to it"
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(
         out_dir / "td_map.csv", "x,y,angle_deg,K1,K2,td,min_angle_deg\n" + "".join(blocks)

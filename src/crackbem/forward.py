@@ -18,6 +18,16 @@ spectrally on analytic curves.  The single layer is handled the same way
 through the splitting log|x - y| = log|2 sin((t-s)/2)| + smooth, using the
 log circulant with Fourier multipliers -pi/|k|.
 
+Storage
+-------
+Only the double layer is stored: one pass over the node-pair geometry
+writes its four component blocks straight into the bordered matrix below.
+The single layer serves only as data for the solves (S g for traction data
+g), so it is applied and never stored: its circulant part by FFT, its smooth
+log part as one n x n matrix product, and its rhat rhat^T part as
+r (r . density)/rho^2.  A solver thus holds the bordered matrix and its LU
+factors and no other n^2 array.
+
 Rank-3 completion
 -----------------
 The operator -I/2 + K annihilates rigid motions, so all solves go through
@@ -57,7 +67,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import circulant, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 from .errors import CrackTooCloseToBoundary, EquilibriumViolated, SolveFailed
 from .kernels import (
@@ -71,8 +81,8 @@ from .kernels import (
 from .mesh import BoundaryField, BoundaryMesh, rigid_gram
 
 __all__ = [
+    "apply_single_layer",
     "assemble_double_layer",
-    "assemble_single_layer",
     "BackgroundField",
     "BoundarySolver",
     "solve_background",
@@ -80,19 +90,15 @@ __all__ = [
 
 
 def _pair_geometry(mesh: BoundaryMesh):
-    """Node-pair arrays (n, n): the components r0, r1 of r_ij = x_i - x_j,
-    rho^2 = |r|^2 with 1 on the diagonal (a placeholder: every diagonal entry
-    built from it is overwritten with its limit), and the unique components
-    rr00, rr01, rr11 of rhat rhat^T, whose diagonal limit is tau tau^T."""
+    """Node-pair arrays (n, n): the components r0, r1 of r_ij = x_i - x_j
+    (exactly 0 on the diagonal) and rho^2 = |r|^2 with 1 on the diagonal, a
+    placeholder: every diagonal entry built from it is overwritten with its
+    limit."""
     x, y = mesh.points.T
     r0, r1 = np.subtract.outer(x, x), np.subtract.outer(y, y)
     rho2 = r0 * r0 + r1 * r1
     np.fill_diagonal(rho2, 1.0)
-    tau = mesh.first_deriv / mesh.speed[:, None]
-    rr = (r0 * r0 / rho2, r0 * r1 / rho2, r1 * r1 / rho2)
-    for rr_kl, (k, l) in zip(rr, ((0, 0), (0, 1), (1, 1))):
-        np.fill_diagonal(rr_kl, tau[:, k] * tau[:, l])
-    return r0, r1, rho2, rr
+    return r0, r1, rho2
 
 
 def _blocks_to_matrix(blocks: np.ndarray) -> np.ndarray:
@@ -101,17 +107,33 @@ def _blocks_to_matrix(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(2 * p, 2 * n)
 
 
-def assemble_double_layer(mesh: BoundaryMesh, mat: LameParams) -> np.ndarray:
-    """Dense 2n x 2n Nystrom matrix of the double-layer traction operator."""
+def _circulant(column: np.ndarray) -> np.ndarray:
+    """Read-only view of the circulant matrix [i, j] = column[(i - j) mod n]."""
+    doubled = np.concatenate((column[1:], column))
+    return np.lib.stride_tricks.sliding_window_view(doubled, len(column))[:, ::-1]
+
+
+def assemble_double_layer(
+    mesh: BoundaryMesh, mat: LameParams, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Dense 2n x 2n Nystrom matrix of the double-layer traction operator.
+
+    Like a numpy ufunc, it writes into `out` when given (any (2n, 2n) float
+    view, such as the top-left block of a bordered matrix) and returns it."""
     n, h, speed = mesh.n, mesh.h, mesh.speed
-    r0, r1, rho2, (rr00, rr01, rr11) = _pair_geometry(mesh)
+    if out is None:
+        out = np.empty((2 * n, 2 * n))
+    r0, r1, inv_rho2 = _pair_geometry(mesh)
+    np.reciprocal(inv_rho2, out=inv_rho2)
     diag = np.diag_indices(n)
+    scratch = np.empty_like(r0)
 
     # smooth symmetric part  h [a I + b rhat rhat^T] (n(s).r)/rho^2 |x'(s)|
     weighted_normals = (h * speed)[:, None] * mesh.normals
-    s = (r0 * weighted_normals[:, 0] + r1 * weighted_normals[:, 1]) / rho2
-    ncurv = np.einsum("ik,ik->i", mesh.normals, mesh.second_deriv)
-    s[diag] = h * ncurv / (2.0 * speed)
+    s = r0 * weighted_normals[:, 0]
+    s += np.multiply(r1, weighted_normals[:, 1], out=scratch)
+    s *= inv_rho2
+    s[diag] = h * np.einsum("ik,ik->i", mesh.normals, mesh.second_deriv) / (2.0 * speed)
 
     # Cauchy part  a [ (1/2) cot((t-s)/2) + gsm ] J: the conjugate circulant
     # pi H (multipliers -i sgn k) minus h cot is one column in the offset
@@ -119,47 +141,77 @@ def assemble_double_layer(mesh: BoundaryMesh, mat: LameParams) -> np.ndarray:
     k = np.fft.fftfreq(n, d=1.0 / n)
     column = np.pi * np.real(np.fft.ifft(-1j * np.sign(k)))
     column[1:] -= h * 0.5 / np.tan(0.5 * h * k[1:])
-    skew = circulant(column)
-    skew += h * (r0 * mesh.first_deriv[:, 0] + r1 * mesh.first_deriv[:, 1]) / rho2
+    skew = r0 * mesh.first_deriv[:, 0]
+    skew += np.multiply(r1, mesh.first_deriv[:, 1], out=scratch)
+    skew *= inv_rho2
+    skew *= h
+    skew += _circulant(column)
     skew[diag] = column[0] - h * np.einsum(
         "ik,ik->i", mesh.first_deriv, mesh.second_deriv
     ) / (2.0 * speed**2)
-
-    out = np.empty((2 * n, 2 * n))
-    iso, bs = mat.a * s, mat.b * s
-    off = bs * rr01
     skew *= mat.a
-    out[0::2, 0::2] = iso + bs * rr00
-    out[0::2, 1::2] = off + skew
-    out[1::2, 0::2] = off - skew
-    out[1::2, 1::2] = iso + bs * rr11
+
+    # the component blocks: s b rhat_0 rhat_1 +- a skew off the diagonal and
+    # s [a + b rhat_k rhat_k] on it, where rhat rhat^T has the limit tau tau^T;
+    # each is formed in contiguous memory and written once into its stride
+    tau = mesh.first_deriv / speed[:, None]
+    off = np.multiply(r0, r1, out=scratch)
+    off *= inv_rho2
+    off[diag] = tau[:, 0] * tau[:, 1]
+    off *= mat.b
+    off *= s
+    np.add(off, skew, out=out[0::2, 1::2])
+    np.subtract(off, skew, out=out[1::2, 0::2])
+    for component, r in enumerate((r0, r1)):
+        r *= r
+        r *= inv_rho2
+        r[diag] = tau[:, component] ** 2
+        r *= mat.b
+        r += mat.a
+        np.multiply(r, s, out=out[component::2, component::2])
     return out
 
 
-def assemble_single_layer(mesh: BoundaryMesh, mat: LameParams) -> np.ndarray:
-    """Dense 2n x 2n Nystrom matrix of the single-layer (Kelvin) operator."""
+def apply_single_layer(mesh: BoundaryMesh, mat: LameParams, density) -> np.ndarray:
+    """The single-layer (Kelvin) Nystrom matrix applied to a density of 2n
+    rows, (2n,) or (2n, k), without forming the 2n x 2n matrix; the result
+    has the density's shape."""
     n, h, speed = mesh.n, mesh.h, mesh.speed
-    _, _, rho2, (rr00, rr01, rr11) = _pair_geometry(mesh)
+    density = np.asarray(density, dtype=float)
+    phi = speed[:, None, None] * density.reshape(n, 2, -1)  # (n, 2, k)
+    r0, r1, rho2 = _pair_geometry(mesh)
+
+    # rhat rhat^T term  r (r . phi)/rho^2, with the diagonal limit tau tau^T
+    tau = mesh.first_deriv / speed[:, None]
+    rr = tau[:, :, None] * np.einsum("ik,ikc->ic", tau, phi)[:, None, :]
+    q = np.empty_like(rho2)
+    for c in range(phi.shape[2]):
+        np.multiply(r0, phi[:, 0, c], out=q)
+        q += r1 * phi[:, 1, c]
+        q /= rho2
+        rr[:, 0, c] += np.einsum("ij,ij->i", r0, q)
+        rr[:, 1, c] += np.einsum("ij,ij->i", r1, q)
 
     # log|x - y| = log|2 sin((t-s)/2)| + (1/2) log(rho^2 / 4 sin^2): the log
     # circulant (multipliers -pi/|k|, 0 for the mean) minus h/2 log(4 sin^2)
-    # is one column in the signed offset k = i - j
+    # is one column in the signed offset k = i - j, applied by FFT; the
+    # smooth rest is (h/2) log(rho^2) with the diagonal h log|x'|
     k = np.fft.fftfreq(n, d=1.0 / n)
     mult = np.zeros(n)
     mult[1:] = -np.pi / np.abs(k[1:])
     column = np.real(np.fft.ifft(mult))
     column[1:] -= 0.5 * h * np.log(4.0 * np.sin(0.5 * h * k[1:]) ** 2)
-    log_part = circulant(column)
-    log_part += 0.5 * h * np.log(rho2)
-    log_part[np.diag_indices(n)] = column[0] + h * np.log(speed)
+    flat = phi.reshape(n, -1)
+    log_part = np.fft.irfft(
+        np.fft.rfft(column)[:, None] * np.fft.rfft(flat, axis=0), n, axis=0
+    )
+    smooth = np.log(rho2, out=rho2)
+    smooth *= 0.5 * h
+    smooth[np.diag_indices(n)] = h * np.log(speed)
+    log_part += smooth @ flat
 
-    out = np.empty((2 * n, 2 * n))
-    iso = (mat.lam_prime * speed) * log_part
-    m = (-mat.mu_prime * h) * speed
-    out[0::2, 1::2] = out[1::2, 0::2] = m * rr01
-    out[0::2, 0::2] = iso + m * rr00
-    out[1::2, 1::2] = iso + m * rr11
-    return out
+    out = mat.lam_prime * log_part.reshape(phi.shape) - (mat.mu_prime * h) * rr
+    return out.reshape(density.shape)
 
 
 def _layer_sum(mesh: BoundaryMesh, kernel: np.ndarray, density: np.ndarray) -> np.ndarray:
@@ -218,24 +270,25 @@ class BackgroundField:
 class BoundarySolver:
     """Factorized boundary operators for one mesh and material.
 
-    Builds the double- and single-layer Nystrom matrices once, borders
-    -I/2 + K with the rigid-motion columns and constraint rows, and exposes the
-    solves needed by the background problem, the crack coupling, and the
-    Green-function evaluators.  The factorization is immutable.
+    Assembles the double-layer Nystrom matrix in place as -I/2 + K inside
+    the matrix bordered by the rigid-motion columns and constraint rows,
+    factorizes it once, and exposes the solves needed by the background
+    problem, the crack coupling, and the Green-function evaluators; the
+    single layer is applied to their data (apply_single_layer), not stored.
+    The factorization is immutable.
     """
 
     def __init__(self, mesh: BoundaryMesh, mat: LameParams):
         self.mesh = mesh
         self.mat = mat
         n2 = 2 * mesh.n
-        self.single_layer = assemble_single_layer(mesh, mat)
 
         basis = rigid_motion_basis(mesh.points)  # (n, 2, 3)
         self._columns = basis.reshape(n2, 3)  # C
         self._rows = (mesh.weights[:, None, None] * basis).reshape(n2, 3).T  # C^T W
         bordered = np.zeros((n2 + 3, n2 + 3))
-        bordered[:n2, :n2] = assemble_double_layer(mesh, mat)
-        self.operator = bordered[:n2, :n2]  # -I/2 + K, a view into the bordered matrix
+        # -I/2 + K, assembled in place: a view into the bordered matrix
+        self.operator = assemble_double_layer(mesh, mat, out=bordered[:n2, :n2])
         self.operator[np.diag_indices(n2)] -= 0.5
         bordered[:n2, n2:] = self._columns
         bordered[n2:, :n2] = self._rows
@@ -290,10 +343,11 @@ class BoundarySolver:
                 f"traction data has rigid-motion moments {g.rigid_moments()}; "
                 "the problem is unsolvable"
             )
-        rhs = self.single_layer @ g.flat()
+        rhs = apply_single_layer(self.mesh, self.mat, g.flat())
         w = self.solve_neumann(rhs)
         residual = np.max(np.abs(self.operator @ w - rhs))
-        if residual > 1e-6 * max(1.0, np.max(np.abs(rhs))):
+        # written so that a NaN residual fails too
+        if not residual <= 1e-6 * max(1.0, np.max(np.abs(rhs))):
             raise SolveFailed(f"background solve residual {residual:.3g}")
         return BackgroundField(self, BoundaryField.from_flat(self.mesh, w), g)
 
@@ -313,7 +367,7 @@ class BoundarySolver:
         datum = -self._columns @ np.linalg.solve(self._gram, rigid_motion_basis(z).T)
         # [i, j, k] = traction component j of column k
         data = kelvin_traction.transpose(0, 2, 1).reshape(n2, 2) + datum
-        regular = self.solve_neumann(self.single_layer @ data)
+        regular = self.solve_neumann(apply_single_layer(m, self.mat, data))
         raw_trace = regular - kelvin_matrix(m.points - z, self.mat).reshape(n2, 2)
         return data, regular, raw_trace
 

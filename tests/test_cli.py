@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crackbem import cli
 from crackbem.cli import _write_csv, load_config, main
 
 DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
@@ -235,6 +236,45 @@ def test_config_values_checked_against_schema(tmp_path, capsys, command, section
     cfg = write_config(tmp_path, **{section: {key: value}})
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert f"key '{key}' in section '{section}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, limit",
+    [
+        ("discretization", "n_boundary", 8192),
+        ("discretization", "n_cheb_modes", 1024),
+        ("td_map", "n_grid", 4096),
+        ("td_map", "n_angles", 4096),
+    ],
+)
+def test_counts_bounded_above(tmp_path, capsys, monkeypatch, section, key, limit):
+    # the limit itself passes the schema (load_config only); one more is
+    # refused before any solver is built, and the test never builds one
+    at_limit = write_config(tmp_path, **{section: {key: limit}})
+    assert load_config(str(at_limit))[section][key] == limit
+    monkeypatch.setattr(cli, "_Workspace", lambda config: pytest.fail("a solver was built"))
+    over = write_config(tmp_path, name="over.json", **{section: {key: limit + 1}})
+    command = "td-map" if section == "td_map" else "solve"
+    assert main([command, "--config", str(over), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}' in section '{section}' must be at most {limit}" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "td_map", [{"n_grid": 1}, {"margin": 5.0}], ids=["one-point", "wide-margin"]
+)
+def test_td_map_keeping_no_point_refused(tmp_path, capsys, td_map):
+    # one grid point sits at the corner, outside the disk; a margin of 5 keeps none
+    demo = DEMO_CONFIGS[0].parent / "disk_uniaxial.json"
+    config = json.loads(demo.read_text(encoding="utf-8"))
+    config["td_map"].update(td_map)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "td"
+    assert main(["td-map", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error: td_map keeps no grid point" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda path: path.stem)

@@ -1,6 +1,8 @@
 """Boundary-integral forward machinery: layer operators, the rank-completed
 Neumann solve, interior evaluation, and the Green-function rows."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,8 +25,8 @@ from crackbem import (
     rigid_motion_basis,
     solve_cracked,
 )
-from crackbem.errors import CrackTooCloseToBoundary, EquilibriumViolated
-from crackbem.forward import _layer_sum, assemble_double_layer, assemble_single_layer
+from crackbem.errors import CrackTooCloseToBoundary, EquilibriumViolated, SolveFailed
+from crackbem.forward import _layer_sum, apply_single_layer, assemble_double_layer
 from oracles import (
     assemble_double_layer_ref,
     assemble_single_layer_ref,
@@ -58,17 +60,64 @@ def exterior_kelvin_field(mesh, mat, source, strength):
 @pytest.mark.parametrize("shape", SHAPES, ids=["disk", "ellipse", "star"])
 def test_assembly_matches_identity_fft_oracles(shape, n):
     mesh = build_mesh(shape, n)
+    rng = np.random.default_rng(n)
     for mat in MATERIALS:
         double = assemble_double_layer_ref(mesh, mat)
-        single = assemble_single_layer_ref(mesh, mat)
         for value, reference in (
             (assemble_double_layer(mesh, mat), double),
-            (assemble_single_layer(mesh, mat), single),
             (BoundarySolver(mesh, mat).operator, double - 0.5 * np.eye(2 * n)),
         ):
             assert value.shape == (2 * n, 2 * n)
             scale = np.max(np.abs(reference))
             assert np.max(np.abs(value - reference)) <= 1e-13 * scale
+        single = assemble_single_layer_ref(mesh, mat)
+        for columns in ((), (2,)):
+            density = rng.standard_normal((2 * n, *columns))
+            reference = single @ density
+            value = apply_single_layer(mesh, mat, density)
+            assert value.shape == reference.shape
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(value - reference)) <= 1e-13 * scale
+
+
+def test_double_layer_fills_the_given_block():
+    mesh = build_mesh(SHAPES[2], 64)
+    mat = MATERIALS[1]
+    bordered = np.full((131, 131), 7.0)
+    block = bordered[:128, :128]
+    assert assemble_double_layer(mesh, mat, out=block) is block
+    assert np.array_equal(block, assemble_double_layer(mesh, mat))
+    assert np.all(bordered[128:] == 7.0) and np.all(bordered[:, 128:] == 7.0)
+
+
+def test_solver_memory_is_two_bordered_matrices():
+    # the solver keeps the bordered matrix and its LU factors, nothing of
+    # size n^2 besides; the single layer is applied, never stored
+    n = 256
+    mesh = build_mesh(Disk(), n)
+    g = BoundaryField(mesh, mesh.normals @ np.diag([1.0, 0.0]))
+    size = (2 * n + 3) ** 2 * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        solver = BoundarySolver(mesh, LameParams(1.0, 1.0))
+        background = solver.solve_background(g)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert background.trace.values.shape == (n, 2)
+    assert (peak - start) <= 4.5 * size
+    assert (retained - start) <= 2.1 * size
+
+
+def test_nan_solve_fails_the_background_residual(mat, monkeypatch):
+    # NaN > bound is False: the residual check must not pass a NaN solve
+    solver = BoundarySolver(build_mesh(Disk(), 32), mat)
+    g = BoundaryField(solver.mesh, solver.mesh.normals @ np.diag([1.0, 0.0]))
+    monkeypatch.setattr(solver, "solve_neumann", lambda rhs: np.full_like(rhs, np.nan))
+    with pytest.raises(SolveFailed, match="background solve residual nan"):
+        solver.solve_background(g)
+
 
 def test_rigid_traces_span_the_null_space(solver_128):
     basis = rigid_motion_basis(solver_128.mesh.points)
@@ -86,7 +135,7 @@ def test_operator_has_exactly_three_null_directions(solver_128):
 def test_single_layer_of_constant_density(solver_128):
     # unit disk, lam = mu = 1: S[e1] = -e1/6 (the log term integrates to zero)
     const = np.tile([1.0, 0.0], (solver_128.mesh.n, 1)).reshape(-1)
-    out = (solver_128.single_layer @ const).reshape(-1, 2)
+    out = apply_single_layer(solver_128.mesh, solver_128.mat, const).reshape(-1, 2)
     assert np.allclose(out, [-1.0 / 6.0, 0.0], atol=1e-12)
 
 
@@ -95,7 +144,7 @@ def test_jump_relation_for_regular_field(solver_128, mat):
     mesh = solver_128.mesh
     trace, g = exterior_kelvin_field(mesh, mat, np.array([2.5, 0.4]), np.array([1.0, -0.5]))
     lhs = solver_128.operator @ trace.reshape(-1)
-    rhs = solver_128.single_layer @ g.reshape(-1)
+    rhs = apply_single_layer(mesh, mat, g.reshape(-1))
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
