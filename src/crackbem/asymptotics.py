@@ -85,17 +85,27 @@ def stress_intensity(background: BackgroundField, crack: CrackSegment) -> Stress
     return stress_intensity_from_stress(stress, crack.tangent)
 
 
+def _conormal_profile(background: BackgroundField, crack: CrackSegment) -> np.ndarray:
+    """dN/dnu_y(x_i, z) t0 at every boundary node, (n, 2): the leading
+    perturbation without its length factor, so it depends only on the
+    crack's center and direction."""
+    row = background.solver.neumann_conormal_row(np.asarray(crack.center), crack.normal)
+    t0 = crack_traction_samples(background, crack, 0.0)[0]
+    return np.einsum("ick,k->ic", row, t0)
+
+
+def _leading_factor(crack: CrackSegment, mat: LameParams) -> float:
+    """The length factor pi eps^2 / 2E of the leading perturbation."""
+    return np.pi * crack.length**2 / (2.0 * mat.E)
+
+
 def neumann_perturbation(background: BackgroundField, crack: CrackSegment) -> np.ndarray:
     """Leading boundary-trace perturbation of the traction problem, (n, 2).
 
     Evaluates (pi eps^2 / 2E) dN/dnu_y(x_i, z) t0 at every boundary node;
     the full solve differs from this by O(eps^4), rigid motions aside.
     """
-    solver = background.solver
-    row = solver.neumann_conormal_row(np.asarray(crack.center), crack.normal)
-    t0 = crack_traction_samples(background, crack, 0.0)[0]
-    factor = np.pi * crack.length**2 / (2.0 * solver.mat.E)
-    return factor * np.einsum("ick,k->ic", row, t0)
+    return _leading_factor(crack, background.mat) * _conormal_profile(background, crack)
 
 
 def potential_energy_difference(
@@ -126,7 +136,8 @@ def length_sweep(
     "energy_mismatch".  solve_kwargs go to solve_cracked.  Every crack must
     pass require_clearance before the first solve, so a sweep is refused
     whole; the stress intensity depends only on the center and direction and
-    is evaluated once.  Raises ValueError for an empty list of lengths.
+    is evaluated once, and so is the Neumann row of the leading term.
+    Raises ValueError for an empty list of lengths.
     """
     cracks = [CrackSegment(center, direction, length) for length in lengths]
     if not cracks:
@@ -135,10 +146,11 @@ def length_sweep(
     for crack in cracks:
         solver.require_clearance(crack.clearance_points, crack.length)
     sif = stress_intensity(background, cracks[0])
+    profile = _conormal_profile(background, cracks[0])
     records = []
     for crack in cracks:
         solution = solve_cracked(background, crack, **solve_kwargs)
-        leading = neumann_perturbation(background, crack)
+        leading = _leading_factor(crack, solver.mat) * profile
         diff = potential_energy_difference(
             background.g, solution.trace_values(), background.trace
         )

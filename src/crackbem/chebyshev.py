@@ -126,6 +126,19 @@ def _sine_transform(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, dst
 
 
+@functools.lru_cache(maxsize=8)
+def _polynomial_part_map(n_modes: int) -> np.ndarray:
+    """The read-only (M, M) matrix R = U diag(-1/(n+1)) DST, with U[k, n] =
+    U_n(x_k): R @ samples equals
+    invert_finite_part_operator(samples, M).polynomial_part(x) at the nodes
+    x_k, one fixed linear map built once per n_modes."""
+    nodes, dst = _sine_transform(n_modes)
+    u = chebyshev_u_values(nodes, n_modes)
+    out = (u / -np.arange(1.0, n_modes + 1)) @ dst
+    out.flags.writeable = False
+    return out
+
+
 def invert_finite_part_operator(rhs, n_modes: int) -> ChebyshevUExpansion:
     """Solve A[psi] = rhs on the weighted basis.
 

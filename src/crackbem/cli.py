@@ -20,7 +20,7 @@ distance, and refuses a grid that keeps no point.
 
 All CSV output uses '.' decimals and a fixed column order, floats printed
 with %.17g so reruns are byte-identical.  Exit codes: 0 success, 2 config or
-geometry violations, 3 solver failure.
+geometry violations, 3 solver failure, including running out of memory.
 """
 
 from __future__ import annotations
@@ -446,8 +446,13 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         output = config["output"]
         out_dir = Path(output["directory"] if args.out is None else args.out)
-        ws = _Workspace(config)
-        handlers[args.command](ws, config, out_dir, output["precision"])
+        try:
+            ws = _Workspace(config)
+            handlers[args.command](ws, config, out_dir, output["precision"])
+        except MemoryError:
+            # input the schema accepts but that this machine cannot hold
+            n = config["discretization"]["n_boundary"]
+            raise SolveFailed(f"out of memory with n_boundary {n}; lower n_boundary") from None
         for warning in ws.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         return 0

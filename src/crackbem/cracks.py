@@ -30,6 +30,16 @@ collocation of the crack equation and the quadrature of the crack-to-boundary
 transfer.  These nodes integrate the weight sqrt(1 - eta^2) exactly against
 polynomials of degree < 2 n_modes, so every transfer term converges
 spectrally in the number of crack modes.
+
+Each (crack node, boundary node) kernel pair is evaluated once per crack.
+With F the boundary-to-crack feedback matrix, the background traction at the
+nodes is f0 = F u0 - (the traction of the single layer S[g]), since the
+double-layer part of u0's representation is F applied to its trace.  The
+inversion of A followed by the polynomial part at the nodes is a fixed
+linear map R (chebyshev._polynomial_part_map), so with the transfer matrix
+the sweep is one matrix T = transfer kron(R, I2) (-4/E), and a Picard sweep
+is w = solve(T (f0 + F w)).  psi is expanded once, from the last sweep's
+traction.
 """
 
 from __future__ import annotations
@@ -41,12 +51,13 @@ import numpy as np
 
 from .chebyshev import (
     ChebyshevUExpansion,
+    _polynomial_part_map,
     gauss_chebyshev_u,
     invert_finite_part_operator,
 )
 from .errors import SolveFailed
-from .forward import BackgroundField, _blocks_to_matrix
-from .kernels import dlp_traction_kernel, double_conormal_kernel, rot90
+from .forward import BackgroundField, _blocks_to_matrix, _hooke, _layer_sum
+from .kernels import dlp_traction_kernel, double_conormal_kernel, kelvin_gradient, rot90
 from .mesh import BoundaryField
 
 __all__ = [
@@ -178,7 +189,6 @@ def solve_cracked(
 
     eta, gc_weights = gauss_chebyshev_u(n_modes)
     nodes = crack.points(eta)
-    f0 = background.stress(nodes) @ crack.normal  # (m, 2)
 
     # boundary -> crack: traction of the boundary double layer at collocation
     # points, a (2m, 2n) matrix applied to the flat nodal trace
@@ -188,26 +198,33 @@ def solve_cracked(
         )
     ) * np.repeat(mesh.weights, 2)
 
+    # background traction sigma(u0) . normal at the nodes, flat (2m,): its
+    # double-layer part is the feedback matrix applied to the background
+    # trace, so only the single layer S[g] takes a kernel pass of its own
+    kelvin = kelvin_gradient(nodes[:, None, :] - mesh.points, mat)
+    single = _layer_sum(mesh, kelvin, background.g.values)
+    f0 = feedback @ background.trace.flat() - (_hooke(mat, single) @ crack.normal).reshape(-1)
+
     # crack -> boundary: double-layer transfer by Gauss-Chebyshev quadrature
     # on the same nodes, a (2n, 2m) matrix applied to the flat polynomial
     # part of the opening
     transfer = _blocks_to_matrix(
         dlp_traction_kernel(mesh.points[:, None, :], nodes[None, :, :], crack.normal, mat)
     ) * np.repeat(crack.half_length**2 * gc_weights, 2)
+    # one sweep in one matrix: crack traction f -> polynomial part of
+    # psi = A^-1[-(4/E) f] at the nodes (the fixed map R) -> boundary data
+    sweep = (transfer @ np.kron(_polynomial_part_map(n_modes), np.eye(2))) * (-4.0 / mat.E)
 
-    w = np.zeros((mesh.n, 2))
-    psi = None
+    w = np.zeros(2 * mesh.n)
     history = []
     for iteration in range(1, max_iterations + 1):
-        f = f0 + (feedback @ w.reshape(-1)).reshape(-1, 2)
-        psi = invert_finite_part_operator(-(4.0 / mat.E) * f, n_modes)
-        poly = psi.polynomial_part(eta)  # (m, 2)
-        rhs = (transfer @ poly.reshape(-1)).reshape(-1, 2)
-        w_new = solver.solve_neumann(rhs)
+        f = f0 + feedback @ w
+        w_new = solver.solve_neumann(sweep @ f)
         update = float(np.max(np.abs(w_new - w)))
         history.append(update)
         w = w_new
         if update < tol:
+            psi = invert_finite_part_operator(-(4.0 / mat.E) * f.reshape(-1, 2), n_modes)
             diagnostics = {
                 "iterations": iteration,
                 "last_update": update,
@@ -215,7 +232,7 @@ def solve_cracked(
                 "update_history": history,
             }
             return CrackedSolution(
-                background, crack, psi, BoundaryField(mesh, w), diagnostics
+                background, crack, psi, BoundaryField.from_flat(mesh, w), diagnostics
             )
     raise SolveFailed(
         f"crack coupling did not contract to {tol:g} within {max_iterations} "

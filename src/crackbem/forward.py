@@ -229,6 +229,14 @@ def _layer_sum(mesh: BoundaryMesh, kernel: np.ndarray, density: np.ndarray) -> n
     return np.moveaxis(out, kernel.ndim - 3, 0)
 
 
+def _hooke(mat: LameParams, grad: np.ndarray) -> np.ndarray:
+    """Stress lam tr(grad) I + mu (grad + grad^T) of displacement Jacobians
+    (..., 2, 2)."""
+    tr = np.trace(grad, axis1=-2, axis2=-1)
+    sym = grad + np.swapaxes(grad, -2, -1)
+    return mat.lam * tr[..., None, None] * np.eye(2) + mat.mu * sym
+
+
 class BackgroundField:
     """Crack-free solution of the traction problem.
 
@@ -261,10 +269,7 @@ class BackgroundField:
         return _layer_sum(m, double, self.trace.values) - _layer_sum(m, single, self.g.values)
 
     def stress(self, points) -> np.ndarray:
-        grad = self.gradient(points)
-        tr = np.trace(grad, axis1=-2, axis2=-1)
-        sym = grad + np.swapaxes(grad, -2, -1)
-        return self.mat.lam * tr[..., None, None] * np.eye(2) + self.mat.mu * sym
+        return _hooke(self.mat, self.gradient(points))
 
 
 class BoundarySolver:

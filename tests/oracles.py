@@ -11,12 +11,23 @@ Four kinds live here, none of which the solver pipeline calls:
   layer sums, identity-FFT forms of the boundary assembly, the brute-force
   Hadamard finite part, and the crack trace recomputed through
   Neumann-function rows;
+- the crack solve as a plain Picard loop: background stress at the nodes,
+  then the finite-part inversion and its polynomial part in every sweep;
 - geometry: the winding-number form of the signed node distance.
 """
 
 import numpy as np
 
-from crackbem import LameParams, gauss_chebyshev_u
+from crackbem import (
+    BoundaryField,
+    CrackedSolution,
+    LameParams,
+    gauss_chebyshev_u,
+    invert_finite_part_operator,
+)
+from crackbem.errors import SolveFailed
+from crackbem.forward import _blocks_to_matrix
+from crackbem.kernels import dlp_traction_kernel, double_conormal_kernel
 
 
 def fd_jacobian(fn, x, h=None):
@@ -339,6 +350,50 @@ def trace_from_neumann_representation(solution, n_quad: int = 48) -> np.ndarray:
         row = solver.neumann_conormal_row(crack.points(eta[q]), crack.normal)
         out += scale * weights[q] * np.einsum("ick,k->ic", row, poly[q])
     return out
+
+
+def solve_cracked_ref(background, crack, n_modes=32, tol=1e-11, max_iterations=50):
+    """solve_cracked as a plain Picard loop on w, for valid arguments: the
+    background traction from the stress at the crack nodes, and in every
+    sweep the finite-part inversion, its polynomial part at the nodes, the
+    transfer and one Neumann solve."""
+    solver = background.solver
+    mesh = solver.mesh
+    mat = solver.mat
+    eta, gc_weights = gauss_chebyshev_u(n_modes)
+    nodes = crack.points(eta)
+    f0 = background.stress(nodes) @ crack.normal  # (m, 2)
+    feedback = _blocks_to_matrix(
+        double_conormal_kernel(
+            nodes[:, None, :], mesh.points[None, :, :], crack.normal, mesh.normals[None], mat
+        )
+    ) * np.repeat(mesh.weights, 2)
+    transfer = _blocks_to_matrix(
+        dlp_traction_kernel(mesh.points[:, None, :], nodes[None, :, :], crack.normal, mat)
+    ) * np.repeat(crack.half_length**2 * gc_weights, 2)
+
+    w = np.zeros((mesh.n, 2))
+    history = []
+    for iteration in range(1, max_iterations + 1):
+        f = f0 + (feedback @ w.reshape(-1)).reshape(-1, 2)
+        psi = invert_finite_part_operator(-(4.0 / mat.E) * f, n_modes)
+        poly = psi.polynomial_part(eta)  # (m, 2)
+        rhs = (transfer @ poly.reshape(-1)).reshape(-1, 2)
+        w_new = solver.solve_neumann(rhs)
+        update = float(np.max(np.abs(w_new - w)))
+        history.append(update)
+        w = w_new
+        if update < tol:
+            diagnostics = {
+                "iterations": iteration,
+                "last_update": update,
+                "tolerance": tol,
+                "update_history": history,
+            }
+            return CrackedSolution(
+                background, crack, psi, BoundaryField(mesh, w), diagnostics
+            )
+    raise SolveFailed(f"reference crack loop did not contract to {tol:g}")
 
 
 # -- closed-form and quadrature references for the crack equation --

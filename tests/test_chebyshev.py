@@ -11,7 +11,7 @@ from crackbem import (
     gauss_chebyshev_u,
     invert_finite_part_operator,
 )
-from crackbem.chebyshev import _sine_transform
+from crackbem.chebyshev import _polynomial_part_map, _sine_transform
 from oracles import hadamard_finite_part
 
 
@@ -143,3 +143,14 @@ def test_sine_transform_is_built_once_and_read_only():
     vals = np.random.default_rng(2).standard_normal((9, 2))
     expected = -(np.tensordot(ref_dst, vals, axes=([1], [0])).T / n1).T
     assert np.array_equal(invert_finite_part_operator(vals, 9).coeffs, expected)
+
+
+@pytest.mark.parametrize("m", [1, 2, 12, 32])
+def test_polynomial_part_map_is_built_once_and_read_only(m):
+    # R maps samples at the nodes to the polynomial part of A^-1 at the nodes
+    R = _polynomial_part_map(m)
+    assert _polynomial_part_map(m) is R and not R.flags.writeable
+    nodes, _ = _sine_transform(m)
+    samples = np.random.default_rng(m).standard_normal((m, 2))
+    expected = invert_finite_part_operator(samples, m).polynomial_part(nodes)
+    assert np.max(np.abs(R @ samples - expected)) <= 1e-14 * np.max(np.abs(expected))

@@ -261,6 +261,20 @@ def test_counts_bounded_above(tmp_path, capsys, monkeypatch, section, key, limit
     assert not (tmp_path / "x").exists()
 
 
+def test_out_of_memory_is_a_solver_failure(tmp_path, capsys, monkeypatch):
+    # input the schema accepts but the machine cannot hold exits 3 with a
+    # message, not a traceback; no memory is allocated to show it
+    def out_of_memory(config):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_Workspace", out_of_memory)
+    cfg = write_config(tmp_path)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory with n_boundary 64; lower n_boundary\n"
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize(
     "td_map", [{"n_grid": 1}, {"margin": 5.0}], ids=["one-point", "wide-margin"]
 )

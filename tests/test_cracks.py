@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crackbem
 from crackbem import (
     BoundaryField,
     BoundarySolver,
+    ChebyshevUExpansion,
     CrackSegment,
     Disk,
+    FourierStar,
     LameParams,
     build_mesh,
     crack_traction_samples,
@@ -19,7 +22,7 @@ from crackbem import (
 )
 from crackbem.errors import CrackTooCloseToBoundary, SolveFailed
 from conftest import constant_stress_background
-from oracles import trace_from_neumann_representation
+from oracles import solve_cracked_ref, trace_from_neumann_representation
 
 
 def test_crack_segment_geometry():
@@ -237,3 +240,118 @@ def test_trace_values_adds_perturbation(tilted_crack_sweep):
     total = rec["solution"].trace_values()
     base = rec["solution"].background.trace
     assert np.allclose(total.values - base.values, rec["solution"].w.values, atol=1e-15)
+
+
+def seeded_background(solver, seed):
+    """Background under a seeded constant stress plus the linear stress
+    [[0, x1], [x1, -x2]], so the single layer S[g] is not a constant load's."""
+    rng = np.random.default_rng(seed)
+    sigma = rng.standard_normal((2, 2))
+    mesh = solver.mesh
+    x1, x2 = mesh.points.T
+    n1, n2 = mesh.normals.T
+    values = mesh.normals @ (sigma + sigma.T).T + np.stack([x1 * n2, x1 * n1 - x2 * n2], -1)
+    return solver.solve_background(BoundaryField(mesh, values)), rng
+
+
+@pytest.mark.parametrize("n, n_modes", [(128, 32), (256, 32), (256, 12)])
+def test_solve_cracked_matches_reference_loop(mat, n, n_modes):
+    # the per-crack sweep matrix and the background traction read off the
+    # feedback matrix change w and psi at rounding level only, and the sweep
+    # count not at all
+    solver = BoundarySolver(build_mesh(Disk(), n), mat)
+    background, rng = seeded_background(solver, n + n_modes)
+    for _ in range(4):
+        radius, phi, angle = rng.uniform(0.0, 0.5), rng.uniform(0.0, 2.0 * np.pi), rng.uniform()
+        crack = CrackSegment(
+            center=(radius * np.cos(phi), radius * np.sin(phi)),
+            direction=(np.cos(np.pi * angle), np.sin(np.pi * angle)),
+            length=rng.choice([0.2, 0.1, 0.05]),
+        )
+        solution = solve_cracked(background, crack, n_modes=n_modes)
+        ref = solve_cracked_ref(background, crack, n_modes=n_modes)
+        w, w_ref = solution.w.values, ref.w.values
+        c, c_ref = solution.psi.coeffs, ref.psi.coeffs
+        assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
+        assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
+        assert solution.diagnostics["iterations"] == ref.diagnostics["iterations"]
+
+
+def test_solve_cracked_evaluates_each_kernel_pair_once(solver_128, monkeypatch):
+    # the background traction at the crack nodes reuses the feedback matrix,
+    # so the double-layer gradient runs once on the (node, boundary point)
+    # pairs, and a sweep never rebuilds the fixed polynomial-part map
+    background = constant_stress_background(solver_128, [[1.0, 0.3], [0.3, -0.5]])
+    crack = CrackSegment(center=(0.2, -0.1), direction=(0.6, 0.8), length=0.1)
+    calls = []
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            pairs = out[0, 0, 0].shape if isinstance(out, dict) else np.shape(out)[:2]
+            calls.append((name, pairs))
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(crackbem.kernels, "_dlp_gradient_components")
+    counted(crackbem.cracks, "double_conormal_kernel")
+    counted(crackbem.cracks, "kelvin_gradient")
+    counted(crackbem.forward, "dlp_traction_gradient")
+    counted(crackbem.forward, "kelvin_gradient")
+    counted(ChebyshevUExpansion, "polynomial_part")
+    solution = solve_cracked(background, crack)
+    m, n = 32, solver_128.mesh.n
+    assert solution.diagnostics["iterations"] > 1
+    assert sorted(calls) == [
+        ("_dlp_gradient_components", (m, n)),
+        ("double_conormal_kernel", (m, n)),
+        ("kelvin_gradient", (m, n)),
+    ]
+
+
+def scaled_record(shape, s, center, angle):
+    """The length_sweep record of one crack of length 0.1 under a fixed
+    constant stress, with the domain, the center and the length scaled by s."""
+    solver = BoundarySolver(build_mesh(shape, 128), LameParams(1.0, 1.0))
+    background = constant_stress_background(solver, [[1.0, 0.3], [0.3, -0.5]])
+    direction = (np.cos(angle), np.sin(angle))
+    (record,) = length_sweep(background, s * np.asarray(center), direction, [s * 0.1])
+    return record
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(
+    modes=st.lists(
+        st.tuples(st.floats(0.0, 0.12), st.floats(0.0, 2.0 * np.pi)), max_size=3
+    ),
+    s=st.floats(0.2, 5.0),
+    center=st.tuples(st.floats(-0.15, 0.15), st.floats(-0.15, 0.15)),
+    angle=st.floats(0.0, np.pi),
+)
+def test_dilation_invariance(modes, s, center, angle):
+    # scaling the domain, the crack center and the crack length by s under
+    # the same stress scales w and the opening by s and the energy change by
+    # s^2, and leaves K1 and K2 alone; no modes draws the unit disk
+    def shape(scale):
+        if not modes:
+            return Disk(radius=scale)
+        return FourierStar(
+            r0=scale,
+            cos_coeffs=tuple(scale * a * np.cos(phase) for a, phase in modes),
+            sin_coeffs=tuple(scale * a * np.sin(phase) for a, phase in modes),
+        )
+
+    base = scaled_record(shape(1.0), 1.0, center, angle)
+    scaled = scaled_record(shape(s), s, center, angle)
+    w, w_scaled = base["solution"].w.values, scaled["solution"].w.values
+    assert np.max(np.abs(w_scaled - s * w)) <= 1e-10 * s * np.max(np.abs(w))
+    arc = np.linspace(-0.05, 0.05, 7)
+    opening = base["solution"].opening(arc)
+    opening_scaled = scaled["solution"].opening(s * arc)
+    assert np.max(np.abs(opening_scaled - s * opening)) <= 1e-10 * s * np.max(np.abs(opening))
+    assert scaled["energy_diff"] == pytest.approx(s * s * base["energy_diff"], rel=1e-10)
+    assert scaled["K1"] == pytest.approx(base["K1"], rel=1e-10, abs=1e-12)
+    assert scaled["K2"] == pytest.approx(base["K2"], rel=1e-10, abs=1e-12)
