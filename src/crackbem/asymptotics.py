@@ -85,12 +85,14 @@ def stress_intensity(background: BackgroundField, crack: CrackSegment) -> Stress
     return stress_intensity_from_stress(stress, crack.tangent)
 
 
-def _conormal_profile(background: BackgroundField, crack: CrackSegment) -> np.ndarray:
-    """dN/dnu_y(x_i, z) t0 at every boundary node, (n, 2): the leading
-    perturbation without its length factor, so it depends only on the
-    crack's center and direction."""
+def _conormal_profile(
+    background: BackgroundField, crack: CrackSegment, t0: np.ndarray
+) -> np.ndarray:
+    """dN/dnu_y(x_i, z) t0 at every boundary node, (n, 2), for the background
+    traction t0 across the crack line at its center: the leading perturbation
+    without its length factor, so it depends only on the crack's center and
+    direction."""
     row = background.solver.neumann_conormal_row(np.asarray(crack.center), crack.normal)
-    t0 = crack_traction_samples(background, crack, 0.0)[0]
     return np.einsum("ick,k->ic", row, t0)
 
 
@@ -105,7 +107,8 @@ def neumann_perturbation(background: BackgroundField, crack: CrackSegment) -> np
     Evaluates (pi eps^2 / 2E) dN/dnu_y(x_i, z) t0 at every boundary node;
     the full solve differs from this by O(eps^4), rigid motions aside.
     """
-    return _leading_factor(crack, background.mat) * _conormal_profile(background, crack)
+    t0 = crack_traction_samples(background, crack, 0.0)[0]
+    return _leading_factor(crack, background.mat) * _conormal_profile(background, crack, t0)
 
 
 def potential_energy_difference(
@@ -135,8 +138,9 @@ def length_sweep(
     "sup_mismatch", "energy_diff", "energy_formula" (energy_asymptotic) and
     "energy_mismatch".  solve_kwargs go to solve_cracked.  Every crack must
     pass require_clearance before the first solve, so a sweep is refused
-    whole; the stress intensity depends only on the center and direction and
-    is evaluated once, and so is the Neumann row of the leading term.
+    whole; the stress intensity and the leading term depend only on the
+    center and direction, so the background stress at the center (giving
+    K1, K2 and t0) and the Neumann row are each evaluated once.
     Raises ValueError for an empty list of lengths.
     """
     cracks = [CrackSegment(center, direction, length) for length in lengths]
@@ -145,8 +149,9 @@ def length_sweep(
     solver = background.solver
     for crack in cracks:
         solver.require_clearance(crack.clearance_points, crack.length)
-    sif = stress_intensity(background, cracks[0])
-    profile = _conormal_profile(background, cracks[0])
+    stress = background.stress(np.asarray(cracks[0].center))  # (1, 2, 2)
+    sif = stress_intensity_from_stress(stress[0], cracks[0].tangent)
+    profile = _conormal_profile(background, cracks[0], (stress @ cracks[0].normal)[0])
     records = []
     for crack in cracks:
         solution = solve_cracked(background, crack, **solve_kwargs)

@@ -20,13 +20,17 @@ log circulant with Fourier multipliers -pi/|k|.
 
 Storage
 -------
-Only the double layer is stored: one pass over the node-pair geometry
-writes its four component blocks straight into the bordered matrix below.
-The single layer serves only as data for the solves (S g for traction data
-g), so it is applied and never stored: its circulant part by FFT, its smooth
-log part as one n x n matrix product, and its rhat rhat^T part as
-r (r . density)/rho^2.  A solver thus holds the bordered matrix and its LU
-factors and no other n^2 array.
+Both layers are built in row panels of consecutive nodes, each holding
+about _PANEL_ENTRIES node pairs, so the pair arrays r0, r1 and 1/rho^2 of
+one panel stay in cache through every elementwise pass over them and no
+n x n temporary exists.  Only the double layer is stored: each panel writes
+its four component blocks straight into its rows of the bordered matrix
+below.  The single layer serves only as data for the solves (S g for
+traction data g), so it is applied and never stored: its circulant part by
+FFT over the whole density, and per panel its smooth log part (h/2)
+log(rho^2) and its rhat rhat^T part r (r . density)/rho^2, accumulated into
+the panel's rows.  The bordered matrix and its LU factors are thus the only
+n^2 arrays a solver ever holds.
 
 Rank-3 completion
 -----------------
@@ -89,16 +93,28 @@ __all__ = [
 ]
 
 
-def _pair_geometry(mesh: BoundaryMesh):
-    """Node-pair arrays (n, n): the components r0, r1 of r_ij = x_i - x_j
-    (exactly 0 on the diagonal) and rho^2 = |r|^2 with 1 on the diagonal, a
-    placeholder: every diagonal entry built from it is overwritten with its
-    limit."""
+# entries per row panel of the layer operators: one (rows, n) float64
+# temporary is about 128 KiB, so the double layer's six panel arrays and its
+# output rows stay in a 2 MiB L2 cache through all their passes
+_PANEL_ENTRIES = 2**14
+
+
+def _row_panels(mesh: BoundaryMesh):
+    """Yield, per panel of consecutive nodes lo..hi-1, the row slice lo:hi,
+    the (rows, n) node-pair arrays r0, r1 of r_ij = x_i - x_j (exactly 0 at
+    j = i) and rho^2 = |r|^2 with 1 at j = i, a placeholder: every diagonal
+    entry built from it is overwritten with its limit; and the index of those
+    diagonal entries in the panel (local row, global column)."""
+    n = mesh.n
     x, y = mesh.points.T
-    r0, r1 = np.subtract.outer(x, x), np.subtract.outer(y, y)
-    rho2 = r0 * r0 + r1 * r1
-    np.fill_diagonal(rho2, 1.0)
-    return r0, r1, rho2
+    rows = max(1, _PANEL_ENTRIES // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        r0, r1 = np.subtract.outer(x[lo:hi], x), np.subtract.outer(y[lo:hi], y)
+        rho2 = r0 * r0 + r1 * r1
+        diag = (np.arange(hi - lo), np.arange(lo, hi))
+        rho2[diag] = 1.0
+        yield slice(lo, hi), r0, r1, rho2, diag
 
 
 def _blocks_to_matrix(blocks: np.ndarray) -> np.ndarray:
@@ -108,9 +124,11 @@ def _blocks_to_matrix(blocks: np.ndarray) -> np.ndarray:
 
 
 def _circulant(column: np.ndarray) -> np.ndarray:
-    """Read-only view of the circulant matrix [i, j] = column[(i - j) mod n]."""
-    doubled = np.concatenate((column[1:], column))
-    return np.lib.stride_tricks.sliding_window_view(doubled, len(column))[:, ::-1]
+    """Read-only view of the circulant matrix [i, j] = column[(i - j) mod n];
+    each row is a forward window into the reversed column taken twice, so
+    reading a row panel walks memory in order."""
+    reversed_twice = np.concatenate((column[::-1], column[:0:-1]))
+    return np.lib.stride_tricks.sliding_window_view(reversed_twice, len(column))[::-1]
 
 
 def assemble_double_layer(
@@ -123,17 +141,6 @@ def assemble_double_layer(
     n, h, speed = mesh.n, mesh.h, mesh.speed
     if out is None:
         out = np.empty((2 * n, 2 * n))
-    r0, r1, inv_rho2 = _pair_geometry(mesh)
-    np.reciprocal(inv_rho2, out=inv_rho2)
-    diag = np.diag_indices(n)
-    scratch = np.empty_like(r0)
-
-    # smooth symmetric part  h [a I + b rhat rhat^T] (n(s).r)/rho^2 |x'(s)|
-    weighted_normals = (h * speed)[:, None] * mesh.normals
-    s = r0 * weighted_normals[:, 0]
-    s += np.multiply(r1, weighted_normals[:, 1], out=scratch)
-    s *= inv_rho2
-    s[diag] = h * np.einsum("ik,ik->i", mesh.normals, mesh.second_deriv) / (2.0 * speed)
 
     # Cauchy part  a [ (1/2) cot((t-s)/2) + gsm ] J: the conjugate circulant
     # pi H (multipliers -i sgn k) minus h cot is one column in the offset
@@ -141,34 +148,55 @@ def assemble_double_layer(
     k = np.fft.fftfreq(n, d=1.0 / n)
     column = np.pi * np.real(np.fft.ifft(-1j * np.sign(k)))
     column[1:] -= h * 0.5 / np.tan(0.5 * h * k[1:])
-    skew = r0 * mesh.first_deriv[:, 0]
-    skew += np.multiply(r1, mesh.first_deriv[:, 1], out=scratch)
-    skew *= inv_rho2
-    skew *= h
-    skew += _circulant(column)
-    skew[diag] = column[0] - h * np.einsum(
+    circulant = _circulant(column)
+
+    # per-node factors, component-major so each panel reads them in order,
+    # and the diagonal limits of the smooth part, the skew part and rhat
+    # rhat^T (tau tau^T)
+    weighted_normals = np.ascontiguousarray(((h * speed)[:, None] * mesh.normals).T)
+    first_deriv = np.ascontiguousarray(mesh.first_deriv.T)
+    s_limit = h * np.einsum("ik,ik->i", mesh.normals, mesh.second_deriv) / (2.0 * speed)
+    skew_limit = column[0] - h * np.einsum(
         "ik,ik->i", mesh.first_deriv, mesh.second_deriv
     ) / (2.0 * speed**2)
-    skew *= mat.a
-
-    # the component blocks: s b rhat_0 rhat_1 +- a skew off the diagonal and
-    # s [a + b rhat_k rhat_k] on it, where rhat rhat^T has the limit tau tau^T;
-    # each is formed in contiguous memory and written once into its stride
     tau = mesh.first_deriv / speed[:, None]
-    off = np.multiply(r0, r1, out=scratch)
-    off *= inv_rho2
-    off[diag] = tau[:, 0] * tau[:, 1]
-    off *= mat.b
-    off *= s
-    np.add(off, skew, out=out[0::2, 1::2])
-    np.subtract(off, skew, out=out[1::2, 0::2])
-    for component, r in enumerate((r0, r1)):
-        r *= r
-        r *= inv_rho2
-        r[diag] = tau[:, component] ** 2
-        r *= mat.b
-        r += mat.a
-        np.multiply(r, s, out=out[component::2, component::2])
+
+    for rows, r0, r1, inv_rho2, diag in _row_panels(mesh):
+        np.reciprocal(inv_rho2, out=inv_rho2)
+        scratch = np.empty_like(r0)
+        block = out[2 * rows.start : 2 * rows.stop]
+
+        # smooth symmetric part  h [a I + b rhat rhat^T] (n(s).r)/rho^2 |x'(s)|
+        s = r0 * weighted_normals[0]
+        s += np.multiply(r1, weighted_normals[1], out=scratch)
+        s *= inv_rho2
+        s[diag] = s_limit[rows]
+
+        skew = r0 * first_deriv[0]
+        skew += np.multiply(r1, first_deriv[1], out=scratch)
+        skew *= inv_rho2
+        skew *= h
+        skew += circulant[rows]
+        skew[diag] = skew_limit[rows]
+        skew *= mat.a
+
+        # the component blocks: s b rhat_0 rhat_1 +- a skew off the diagonal
+        # and s [a + b rhat_k rhat_k] on it; each is formed in contiguous
+        # memory and written once into its stride
+        off = np.multiply(r0, r1, out=scratch)
+        off *= inv_rho2
+        off[diag] = tau[rows, 0] * tau[rows, 1]
+        off *= mat.b
+        off *= s
+        np.add(off, skew, out=block[0::2, 1::2])
+        np.subtract(off, skew, out=block[1::2, 0::2])
+        for component, r in enumerate((r0, r1)):
+            r *= r
+            r *= inv_rho2
+            r[diag] = tau[rows, component] ** 2
+            r *= mat.b
+            r += mat.a
+            np.multiply(r, s, out=block[component::2, component::2])
     return out
 
 
@@ -179,18 +207,7 @@ def apply_single_layer(mesh: BoundaryMesh, mat: LameParams, density) -> np.ndarr
     n, h, speed = mesh.n, mesh.h, mesh.speed
     density = np.asarray(density, dtype=float)
     phi = speed[:, None, None] * density.reshape(n, 2, -1)  # (n, 2, k)
-    r0, r1, rho2 = _pair_geometry(mesh)
-
-    # rhat rhat^T term  r (r . phi)/rho^2, with the diagonal limit tau tau^T
-    tau = mesh.first_deriv / speed[:, None]
-    rr = tau[:, :, None] * np.einsum("ik,ikc->ic", tau, phi)[:, None, :]
-    q = np.empty_like(rho2)
-    for c in range(phi.shape[2]):
-        np.multiply(r0, phi[:, 0, c], out=q)
-        q += r1 * phi[:, 1, c]
-        q /= rho2
-        rr[:, 0, c] += np.einsum("ij,ij->i", r0, q)
-        rr[:, 1, c] += np.einsum("ij,ij->i", r1, q)
+    flat = phi.reshape(n, -1)
 
     # log|x - y| = log|2 sin((t-s)/2)| + (1/2) log(rho^2 / 4 sin^2): the log
     # circulant (multipliers -pi/|k|, 0 for the mean) minus h/2 log(4 sin^2)
@@ -201,14 +218,27 @@ def apply_single_layer(mesh: BoundaryMesh, mat: LameParams, density) -> np.ndarr
     mult[1:] = -np.pi / np.abs(k[1:])
     column = np.real(np.fft.ifft(mult))
     column[1:] -= 0.5 * h * np.log(4.0 * np.sin(0.5 * h * k[1:]) ** 2)
-    flat = phi.reshape(n, -1)
     log_part = np.fft.irfft(
         np.fft.rfft(column)[:, None] * np.fft.rfft(flat, axis=0), n, axis=0
     )
-    smooth = np.log(rho2, out=rho2)
-    smooth *= 0.5 * h
-    smooth[np.diag_indices(n)] = h * np.log(speed)
-    log_part += smooth @ flat
+    smooth_limit = h * np.log(speed)
+
+    # rhat rhat^T term  r (r . phi)/rho^2, with the diagonal limit tau tau^T
+    tau = mesh.first_deriv / speed[:, None]
+    rr = tau[:, :, None] * np.einsum("ik,ikc->ic", tau, phi)[:, None, :]
+
+    for rows, r0, r1, rho2, diag in _row_panels(mesh):
+        q = np.empty_like(rho2)
+        for c in range(phi.shape[2]):
+            np.multiply(r0, phi[:, 0, c], out=q)
+            q += r1 * phi[:, 1, c]
+            q /= rho2
+            rr[rows, 0, c] += np.einsum("ij,ij->i", r0, q)
+            rr[rows, 1, c] += np.einsum("ij,ij->i", r1, q)
+        smooth = np.log(rho2, out=rho2)
+        smooth *= 0.5 * h
+        smooth[diag] = smooth_limit[rows]
+        log_part[rows] += smooth @ flat
 
     out = mat.lam_prime * log_part.reshape(phi.shape) - (mat.mu_prime * h) * rr
     return out.reshape(density.shape)
@@ -298,6 +328,9 @@ class BoundarySolver:
         bordered[:n2, n2:] = self._columns
         bordered[n2:, :n2] = self._rows
         self._neumann_lu = lu_factor(bordered)
+        # the factor is immutable, so it is checked for non-finite values
+        # once, here, and solve_neumann checks only its right-hand sides
+        np.asarray_chkfinite(self._neumann_lu[0])
         # the rigid part of nodal data f is C G^-1 (C^T W f)
         self._gram = rigid_gram(mesh)
 
@@ -334,12 +367,14 @@ class BoundarySolver:
         rhs holds 2n rows per right-hand side: (n, 2) nodal values, a flat
         (2n,) vector, or a stack (2n, k) or (n, 2, k); the solution has the
         input's shape.  The border columns absorb the off-range part of rhs;
-        their multipliers are not returned.
+        their multipliers are not returned.  A non-finite rhs raises
+        ValueError.
         """
-        rhs = np.asarray(rhs, dtype=float)
+        rhs = np.asarray_chkfinite(rhs, dtype=float)
         columns = rhs.reshape(2 * self.mesh.n, -1)
         bordered = np.vstack([columns, np.zeros((3, columns.shape[1]))])
-        return lu_solve(self._neumann_lu, bordered)[:-3].reshape(rhs.shape)
+        solution = lu_solve(self._neumann_lu, bordered, check_finite=False)
+        return solution[:-3].reshape(rhs.shape)
 
     def solve_background(self, g: BoundaryField, tol: float = 1e-8) -> BackgroundField:
         """Solve the crack-free traction problem for equilibrated data g."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import crackbem.asymptotics
 from crackbem import (
+    BackgroundField,
     BoundarySolver,
     CrackSegment,
     FourierStar,
@@ -158,6 +159,22 @@ def test_length_sweep_records_match_direct_calls(solver_128):
         assert record["energy_diff"] == diff
         assert record["energy_formula"] == formula
         assert record["energy_mismatch"] == abs(diff - formula)
+
+
+def test_length_sweep_evaluates_the_background_stress_once(solver_128, monkeypatch):
+    # K1, K2 and the leading term's traction t0 all come from one stress
+    # evaluation at the center, whatever the number of lengths
+    background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
+    calls = []
+    stress = BackgroundField.stress
+
+    def counting(self, points):
+        calls.append(np.shape(points))
+        return stress(self, points)
+
+    monkeypatch.setattr(BackgroundField, "stress", counting)
+    length_sweep(background, (0.2, -0.1), (0.6, 0.8), (0.15, 0.08, 0.04), n_modes=24)
+    assert calls == [(2,)]
 
 
 def test_length_sweep_refuses_whole_sweep_before_solving(solver_128, monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor
 
 from crackbem import (
     BackgroundField,
@@ -26,7 +27,12 @@ from crackbem import (
     solve_cracked,
 )
 from crackbem.errors import CrackTooCloseToBoundary, EquilibriumViolated, SolveFailed
-from crackbem.forward import _layer_sum, apply_single_layer, assemble_double_layer
+from crackbem.forward import (
+    _PANEL_ENTRIES,
+    _layer_sum,
+    apply_single_layer,
+    assemble_double_layer,
+)
 from oracles import (
     assemble_double_layer_ref,
     assemble_single_layer_ref,
@@ -56,7 +62,17 @@ def exterior_kelvin_field(mesh, mat, source, strength):
 
 
 
-@pytest.mark.parametrize("n", [64, 256])
+# splits into several row panels with a partial last one, so the panel
+# seams and each panel's diagonal entries meet the oracles
+SEAM_N = 384
+
+
+def test_seam_size_splits_into_uneven_panels():
+    rows = _PANEL_ENTRIES // SEAM_N
+    assert SEAM_N // rows >= 2 and SEAM_N % rows != 0
+
+
+@pytest.mark.parametrize("n", [64, 256, SEAM_N])
 @pytest.mark.parametrize("shape", SHAPES, ids=["disk", "ellipse", "star"])
 def test_assembly_matches_identity_fft_oracles(shape, n):
     mesh = build_mesh(shape, n)
@@ -81,13 +97,42 @@ def test_assembly_matches_identity_fft_oracles(shape, n):
 
 
 def test_double_layer_fills_the_given_block():
-    mesh = build_mesh(SHAPES[2], 64)
     mat = MATERIALS[1]
-    bordered = np.full((131, 131), 7.0)
-    block = bordered[:128, :128]
-    assert assemble_double_layer(mesh, mat, out=block) is block
-    assert np.array_equal(block, assemble_double_layer(mesh, mat))
-    assert np.all(bordered[128:] == 7.0) and np.all(bordered[:, 128:] == 7.0)
+    for n in (64, SEAM_N):
+        mesh = build_mesh(SHAPES[2], n)
+        bordered = np.full((2 * n + 3, 2 * n + 3), 7.0)
+        block = bordered[: 2 * n, : 2 * n]
+        assert assemble_double_layer(mesh, mat, out=block) is block
+        assert np.array_equal(block, assemble_double_layer(mesh, mat))
+        assert np.all(bordered[2 * n :] == 7.0) and np.all(bordered[:, 2 * n :] == 7.0)
+
+
+def _traced_peak(call) -> int:
+    """Peak traced bytes allocated while `call()` runs, above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_layers_keep_no_n_by_n_temporary():
+    # both layers are built in row panels: neither allocates an n x n array
+    # on the way, and a solver peaks well below three bordered matrices
+    n = 1024
+    mesh = build_mesh(SHAPES[2], n)
+    mat = MATERIALS[1]
+    square = 8 * n * n
+    block = np.empty((2 * n, 2 * n))
+    assert _traced_peak(lambda: assemble_double_layer(mesh, mat, out=block)) < square
+    density = np.random.default_rng(0).standard_normal((2 * n, 2))
+    assert _traced_peak(lambda: apply_single_layer(mesh, mat, density)) < square
+    g = BoundaryField(mesh, mesh.normals @ np.diag([1.0, 0.3]))
+    bordered = 8 * (2 * n + 3) ** 2
+    peak = _traced_peak(lambda: BoundarySolver(mesh, mat).solve_background(g))
+    assert peak <= 2.5 * bordered
 
 
 def test_solver_memory_is_two_bordered_matrices():
@@ -217,6 +262,25 @@ def test_non_finite_traction_rejected(solver_128):
     values[3, 0] = np.nan
     with pytest.raises(EquilibriumViolated, match="rigid-motion moments"):
         solver_128.solve_background(BoundaryField(solver_128.mesh, values))
+
+
+def test_solve_neumann_refuses_non_finite_data(solver_128):
+    rhs = np.zeros((solver_128.mesh.n, 2))
+    rhs[5, 1] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solver_128.solve_neumann(rhs)
+
+
+def test_non_finite_factor_is_refused(mat, monkeypatch):
+    # the factor is checked once, when the solver is built
+    def non_finite(matrix):
+        lu, piv = lu_factor(matrix)
+        lu[0, 0] = np.nan
+        return lu, piv
+
+    monkeypatch.setattr("crackbem.forward.lu_factor", non_finite)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        BoundarySolver(build_mesh(Disk(), 32), mat)
 
 
 def test_solve_neumann_layout_round_trip(solver_128):
