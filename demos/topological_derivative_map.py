@@ -18,9 +18,8 @@ from crackbem import (
     Disk,
     LameParams,
     build_mesh,
+    orientation_scan,
     solve_background,
-    stress_intensity_from_stress,
-    topological_derivative,
 )
 
 N_NODES = 128
@@ -30,19 +29,10 @@ N_ANGLES = 36
 MARGIN = 0.3
 
 
-def td_map(background, mat, points, angles):
+def td_map(background, points, angles):
     """Most negative derivative and the optimal angle at each point."""
-    stresses = background.stress(points)
-    best_val = np.full(len(points), np.inf)
-    best_ang = np.zeros(len(points))
-    for theta in angles:
-        e = np.array([np.cos(theta), np.sin(theta)])
-        for i, sig in enumerate(stresses):
-            td = topological_derivative(stress_intensity_from_stress(sig, e), mat)
-            if td < best_val[i]:
-                best_val[i] = td
-                best_ang[i] = np.degrees(theta)
-    return best_val, best_ang
+    _, td, best = orientation_scan(background, points, angles)
+    return td[np.arange(len(points)), best], np.degrees(angles[best])
 
 
 def main():
@@ -58,7 +48,7 @@ def main():
     # uniform uniaxial tension: flat map, known optimum
     sigma = np.array([[1.0, 0.0], [0.0, 0.0]])
     background = solve_background(mesh, mat, BoundaryField(mesh, mesh.normals @ sigma.T))
-    val, ang = td_map(background, mat, pts, angles)
+    val, ang = td_map(background, pts, angles)
     print("uniaxial tension p = 1")
     print(f"  grid points        : {len(pts)}")
     print(f"  derivative range   : [{val.min():.6f}, {val.max():.6f}]")
@@ -74,7 +64,7 @@ def main():
         ]
     )
     background = solve_background(mesh, mat, BoundaryField(mesh, g_values))
-    val, ang = td_map(background, mat, pts, angles)
+    val, ang = td_map(background, pts, angles)
     hot = np.argmin(val)
     print("position-dependent shear-like load")
     print(f"  derivative range   : [{val.min():.6f}, {val.max():.6f}]")

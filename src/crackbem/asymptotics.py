@@ -45,6 +45,7 @@ __all__ = [
     "potential_energy_difference",
     "energy_asymptotic",
     "topological_derivative",
+    "orientation_scan",
     "length_sweep",
     "SlopeFit",
     "fit_log_slope",
@@ -126,6 +127,25 @@ def energy_asymptotic(crack: CrackSegment, sif: StressIntensity, mat: LameParams
 def topological_derivative(sif: StressIntensity, mat: LameParams) -> float:
     """Energy sensitivity per unit crack area pi eps^2: -(1/4E)(K_I^2+K_II^2)."""
     return -sif.magnitude_squared / (4.0 * mat.E)
+
+
+def orientation_scan(background: BackgroundField, points, angles) -> tuple:
+    """Stress intensities and topological derivatives of trial cracks at
+    `points` (p, 2) for every tangent angle of `angles` (k,), in radians.
+
+    Returns (sif, td, best): the StressIntensity of (p, k) arrays, td (p, k)
+    and, per point, the index of the first angle whose td lies within
+    1e-12 max|td| of that point's minimum.  Where td is flat over the angles
+    (pure shear), a bare argmin would pick whichever rounding came out
+    lowest.
+    """
+    directions = np.array([np.cos(angles), np.sin(angles)]).T  # (k, 2)
+    stress = background.stress(points)[:, None]  # against every angle
+    sif = stress_intensity_from_stress(stress, directions)
+    td = topological_derivative(sif, background.mat)
+    tol = 1e-12 * np.max(np.abs(td), axis=1, keepdims=True)
+    best = np.argmax(td <= np.min(td, axis=1, keepdims=True) + tol, axis=1)
+    return sif, td, best
 
 
 def length_sweep(

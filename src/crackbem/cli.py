@@ -9,10 +9,11 @@ Four subcommands share one JSON config format:
                crack angles
   energy       energy differences against the closed-form asymptotic
 
-Config sections and keys, with their types, defaults and bounds, are
-the _SCHEMA table; load_config checks every value against it and fills in
-the defaults, and nothing else parses config values.  Unknown keys anywhere
-are rejected: a typo in a sweep config should fail loudly, not run the wrong
+Config sections and keys, with their types, shapes, defaults, bounds and
+the keys each kind takes, are the _SCHEMA table; load_config checks every
+value against it and fills in the defaults, and the readers only build
+objects.  Unknown keys anywhere, and keys foreign to the given kind, are
+rejected: a typo in a sweep config should fail loudly, not run the wrong
 experiment.  Angles enter in degrees and are converted at this boundary.
 Cracks must pass BoundarySolver.require_clearance; td-map skips grid points
 nearer the wall than its margin, floored at the solver's minimum interior
@@ -32,12 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import (
-    fit_log_slope,
-    length_sweep,
-    stress_intensity_from_stress,
-    topological_derivative,
-)
+from .asymptotics import fit_log_slope, length_sweep, orientation_scan
 from .chebyshev import gauss_chebyshev_u
 from .errors import (
     ConfigError,
@@ -55,37 +51,48 @@ from .mesh import (
     project_off_rigid_motions,
 )
 
-_VECTORS = "vectors"
+# the default of a key that has none: a config must give it
+_REQUIRED = object()
 
 # section -> key -> (type, default, lower bound, upper bound).  Types: float
-# (a number), int (an integer count), str (text), list (a list of numbers)
-# and _VECTORS (a list of 2-vectors).  Numbers, and the numbers of a list,
-# must exceed the lower bound and may not exceed the upper bound.  The upper
-# bounds keep a run within minutes and memory: a solver retains two
-# (2 n_boundary + 3)^2 matrices, 4.3 GB at 8192.  A key whose default is None
-# has none: it stays absent and its reader reports it missing.  A section
-# whose keys all have defaults is filled in when absent.
+# (a number), int (an integer count), str (text), a shape of nested lists of
+# numbers ((None,) a list of numbers, (None, 2) a list of 2-vectors, (2,) a
+# 2-vector, (2, 2) a 2x2 matrix; None is any length) and, for "kind", the
+# table of kinds and the keys each takes: the kind comes first in its
+# section, and a given key its kind does not take is refused.  Numbers, and
+# the numbers of a list, must exceed the lower bound and may not exceed the
+# upper bound.  The upper bounds keep a run within minutes and memory: a
+# solver retains two (2 n_boundary + 3)^2 matrices, 4.3 GB at 8192, and 17
+# digits already round-trip a double.  A section with a _REQUIRED key stays
+# absent when not given; one whose keys all have defaults is filled in.
 _SCHEMA = {
-    "material": {"lambda": (float, None, None, None), "mu": (float, None, None, None)},
+    "material": {"lambda": (float, _REQUIRED, None, None), "mu": (float, _REQUIRED, None, None)},
     "geometry": {
-        "kind": (str, None, None, None), "radius": (float, 1.0, None, None),
-        "r0": (float, None, None, None), "a": (float, None, None, None),
-        "b": (float, None, None, None), "cos": (list, (), None, None),
-        "sin": (list, (), None, None),
+        "kind": (
+            {"disk": ("radius",), "ellipse": ("a", "b"), "fourier": ("r0", "cos", "sin")},
+            _REQUIRED, None, None,
+        ),
+        "radius": (float, 1.0, None, None), "r0": (float, _REQUIRED, None, None),
+        "a": (float, _REQUIRED, None, None), "b": (float, _REQUIRED, None, None),
+        "cos": ((None,), (), None, None), "sin": ((None,), (), None, None),
     },
     "load": {
-        "kind": (str, None, None, None), "sigma": (_VECTORS, None, None, None),
-        "cos": (_VECTORS, (), None, None), "sin": (_VECTORS, (), None, None),
+        "kind": (
+            {"constant-stress": ("sigma",), "fourier-traction": ("cos", "sin")},
+            _REQUIRED, None, None,
+        ),
+        "sigma": ((2, 2), _REQUIRED, None, None),
+        "cos": ((None, 2), (), None, None), "sin": ((None, 2), (), None, None),
     },
     "crack": {
-        "center": (list, None, None, None), "angle_degrees": (float, None, None, None),
-        "lengths": (list, (), 0.0, None),
+        "center": ((2,), _REQUIRED, None, None), "angle_degrees": (float, _REQUIRED, None, None),
+        "lengths": ((None,), (), 0.0, None),
     },
     "discretization": {
         "n_boundary": (int, 256, 0, 8192), "n_cheb_modes": (int, 32, 0, 1024),
         "tol": (float, 1e-11, 0.0, None), "max_iterations": (int, 50, 0, None),
     },
-    "output": {"directory": (str, "out", None, None), "precision": (int, 17, 0, None)},
+    "output": {"directory": (str, "out", None, None), "precision": (int, 17, 0, 17)},
     # the margin is floored at the solver's minimum interior distance
     "td_map": {
         "n_grid": (int, 8, 0, 4096), "n_angles": (int, 16, 0, 4096),
@@ -93,50 +100,55 @@ _SCHEMA = {
     },
 }
 
-
-def _numbers(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, float) for v in value)
-
-
-# type -> (name, test).  JSON numbers arrive as floats (load_config parses
-# integers as floats too), so booleans, strings and objects are not numbers.
+# type -> name.  JSON numbers arrive as floats (load_config parses integers
+# as floats too), so booleans, strings and objects are not numbers.
 _TYPES = {
-    float: ("a number", lambda v: isinstance(v, float)),
-    int: ("an integer", lambda v: isinstance(v, float)),
-    str: ("text", lambda v: isinstance(v, str)),
-    list: ("a list of numbers", _numbers),
-    _VECTORS: (
-        "a list of 2-vectors",
-        lambda v: isinstance(v, list) and all(_numbers(x) and len(x) == 2 for x in v),
-    ),
+    float: "a number", int: "an integer", str: "text",
+    (None,): "a list of numbers", (None, 2): "a list of 2-vectors",
+    (2,): "a 2-vector", (2, 2): "a 2x2 matrix",
 }
 
 
-def _checked(name: str, key: str, value, kind, low, high):
+def _has_type(value, type_) -> bool:
+    if type_ is str:
+        return isinstance(value, str)
+    if type_ in (float, int, ()):
+        return isinstance(value, float)
+    return (
+        isinstance(value, list) and type_[0] in (None, len(value))
+        and all(_has_type(v, type_[1:]) for v in value)
+    )
+
+
+def _checked(name: str, key: str, value, type_, low, high):
     """The value converted to its schema type, or ConfigError naming the key."""
     where = f"key '{key}' in section '{name}'"
-    type_name, has_type = _TYPES[kind]
-    if not has_type(value):
-        raise ConfigError(f"{where} must be {type_name}")
-    if kind is str:
+    if isinstance(type_, dict):  # a kind: one of its table's names
+        if not isinstance(value, str) or value not in type_:
+            raise ConfigError(f"{where} must be one of {', '.join(type_)}")
+        return value
+    if not _has_type(value, type_):
+        raise ConfigError(f"{where} must be {_TYPES[type_]}")
+    if type_ is str:
         return value
     if not np.all(np.isfinite(value)):
         raise ConfigError(f"{where} must be finite")
-    if kind is int and not value.is_integer():
+    if type_ is int and not value.is_integer():
         raise ConfigError(f"{where} must be an integer")
     if low is not None and not np.all(np.greater(value, low)):
         raise ConfigError(f"{where} must be greater than {low:g}")
     if high is not None and not np.all(np.less_equal(value, high)):
         raise ConfigError(f"{where} must be at most {high:g}")
-    return int(value) if kind is int else value
+    return int(value) if type_ is int else value
 
 
 def load_config(path: str) -> dict:
     """Read and validate a JSON config against _SCHEMA, filling in defaults.
 
     JSON null counts as an absent key.  Raises ConfigError naming the
-    section or key for unknown names, wrong types, non-finite numbers,
-    non-integral counts and values not above their lower bound.
+    section or key for unknown names, missing sections and keys, kinds
+    outside their table, keys foreign to the kind, wrong types and shapes,
+    non-finite numbers, non-integral counts and values outside their bounds.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -156,7 +168,7 @@ def load_config(path: str) -> dict:
     config = {}
     for name, schema in _SCHEMA.items():
         section = raw.get(name)
-        if section is None and any(d is None for _, d, _, _ in schema.values()):
+        if section is None and any(d is _REQUIRED for _, d, _, _ in schema.values()):
             continue
         section = {} if section is None else section
         if not isinstance(section, dict):
@@ -164,79 +176,69 @@ def load_config(path: str) -> dict:
         unknown = set(section) - set(schema)
         if unknown:
             raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in section '{name}'")
-        config[name] = {}
-        for key, (kind, default, low, high) in schema.items():
-            value = section.get(key)
-            if value is not None:
-                config[name][key] = _checked(name, key, value, kind, low, high)
-            elif default is not None:
-                config[name][key] = default
+        given = {key: value for key, value in section.items() if value is not None}
+        config[name] = values = {}
+        keys = set(schema)  # until a kind names its own
+        for key, (type_, default, low, high) in schema.items():
+            if key not in keys:
+                continue
+            if key in given:
+                values[key] = _checked(name, key, given[key], type_, low, high)
+            elif default is _REQUIRED:
+                raise ConfigError(f"missing key '{key}' in section '{name}'")
+            else:
+                values[key] = default
+            if isinstance(type_, dict):
+                keys = {key, *type_[values[key]]}
+                foreign = sorted(set(given) - keys)
+                if foreign:
+                    raise ConfigError(
+                        f"key '{foreign[0]}' in section '{name}' does not apply to "
+                        f"{key} '{values[key]}'"
+                    )
     for required in ("material", "geometry", "load"):
         if required not in config:
             raise ConfigError(f"missing config section '{required}'")
     return config
 
 
-def _required(section: dict, name: str, key: str):
-    if key not in section:
-        raise ConfigError(f"missing key '{key}' in section '{name}'")
-    return section[key]
-
-
 def _material(config: dict) -> LameParams:
-    section = config["material"]
-    return LameParams(
-        lam=_required(section, "material", "lambda"), mu=_required(section, "material", "mu")
-    )
+    return LameParams(lam=config["material"]["lambda"], mu=config["material"]["mu"])
 
 
 def _shape(config: dict):
     section = config["geometry"]
-    kind = section.get("kind")
-    if kind == "disk":
+    if section["kind"] == "disk":
         return Disk(radius=section["radius"])
-    if kind == "ellipse":
-        return Ellipse(
-            a=_required(section, "geometry", "a"), b=_required(section, "geometry", "b")
-        )
-    if kind == "fourier":
-        return FourierStar(
-            r0=_required(section, "geometry", "r0"),
-            cos_coeffs=tuple(section["cos"]),
-            sin_coeffs=tuple(section["sin"]),
-        )
-    raise ConfigError("geometry.kind must be one of disk, ellipse, fourier")
+    if section["kind"] == "ellipse":
+        return Ellipse(a=section["a"], b=section["b"])
+    return FourierStar(
+        r0=section["r0"], cos_coeffs=tuple(section["cos"]), sin_coeffs=tuple(section["sin"])
+    )
 
 
 def _load_field(config: dict, mesh) -> tuple[BoundaryField, list]:
     section = config["load"]
-    kind = section.get("kind")
-    warnings = []
-    if kind == "constant-stress":
-        sigma = np.asarray(section.get("sigma"), dtype=float)
-        if sigma.shape != (2, 2):
-            raise ConfigError("load.sigma must be a 2x2 matrix")
+    if section["kind"] == "constant-stress":
+        sigma = np.asarray(section["sigma"], dtype=float)
         if abs(sigma[0, 1] - sigma[1, 0]) > 1e-12 * max(1.0, np.abs(sigma).max()):
             raise ConfigError("load.sigma must be symmetric")
-        values = mesh.normals @ sigma.T
-        return BoundaryField(mesh, values), warnings
-    if kind == "fourier-traction":
-        t = mesh.params
-        values = np.zeros((mesh.n, 2))
-        for m, coeff in enumerate(section["cos"]):
-            values += np.cos(m * t)[:, None] * coeff
-        for m, coeff in enumerate(section["sin"], start=1):
-            values += np.sin(m * t)[:, None] * coeff
-        field = BoundaryField(mesh, values)
-        projected = project_off_rigid_motions(field)
-        change = float(np.max(np.abs(projected.values - values)))
-        if change > 1e-12 * max(1.0, field.sup_norm()):
-            warnings.append(
-                f"fourier traction was not equilibrated; rigid components "
-                f"removed (max adjustment {change:.3g})"
-            )
-        return projected, warnings
-    raise ConfigError("load.kind must be constant-stress or fourier-traction")
+        return BoundaryField(mesh, mesh.normals @ sigma.T), []
+    t = mesh.params
+    values = np.zeros((mesh.n, 2))
+    for m, coeff in enumerate(section["cos"]):
+        values += np.cos(m * t)[:, None] * coeff
+    for m, coeff in enumerate(section["sin"], start=1):
+        values += np.sin(m * t)[:, None] * coeff
+    field = BoundaryField(mesh, values)
+    projected = project_off_rigid_motions(field)
+    change = float(np.max(np.abs(projected.values - values)))
+    if change > 1e-12 * max(1.0, field.sup_norm()):
+        return projected, [
+            f"fourier traction was not equilibrated; rigid components "
+            f"removed (max adjustment {change:.3g})"
+        ]
+    return projected, []
 
 
 def _crack_section(config: dict) -> tuple[np.ndarray, np.ndarray, list]:
@@ -244,14 +246,11 @@ def _crack_section(config: dict) -> tuple[np.ndarray, np.ndarray, list]:
     if "crack" not in config:
         raise ConfigError("missing config section 'crack'")
     section = config["crack"]
-    center = np.asarray(section.get("center"), dtype=float)
-    if center.shape != (2,):
-        raise ConfigError("crack.center must be a 2-vector")
-    direction = _angle_direction(_required(section, "crack", "angle_degrees"))
-    lengths = section["lengths"]
-    if not lengths:
+    if not section["lengths"]:
         raise ConfigError("crack.lengths must be a nonempty list of positive numbers")
-    return center, direction, lengths
+    theta = np.deg2rad(section["angle_degrees"])
+    direction = np.array([np.cos(theta), np.sin(theta)])
+    return np.asarray(section["center"], dtype=float), direction, section["lengths"]
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -267,11 +266,6 @@ def _write_csv(path: Path, header: list, rows: list, precision: int) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _angle_direction(angle_degrees: float) -> np.ndarray:
-    theta = np.deg2rad(angle_degrees)
-    return np.array([np.cos(theta), np.sin(theta)])
 
 
 class _Workspace:
@@ -372,7 +366,7 @@ def cmd_td_map(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> N
     extent = float(np.max(np.abs(ws.mesh.points)))
     coords = np.linspace(-extent, extent, section["n_grid"])
     angles = np.arange(section["n_angles"]) * (180.0 / section["n_angles"])
-    directions = _angle_direction(angles).T  # (n_angles, 2)
+    radians = np.deg2rad(angles)
     # each row is "x,y," + angle + ",K1,K2,td," + best angle: the values that
     # repeat over a point's angles, or over the points, are formatted once
     g = f"%.{precision}g"
@@ -387,16 +381,10 @@ def cmd_td_map(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> N
             for px, py in row[~keep].tolist()
         ))
         points = row[keep]
-        stress = ws.background.stress(points)[:, None]  # against every angle
-        sif = stress_intensity_from_stress(stress, directions)  # (k, n_angles)
-        td = topological_derivative(sif, ws.material)
-        # the first angle within rounding of the minimum: where td is flat over
-        # the angles, a bare argmin would pick whichever rounding came out lowest
-        tol = 1e-12 * np.max(np.abs(td), axis=1, keepdims=True)
-        best = angles[np.argmax(td <= np.min(td, axis=1, keepdims=True) + tol, axis=1)]
+        sif, td, best = orientation_scan(ws.background, points, radians)
         values = np.stack([sif.k1, sif.k2, td], axis=-1)  # (k, n_angles, 3)
         values = values.reshape(len(points), 3 * len(angles)).tolist()
-        for (px, py), b, v in zip(points.tolist(), best.tolist(), values):
+        for (px, py), b, v in zip(points.tolist(), angles[best].tolist(), values):
             prefix, suffix = g % px + "," + g % py + ",", g % b + "\n"
             blocks.append(prefix + (suffix + prefix).join(angle_fields) % tuple(v) + suffix)
 

@@ -20,6 +20,7 @@ from crackbem import (
     fit_log_slope,
     length_sweep,
     neumann_perturbation,
+    orientation_scan,
     potential_energy_difference,
     solve_cracked,
     stress_intensity,
@@ -196,6 +197,43 @@ def test_length_sweep_refuses_no_lengths(solver_128):
     background = constant_stress_background(solver_128, np.diag([1.0, 0.0]))
     with pytest.raises(ValueError, match="at least one crack length"):
         length_sweep(background, (0.3, 0.0), (1.0, 0.0), ())
+
+
+SCAN_POINTS = np.array([[0.0, 0.0], [0.4, -0.2], [-0.3, 0.5]])
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    entries=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda e: max(map(abs, e)) > 1e-3),
+    n_angles=st.integers(8, 64),
+)
+def test_orientation_scan_finds_the_principal_direction(solver_128, entries, n_angles):
+    # K1^2 + K2^2 = |sigma n|^2 for the unit crack normal n: at most the
+    # largest eigenvalue of sigma^2, reached at sigma's principal direction
+    s11, s22, s12 = entries
+    sigma = np.array([[s11, s12], [s12, s22]])
+    background = constant_stress_background(solver_128, sigma)
+    angles = np.arange(n_angles) * (np.pi / n_angles)
+    sif, td, best = orientation_scan(background, SCAN_POINTS, angles)
+    assert sif.k1.shape == sif.k2.shape == td.shape == (len(SCAN_POINTS), n_angles)
+    eigenvalues, eigenvectors = np.linalg.eigh(sigma)
+    E = solver_128.mat.E
+    assert np.all(td >= -np.max(eigenvalues**2) / (4.0 * E) - 1e-12)
+    if abs(eigenvalues[1] ** 2 - eigenvalues[0] ** 2) <= 1e-6 * np.max(eigenvalues**2):
+        return  # td is flat over the angles: no direction is preferred
+    principal = eigenvectors[:, np.argmax(np.abs(eigenvalues))]
+    normal = angles[best] + np.pi / 2
+    gap = np.abs((normal - np.arctan2(principal[1], principal[0]) + np.pi / 2) % np.pi - np.pi / 2)
+    assert np.all(gap <= np.pi / n_angles)
+
+
+def test_orientation_scan_flat_case_picks_the_first_angle(solver_128):
+    # pure shear: |sigma n| = 1 for every normal, so td differs over the
+    # angles by rounding only and the first angle is the best
+    background = constant_stress_background(solver_128, [[0.0, 1.0], [1.0, 0.0]])
+    _, td, best = orientation_scan(background, SCAN_POINTS, np.arange(12) * (np.pi / 12))
+    assert np.ptp(td) <= 1e-14
+    assert np.all(best == 0)
 
 
 @settings(max_examples=20, deadline=None, database=None)

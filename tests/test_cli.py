@@ -245,6 +245,7 @@ def test_config_values_checked_against_schema(tmp_path, capsys, command, section
         ("discretization", "n_cheb_modes", 1024),
         ("td_map", "n_grid", 4096),
         ("td_map", "n_angles", 4096),
+        ("output", "precision", 17),
     ],
 )
 def test_counts_bounded_above(tmp_path, capsys, monkeypatch, section, key, limit):
@@ -330,12 +331,68 @@ def test_missing_config_file(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides, section, key",
+    [
+        ({"geometry": {"kind": "ellipse", "a": 1.2, "radius": None}}, "geometry", "b"),
+        ({"geometry": {"kind": "fourier", "radius": None}}, "geometry", "r0"),
+        ({"load": {"sigma": None}}, "load", "sigma"),
+        ({"load": {"sigma": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}, "load", "sigma"),
+        ({"crack": {"center": [0.3, 0.0, 0.0]}}, "crack", "center"),
+        ({"geometry": {"kind": "torus"}}, "geometry", "kind"),
+        ({"load": {"kind": None}}, "load", "kind"),
+        ({"crack": {"angle_degrees": None}}, "crack", "angle_degrees"),
+        ({"crack": {"lengths": []}}, "crack", "lengths"),
+        ({"crack": None}, "crack", None),
+    ],
+    ids=[
+        "ellipse-without-b", "fourier-without-r0", "no-sigma", "sigma-3x2", "center-3",
+        "kind-torus", "load-without-kind", "no-angle", "no-lengths", "no-crack-section",
+    ],
+)
+def test_incomplete_sections_refused(tmp_path, capsys, overrides, section, key):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "x"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    if key is None:
+        assert f"missing config section '{section}'" in err
+    else:  # the key named in either of the two message forms
+        assert f"key '{key}' in section '{section}'" in err or f"{section}.{key} " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        (
+            "solve", {"geometry": {"kind": "disk", "a": 1.2, "b": 0.9}},
+            "key 'a' in section 'geometry' does not apply to kind 'disk'",
+        ),
+        (
+            "solve", {"load": {"cos": [[5.0, 0.0]]}},
+            "key 'cos' in section 'load' does not apply to kind 'constant-stress'",
+        ),
+        # td-map reads no crack, but a crack section that is given is checked whole
+        (
+            "td-map", {"crack": {"center": None}, "td_map": {"n_grid": 3, "n_angles": 4}},
+            "missing key 'center' in section 'crack'",
+        ),
+    ],
+    ids=["disk-with-a", "stress-with-cos", "td-map-partial-crack"],
+)
+def test_foreign_keys_and_partial_sections_refused(tmp_path, capsys, command, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "x"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_loads_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, load={"sigma": [[1.0, 0.5], [0.0, 0.0]]})
     assert main(["solve", "--config", str(cfg)]) == 2
     assert "symmetric" in capsys.readouterr().err
-    cfg = write_config(tmp_path, name="cfg2.json", geometry={"kind": "torus"})
-    assert main(["solve", "--config", str(cfg)]) == 2
 
 
 def test_non_contracting_solve_exit_code(tmp_path, capsys):
@@ -381,7 +438,7 @@ def test_output_directory_from_config(tmp_path):
 def test_ellipse_geometry_runs(tmp_path):
     cfg = write_config(
         tmp_path,
-        geometry={"kind": "ellipse", "a": 1.2, "b": 0.9},
+        geometry={"kind": "ellipse", "a": 1.2, "b": 0.9, "radius": None},
         crack={"center": [0.0, 0.0], "lengths": [0.15]},
     )
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "ell")]) == 0
