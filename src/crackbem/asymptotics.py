@@ -35,7 +35,7 @@ import numpy as np
 from .cracks import CrackSegment, crack_traction_samples, solve_cracked
 from .forward import BackgroundField
 from .kernels import LameParams, rot90
-from .mesh import BoundaryField
+from .mesh import BoundaryField, BoundaryMesh
 
 __all__ = [
     "StressIntensity",
@@ -46,6 +46,7 @@ __all__ = [
     "energy_asymptotic",
     "topological_derivative",
     "orientation_scan",
+    "sweep_cracks",
     "length_sweep",
     "SlopeFit",
     "fit_log_slope",
@@ -148,6 +149,18 @@ def orientation_scan(background: BackgroundField, points, angles) -> tuple:
     return sif, td, best
 
 
+def sweep_cracks(mesh: BoundaryMesh, center, direction, lengths) -> list:
+    """One CrackSegment per length at a fixed center and direction, each
+    passing mesh.require_clearance: a sweep is refused whole, and before any
+    solver exists.  Raises ValueError for an empty list of lengths."""
+    cracks = [CrackSegment(center, direction, length) for length in lengths]
+    if not cracks:
+        raise ValueError("length sweep needs at least one crack length")
+    for crack in cracks:
+        mesh.require_clearance(crack.clearance_points, crack.length)
+    return cracks
+
+
 def length_sweep(
     background: BackgroundField, center, direction, lengths, **solve_kwargs
 ) -> list:
@@ -156,30 +169,26 @@ def length_sweep(
     One record (a dict) per length: "solution" (the CrackedSolution), "eps",
     "K1", "K2", "sup_w", "sup_leading" (of the neumann_perturbation formula),
     "sup_mismatch", "energy_diff", "energy_formula" (energy_asymptotic) and
-    "energy_mismatch".  solve_kwargs go to solve_cracked.  Every crack must
-    pass require_clearance before the first solve, so a sweep is refused
-    whole; the stress intensity and the leading term depend only on the
-    center and direction, so the background stress at the center (giving
-    K1, K2 and t0) and the Neumann row are each evaluated once.
-    Raises ValueError for an empty list of lengths.
+    "energy_mismatch".  solve_kwargs go to solve_cracked.  The cracks come
+    from sweep_cracks, so the sweep is refused whole before the first solve;
+    the stress intensity and the leading term depend only on the center and
+    direction, so the background stress at the center (giving K1, K2 and t0)
+    and the Neumann row are each evaluated once.  Raises ValueError for an
+    empty list of lengths.
     """
-    cracks = [CrackSegment(center, direction, length) for length in lengths]
-    if not cracks:
-        raise ValueError("length sweep needs at least one crack length")
-    solver = background.solver
-    for crack in cracks:
-        solver.require_clearance(crack.clearance_points, crack.length)
+    cracks = sweep_cracks(background.mesh, center, direction, lengths)
+    mat = background.mat
     stress = background.stress(np.asarray(cracks[0].center))  # (1, 2, 2)
     sif = stress_intensity_from_stress(stress[0], cracks[0].tangent)
     profile = _conormal_profile(background, cracks[0], (stress @ cracks[0].normal)[0])
     records = []
     for crack in cracks:
         solution = solve_cracked(background, crack, **solve_kwargs)
-        leading = _leading_factor(crack, solver.mat) * profile
+        leading = _leading_factor(crack, mat) * profile
         diff = potential_energy_difference(
             background.g, solution.trace_values(), background.trace
         )
-        formula = energy_asymptotic(crack, sif, solver.mat)
+        formula = energy_asymptotic(crack, sif, mat)
         records.append({
             "solution": solution,
             "eps": crack.length,

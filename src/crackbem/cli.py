@@ -11,17 +11,18 @@ Four subcommands share one JSON config format:
 
 Config sections and keys, with their types, shapes, defaults, bounds and
 the keys each kind takes, are the _SCHEMA table; load_config checks every
-value against it and fills in the defaults, and the readers only build
-objects.  Unknown keys anywhere, and keys foreign to the given kind, are
-rejected: a typo in a sweep config should fail loudly, not run the wrong
-experiment.  Angles enter in degrees and are converted at this boundary.
-Cracks must pass BoundarySolver.require_clearance; td-map skips grid points
-nearer the wall than its margin, floored at the solver's minimum interior
-distance, and refuses a grid that keeps no point.
+value against it and the command, and the readers only build objects.
+Unknown keys anywhere, and keys foreign to the given kind, are rejected: a
+typo in a sweep config should fail loudly, not run the wrong experiment.
+Angles enter in degrees and are converted at this boundary.  On the mesh,
+before the solver exists, cracks must pass BoundaryMesh.require_clearance;
+td-map skips grid points nearer the wall than its margin, floored at the
+mesh's minimum interior distance, and refuses a grid that keeps no point.
 
 All CSV output uses '.' decimals and a fixed column order, floats printed
 with %.17g so reruns are byte-identical.  Exit codes: 0 success, 2 config or
-geometry violations, 3 solver failure, including running out of memory.
+geometry violations, all found before a solver is built, 3 solver failure,
+including a failed background residual check and running out of memory.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import fit_log_slope, length_sweep, orientation_scan
+from .asymptotics import fit_log_slope, length_sweep, orientation_scan, sweep_cracks
 from .chebyshev import gauss_chebyshev_u
 from .errors import (
     ConfigError,
@@ -62,7 +63,8 @@ _REQUIRED = object()
 # section, and a given key its kind does not take is refused.  Numbers, and
 # the numbers of a list, must exceed the lower bound and may not exceed the
 # upper bound.  The upper bounds keep a run within minutes and memory: a
-# solver retains two (2 n_boundary + 3)^2 matrices, 4.3 GB at 8192, and 17
+# solver retains two (2 n_boundary + 3)^2 matrices, 4.3 GB at 8192, a crack
+# whose updates stall above a tiny tol stops after 1000 sweeps, and 17
 # digits already round-trip a double.  A section with a _REQUIRED key stays
 # absent when not given; one whose keys all have defaults is filled in.
 _SCHEMA = {
@@ -90,10 +92,10 @@ _SCHEMA = {
     },
     "discretization": {
         "n_boundary": (int, 256, 0, 8192), "n_cheb_modes": (int, 32, 0, 1024),
-        "tol": (float, 1e-11, 0.0, None), "max_iterations": (int, 50, 0, None),
+        "tol": (float, 1e-11, 0.0, None), "max_iterations": (int, 50, 0, 1000),
     },
     "output": {"directory": (str, "out", None, None), "precision": (int, 17, 0, 17)},
-    # the margin is floored at the solver's minimum interior distance
+    # the margin is floored at the mesh's minimum interior distance
     "td_map": {
         "n_grid": (int, 8, 0, 4096), "n_angles": (int, 16, 0, 4096),
         "margin": (float, 0.0, None, None),
@@ -142,13 +144,17 @@ def _checked(name: str, key: str, value, type_, low, high):
     return int(value) if type_ is int else value
 
 
-def load_config(path: str) -> dict:
-    """Read and validate a JSON config against _SCHEMA, filling in defaults.
+def load_config(path: str, command: str) -> dict:
+    """Read and validate a JSON config for a command against _SCHEMA, filling
+    in defaults.
 
     JSON null counts as an absent key.  Raises ConfigError naming the
     section or key for unknown names, missing sections and keys, kinds
     outside their table, keys foreign to the kind, wrong types and shapes,
-    non-finite numbers, non-integral counts and values outside their bounds.
+    non-finite numbers, non-integral counts and values outside their bounds,
+    a non-symmetric sigma, and for the commands but td-map a missing crack
+    section or lengths, fewer than three for convergence and, for solve, two
+    lengths sharing an output tag.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -199,11 +205,26 @@ def load_config(path: str) -> dict:
     for required in ("material", "geometry", "load"):
         if required not in config:
             raise ConfigError(f"missing config section '{required}'")
+    if config["load"]["kind"] == "constant-stress":
+        sigma = np.asarray(config["load"]["sigma"])
+        if abs(sigma[0, 1] - sigma[1, 0]) > 1e-12 * max(1.0, np.abs(sigma).max()):
+            raise ConfigError("load.sigma must be symmetric")
+    if command == "td-map":
+        return config
+    if "crack" not in config:
+        raise ConfigError("missing config section 'crack'")
+    lengths = config["crack"]["lengths"]
+    if not lengths:
+        raise ConfigError("crack.lengths must be a nonempty list of positive numbers")
+    if command == "convergence" and len(lengths) < 3:
+        raise ConfigError("convergence requires at least 3 crack lengths")
+    if command == "solve":
+        # output files are named by tag, so two lengths with one tag would overwrite
+        tags = [f"{eps:g}" for eps in lengths]
+        for i, tag in enumerate(tags):
+            if tag in tags[:i]:
+                raise ConfigError(f"crack.lengths share the output tag '{tag}'")
     return config
-
-
-def _material(config: dict) -> LameParams:
-    return LameParams(lam=config["material"]["lambda"], mu=config["material"]["mu"])
 
 
 def _shape(config: dict):
@@ -220,10 +241,7 @@ def _shape(config: dict):
 def _load_field(config: dict, mesh) -> tuple[BoundaryField, list]:
     section = config["load"]
     if section["kind"] == "constant-stress":
-        sigma = np.asarray(section["sigma"], dtype=float)
-        if abs(sigma[0, 1] - sigma[1, 0]) > 1e-12 * max(1.0, np.abs(sigma).max()):
-            raise ConfigError("load.sigma must be symmetric")
-        return BoundaryField(mesh, mesh.normals @ sigma.T), []
+        return BoundaryField(mesh, mesh.normals @ np.asarray(section["sigma"]).T), []
     t = mesh.params
     values = np.zeros((mesh.n, 2))
     for m, coeff in enumerate(section["cos"]):
@@ -241,174 +259,142 @@ def _load_field(config: dict, mesh) -> tuple[BoundaryField, list]:
     return projected, []
 
 
-def _crack_section(config: dict) -> tuple[np.ndarray, np.ndarray, list]:
-    """Center, unit direction and lengths of the configured crack sweep."""
-    if "crack" not in config:
-        raise ConfigError("missing config section 'crack'")
-    section = config["crack"]
-    if not section["lengths"]:
-        raise ConfigError("crack.lengths must be a nonempty list of positive numbers")
+def _crack_sweep(config: dict, mesh) -> dict:
+    """The length_sweep arguments of the configured crack sweep, refused
+    here unless every crack clears the mesh (sweep_cracks)."""
+    section, disc = config["crack"], config["discretization"]
     theta = np.deg2rad(section["angle_degrees"])
-    direction = np.array([np.cos(theta), np.sin(theta)])
-    return np.asarray(section["center"], dtype=float), direction, section["lengths"]
-
-
-def _write_text(path: Path, text: str) -> None:
-    """The one writer of output files: UTF-8, '\\n' line ends, one write."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
-
-
-def _write_csv(path: Path, header: list, rows: list, precision: int) -> None:
-    fmt = ",".join([f"%.{precision}g"] * len(header)) + "\n"
-    _write_text(path, ",".join(header) + "\n" + "".join(fmt % tuple(row) for row in rows))
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-class _Workspace:
-    """Mesh, solver, background and solve_cracked options shared by every
-    solve of one command."""
-
-    def __init__(self, config: dict):
-        self.material = _material(config)
-        self.disc = config["discretization"]
-        self.mesh = build_mesh(_shape(config), self.disc["n_boundary"])
-        self.solver = BoundarySolver(self.mesh, self.material)
-        g, self.warnings = _load_field(config, self.mesh)
-        self.background = self.solver.solve_background(g)
-        self.solve_options = {
-            "n_modes": self.disc["n_cheb_modes"],
-            "tol": self.disc["tol"],
-            "max_iterations": self.disc["max_iterations"],
-        }
-
-
-def _write_records(path: Path, records: list, columns: list, precision: int) -> None:
-    _write_csv(path, columns, [[r[c] for c in columns] for r in records], precision)
-
-
-def _write_trace(path: Path, field: BoundaryField, precision: int) -> None:
-    mesh, values = field.mesh, field.values
-    rows = [
-        (mesh.params[i], mesh.points[i, 0], mesh.points[i, 1], values[i, 0], values[i, 1])
-        for i in range(mesh.n)
-    ]
-    _write_csv(path, ["node_param", "x", "y", "u1", "u2"], rows, precision)
-
-
-def cmd_solve(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> None:
-    center, direction, lengths = _crack_section(config)
-    # output files are named by tag, so two lengths with one tag would overwrite
-    tags = [f"{eps:g}" for eps in lengths]
-    for i, tag in enumerate(tags):
-        if tag in tags[:i]:
-            raise ConfigError(f"crack.lengths share the output tag '{tag}'")
-    records = length_sweep(ws.background, center, direction, lengths, **ws.solve_options)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_trace(out_dir / "trace_u0.csv", ws.background.trace, precision)
-    diagnostics = {
-        "n_boundary": ws.mesh.n,
-        "tolerance": ws.disc["tol"],
-        "lengths": lengths,
-        "per_length": {},
-        "warnings": ws.warnings,
+    sweep = {
+        "center": np.asarray(section["center"], dtype=float),
+        "direction": np.array([np.cos(theta), np.sin(theta)]),
+        "lengths": section["lengths"],
+        "n_modes": disc["n_cheb_modes"], "tol": disc["tol"],
+        "max_iterations": disc["max_iterations"],
     }
-    eta, _ = gauss_chebyshev_u(ws.disc["n_cheb_modes"])
-    for tag, record in zip(tags, records):
-        solution = record["solution"]
-        _write_trace(out_dir / f"trace_ueps_{tag}.csv", solution.trace_values(), precision)
-        s = 0.5 * record["eps"] * eta
-        opening = solution.opening(s)
-        _write_csv(
-            out_dir / f"crack_opening_{tag}.csv",
-            ["x1", "phi1", "phi2"],
-            [(s[q], opening[q, 0], opening[q, 1]) for q in range(len(s))],
-            precision,
-        )
-        diagnostics["per_length"][tag] = {
-            "iterations": solution.diagnostics["iterations"],
-            "last_update": solution.diagnostics["last_update"],
-            "sup_perturbation": record["sup_w"],
-        }
-    _write_json(out_dir / "diagnostics.json", diagnostics)
+    sweep_cracks(mesh, sweep["center"], sweep["direction"], sweep["lengths"])
+    return sweep
 
 
-def cmd_convergence(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> None:
-    center, direction, lengths = _crack_section(config)
-    if len(lengths) < 3:
-        raise ConfigError("convergence requires at least 3 crack lengths")
-    records = length_sweep(ws.background, center, direction, lengths, **ws.solve_options)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_records(
-        out_dir / "convergence.csv",
-        records,
-        ["eps", "sup_w", "sup_mismatch", "energy_diff", "energy_formula", "energy_mismatch"],
-        precision,
-    )
-    eps = np.array([r["eps"] for r in records])
-    floor = 10.0 * ws.disc["tol"]
-    slopes = {}
-    for key in ("sup_w", "sup_mismatch", "energy_mismatch"):
-        fit = fit_log_slope(eps, np.array([r[key] for r in records]), noise_floor=floor)
-        slopes[key] = {"slope": fit.slope, "n_points_used": fit.n_points, "note": fit.note}
-    _write_json(out_dir / "slopes.json", slopes)
-
-
-def cmd_td_map(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> None:
+def _td_grid(config: dict, mesh) -> list:
+    """The td-map grid points kept, (k, 2) per grid row: those inside the
+    curve and no nearer its nodes than the margin, floored at the mesh's
+    minimum interior distance.  Skipped points are logged; a grid that keeps
+    no point is refused."""
     section = config["td_map"]
-    margin = max(section["margin"], ws.solver.minimum_interior_distance)
-
-    extent = float(np.max(np.abs(ws.mesh.points)))
+    margin = max(section["margin"], mesh.minimum_interior_distance)
+    extent = float(np.max(np.abs(mesh.points)))
     coords = np.linspace(-extent, extent, section["n_grid"])
-    angles = np.arange(section["n_angles"]) * (180.0 / section["n_angles"])
-    radians = np.deg2rad(angles)
-    # each row is "x,y," + angle + ",K1,K2,td," + best angle: the values that
-    # repeat over a point's angles, or over the points, are formatted once
-    g = f"%.{precision}g"
-    angle_fields = [g % a + f",{g},{g},{g}," for a in angles.tolist()]
-    blocks = []
+    kept = []
     for y in coords:  # one row per call: the whole grid at once costs memory
         row = np.stack([coords, np.full_like(coords, y)], axis=-1)
-        keep = ws.mesh.distance_to(row) >= margin
+        keep = mesh.distance_to(row) >= margin
+        kept.append(row[keep])
         sys.stderr.write("".join(
             f"log: skipped grid point ({px:g}, {py:g}): "
             f"closer than margin {margin:g} to the boundary\n"
             for px, py in row[~keep].tolist()
         ))
-        points = row[keep]
-        sif, td, best = orientation_scan(ws.background, points, radians)
+    if not any(len(points) for points in kept):
+        raise ConfigError(
+            f"td_map keeps no grid point: every point of the {len(coords)}x{len(coords)} "
+            f"grid is outside the boundary or closer than margin {margin:g} to it"
+        )
+    return kept
+
+
+def _csv(header: list, rows: list, precision: int) -> str:
+    fmt = ",".join([f"%.{precision}g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(fmt % tuple(row) for row in rows)
+
+
+def _records_csv(records: list, columns: list, precision: int) -> str:
+    return _csv(columns, [[r[c] for c in columns] for r in records], precision)
+
+
+def _trace_csv(field: BoundaryField, precision: int) -> str:
+    rows = np.column_stack([field.mesh.params, field.mesh.points, field.values])
+    return _csv(["node_param", "x", "y", "u1", "u2"], rows.tolist(), precision)
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def cmd_solve(background, config: dict, sweep: dict, warnings: list) -> dict:
+    records = length_sweep(background, **sweep)
+    precision, disc = config["output"]["precision"], config["discretization"]
+    files = {"trace_u0.csv": _trace_csv(background.trace, precision)}
+    diagnostics = {
+        "n_boundary": background.mesh.n,
+        "tolerance": disc["tol"],
+        "lengths": sweep["lengths"],
+        "per_length": {},
+        "warnings": warnings,
+    }
+    eta, _ = gauss_chebyshev_u(disc["n_cheb_modes"])
+    for record in records:
+        tag, solution = f"{record['eps']:g}", record["solution"]
+        files[f"trace_ueps_{tag}.csv"] = _trace_csv(solution.trace_values(), precision)
+        s = 0.5 * record["eps"] * eta
+        rows = np.column_stack([s, solution.opening(s)]).tolist()
+        files[f"crack_opening_{tag}.csv"] = _csv(["x1", "phi1", "phi2"], rows, precision)
+        diagnostics["per_length"][tag] = {
+            "iterations": solution.diagnostics["iterations"],
+            "last_update": solution.diagnostics["last_update"],
+            "sup_perturbation": record["sup_w"],
+        }
+    files["diagnostics.json"] = _json(diagnostics)
+    return files
+
+
+def cmd_convergence(background, config: dict, sweep: dict, warnings: list) -> dict:
+    records = length_sweep(background, **sweep)
+    eps = np.array([r["eps"] for r in records])
+    floor = 10.0 * config["discretization"]["tol"]
+    slopes = {}
+    for key in ("sup_w", "sup_mismatch", "energy_mismatch"):
+        fit = fit_log_slope(eps, np.array([r[key] for r in records]), noise_floor=floor)
+        slopes[key] = {"slope": fit.slope, "n_points_used": fit.n_points, "note": fit.note}
+    columns = ["eps", "sup_w", "sup_mismatch", "energy_diff", "energy_formula", "energy_mismatch"]
+    return {
+        "convergence.csv": _records_csv(records, columns, config["output"]["precision"]),
+        "slopes.json": _json(slopes),
+    }
+
+
+def cmd_td_map(background, config: dict, grid: list, warnings: list) -> dict:
+    n_angles = config["td_map"]["n_angles"]
+    angles = np.arange(n_angles) * (180.0 / n_angles)
+    # each row is "x,y," + angle + ",K1,K2,td," + best angle: the values that
+    # repeat over a point's angles, or over the points, are formatted once
+    g = f"%.{config['output']['precision']}g"
+    angle_fields = [g % a + f",{g},{g},{g}," for a in angles.tolist()]
+    blocks = []
+    for points in grid:
+        sif, td, best = orientation_scan(background, points, np.deg2rad(angles))
         values = np.stack([sif.k1, sif.k2, td], axis=-1)  # (k, n_angles, 3)
         values = values.reshape(len(points), 3 * len(angles)).tolist()
         for (px, py), b, v in zip(points.tolist(), angles[best].tolist(), values):
             prefix, suffix = g % px + "," + g % py + ",", g % b + "\n"
             blocks.append(prefix + (suffix + prefix).join(angle_fields) % tuple(v) + suffix)
-
-    if not blocks:
-        raise ConfigError(
-            f"td_map keeps no grid point: every point of the {len(coords)}x{len(coords)} "
-            f"grid is outside the boundary or closer than margin {margin:g} to it"
-        )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(
-        out_dir / "td_map.csv", "x,y,angle_deg,K1,K2,td,min_angle_deg\n" + "".join(blocks)
-    )
+    return {"td_map.csv": "x,y,angle_deg,K1,K2,td,min_angle_deg\n" + "".join(blocks)}
 
 
-def cmd_energy(ws: _Workspace, config: dict, out_dir: Path, precision: int) -> None:
-    center, direction, lengths = _crack_section(config)
-    records = length_sweep(ws.background, center, direction, lengths, **ws.solve_options)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_records(
-        out_dir / "energy.csv",
-        records,
-        ["eps", "K1", "K2", "energy_diff", "energy_formula", "energy_mismatch"],
-        precision,
-    )
+def cmd_energy(background, config: dict, sweep: dict, warnings: list) -> dict:
+    records = length_sweep(background, **sweep)
+    columns = ["eps", "K1", "K2", "energy_diff", "energy_formula", "energy_mismatch"]
+    return {"energy.csv": _records_csv(records, columns, config["output"]["precision"])}
+
+
+# command -> (check, handler).  check(config, mesh) makes the refusals that
+# need the mesh; handler(background, config, checked, warnings) takes what it
+# returned and gives the command's output files as {name: text}.
+_COMMANDS = {
+    "solve": (_crack_sweep, cmd_solve),
+    "convergence": (_crack_sweep, cmd_convergence),
+    "td-map": (_td_grid, cmd_td_map),
+    "energy": (_crack_sweep, cmd_energy),
+}
 
 
 def main(argv=None) -> int:
@@ -417,31 +403,36 @@ def main(argv=None) -> int:
         description="Boundary-integral studies of small interior cracks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "convergence", "td-map", "energy"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=1, help="accepted; runs are serial")
+        p.add_argument("--threads", type=int, default=1, help="at least 1; runs are serial")
 
     args = parser.parse_args(argv)
-    handlers = {
-        "solve": cmd_solve,
-        "convergence": cmd_convergence,
-        "td-map": cmd_td_map,
-        "energy": cmd_energy,
-    }
+    if args.threads < 1:
+        sub.choices[args.command].error("argument --threads: must be at least 1")
+    check, handler = _COMMANDS[args.command]
     try:
-        config = load_config(args.config)
-        output = config["output"]
-        out_dir = Path(output["directory"] if args.out is None else args.out)
+        config = load_config(args.config, args.command)
+        out = config["output"]["directory"] if args.out is None else args.out
+        n = config["discretization"]["n_boundary"]
         try:
-            ws = _Workspace(config)
-            handlers[args.command](ws, config, out_dir, output["precision"])
+            # every refusal is made before the solver, the one n^2 build, exists
+            mesh = build_mesh(_shape(config), n)
+            checked = check(config, mesh)
+            g, warnings = _load_field(config, mesh)
+            mat = LameParams(lam=config["material"]["lambda"], mu=config["material"]["mu"])
+            background = BoundarySolver(mesh, mat).solve_background(g)
+            files = handler(background, config, checked, warnings)
         except MemoryError:
             # input the schema accepts but that this machine cannot hold
-            n = config["discretization"]["n_boundary"]
             raise SolveFailed(f"out of memory with n_boundary {n}; lower n_boundary") from None
-        for warning in ws.warnings:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():  # UTF-8, '\n' line ends, one write each
+            with open(Path(out) / name, "w", encoding="utf-8", newline="\n") as f:
+                f.write(text)
+        for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
         return 0
     except SolveFailed as exc:

@@ -174,7 +174,7 @@ def solve_cracked(
     """Solve the coupled crack/boundary system by Picard iteration on w.
 
     Raises ValueError unless max_iterations >= 1 and tol > 0, lets
-    BoundarySolver.require_clearance refuse the crack's center and tips with
+    BoundaryMesh.require_clearance refuse the crack's center and tips with
     its length, and raises SolveFailed if the trace update has not dropped
     below tol in sup norm within max_iterations sweeps.
     """
@@ -185,7 +185,7 @@ def solve_cracked(
     solver = background.solver
     mesh = solver.mesh
     mat = solver.mat
-    solver.require_clearance(crack.clearance_points, crack.length)
+    mesh.require_clearance(crack.clearance_points, crack.length)
 
     eta, gc_weights = gauss_chebyshev_u(n_modes)
     nodes = crack.points(eta)

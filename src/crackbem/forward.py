@@ -68,12 +68,10 @@ stress-free.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import CrackTooCloseToBoundary, EquilibriumViolated, SolveFailed
+from .errors import EquilibriumViolated, SolveFailed
 from .kernels import (
     LameParams,
     dlp_traction_gradient,
@@ -334,31 +332,6 @@ class BoundarySolver:
         # the rigid part of nodal data f is C G^-1 (C^T W f)
         self._gram = rigid_gram(mesh)
 
-    @property
-    def minimum_interior_distance(self) -> float:
-        """Two node spacings: the evaluator accuracy contract near the wall."""
-        return 2.0 * self.mesh.h * float(np.max(self.mesh.speed))
-
-    def require_clearance(self, points, length: float = 0.0) -> None:
-        """The one clearance rule: raise CrackTooCloseToBoundary, naming the
-        point, unless every point lies inside the curve at a node distance of
-        at least max(minimum_interior_distance, length).  Non-finite points
-        raise ValueError."""
-        need = max(self.minimum_interior_distance, length)
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        for (x, y), d in zip(points, np.atleast_1d(self.mesh.distance_to(points))):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"point ({x:.3g}, {y:.3g}) is not finite")
-            if d < 0.0:
-                raise CrackTooCloseToBoundary(
-                    f"point ({x:.3g}, {y:.3g}) is outside the boundary"
-                )
-            if d < need:
-                raise CrackTooCloseToBoundary(
-                    f"required clearance {need:.3g} is not smaller than the distance "
-                    f"{d:.3g} from ({x:.3g}, {y:.3g}) to the boundary"
-                )
-
     # -- core solves ------------------------------------------------------
 
     def solve_neumann(self, rhs: np.ndarray) -> np.ndarray:
@@ -376,9 +349,9 @@ class BoundarySolver:
         solution = lu_solve(self._neumann_lu, bordered, check_finite=False)
         return solution[:-3].reshape(rhs.shape)
 
-    def solve_background(self, g: BoundaryField, tol: float = 1e-8) -> BackgroundField:
-        """Solve the crack-free traction problem for equilibrated data g."""
-        if not g.is_equilibrated(tol):
+    def solve_background(self, g: BoundaryField) -> BackgroundField:
+        """Solve the crack-free traction problem for data g equilibrated to 1e-8."""
+        if not g.is_equilibrated(1e-8):
             raise EquilibriumViolated(
                 f"traction data has rigid-motion moments {g.rigid_moments()}; "
                 "the problem is unsolvable"
@@ -401,7 +374,7 @@ class BoundarySolver:
         (2n, 2).  Column k of the datum is the conormal of the Kelvin column
         Phi(. - z) e_k plus the projector datum -psi(x) G^-1 psi(z)^T e_k.
         """
-        self.require_clearance(z)
+        self.mesh.require_clearance(z)
         m, n2 = self.mesh, 2 * self.mesh.n
         kelvin_traction = dlp_traction_kernel(z, m.points, m.normals, self.mat)
         datum = -self._columns @ np.linalg.solve(self._gram, rigid_motion_basis(z).T)
@@ -446,7 +419,7 @@ class BoundarySolver:
         Column k solves the boundary equation with the double-layer traction
         kernel column as data; the result is rigid-motion orthogonal.
         """
-        self.require_clearance(z)
+        self.mesh.require_clearance(z)
         data = dlp_traction_kernel(self.mesh.points, z, e_perp, self.mat)
         return self.solve_neumann(data)
 

@@ -10,11 +10,12 @@ on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshError
+from .errors import CrackTooCloseToBoundary, MeshError
 from .kernels import rigid_motion_basis
 
 __all__ = [
@@ -210,6 +211,31 @@ class BoundaryMesh:
         crossings = np.count_nonzero(((d1 > 0.0) != (e1 > 0.0)) & right, axis=-1)
         signed = np.where(crossings % 2 == 1, distance, -distance)
         return float(signed) if signed.ndim == 0 else signed
+
+    @property
+    def minimum_interior_distance(self) -> float:
+        """Two node spacings: the evaluator accuracy contract near the wall."""
+        return 2.0 * self.h * float(np.max(self.speed))
+
+    def require_clearance(self, points, length: float = 0.0) -> None:
+        """The one clearance rule: raise CrackTooCloseToBoundary, naming the
+        point, unless every point lies inside the curve at a node distance of
+        at least max(minimum_interior_distance, length).  Non-finite points
+        raise ValueError."""
+        need = max(self.minimum_interior_distance, length)
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        for (x, y), d in zip(points, np.atleast_1d(self.distance_to(points))):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"point ({x:.3g}, {y:.3g}) is not finite")
+            if d < 0.0:
+                raise CrackTooCloseToBoundary(
+                    f"point ({x:.3g}, {y:.3g}) is outside the boundary"
+                )
+            if d < need:
+                raise CrackTooCloseToBoundary(
+                    f"required clearance {need:.3g} is not smaller than the distance "
+                    f"{d:.3g} from ({x:.3g}, {y:.3g}) to the boundary"
+                )
 
 
 def build_mesh(shape, n_nodes: int) -> BoundaryMesh:

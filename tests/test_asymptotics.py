@@ -11,6 +11,7 @@ from crackbem import (
     BackgroundField,
     BoundarySolver,
     CrackSegment,
+    Disk,
     FourierStar,
     LameParams,
     StressIntensity,
@@ -25,6 +26,7 @@ from crackbem import (
     solve_cracked,
     stress_intensity,
     stress_intensity_from_stress,
+    sweep_cracks,
     topological_derivative,
 )
 from crackbem.errors import CrackTooCloseToBoundary
@@ -191,6 +193,14 @@ def test_length_sweep_refuses_whole_sweep_before_solving(solver_128, monkeypatch
     with pytest.raises(CrackTooCloseToBoundary):
         length_sweep(background, (0.3, 0.0), (1.0, 0.0), (0.1, 0.2, 0.9))
     assert calls == []
+
+
+def test_sweep_cracks_refuses_on_the_mesh_alone():
+    mesh = build_mesh(Disk(), 64)
+    cracks = sweep_cracks(mesh, (0.3, 0.0), (1.0, 0.0), (0.2, 0.1))
+    assert [crack.length for crack in cracks] == [0.2, 0.1]
+    with pytest.raises(CrackTooCloseToBoundary, match="not smaller than the distance"):
+        sweep_cracks(mesh, (0.3, 0.0), (1.0, 0.0), (0.1, 0.9))
 
 
 def test_length_sweep_refuses_no_lengths(solver_128):

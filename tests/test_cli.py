@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from crackbem import cli
-from crackbem.cli import _write_csv, load_config, main
+from crackbem.cli import _csv, load_config, main
 
 DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
 
@@ -141,12 +141,10 @@ def test_csv_rows_match_per_value_format(tmp_path):
     values[1] = [1.0, -1.0, 0.1, 1e16, 123456789.0, 1.5e-310, 2.0 ** 60]
     header = list("abcdefg")
     for precision in (17, 6, 1):
-        path = tmp_path / f"p{precision}.csv"
-        _write_csv(path, header, values.tolist(), precision)
         expected = ",".join(header) + "\n" + "".join(
             ",".join(format(float(v), f".{precision}g") for v in row) + "\n" for row in values
         )
-        assert path.read_bytes() == expected.encode("utf-8")
+        assert _csv(header, values.tolist(), precision) == expected
 
 
 @pytest.mark.parametrize("precision", [17, 6])
@@ -246,16 +244,17 @@ def test_config_values_checked_against_schema(tmp_path, capsys, command, section
         ("td_map", "n_grid", 4096),
         ("td_map", "n_angles", 4096),
         ("output", "precision", 17),
+        ("discretization", "max_iterations", 1000),
     ],
 )
 def test_counts_bounded_above(tmp_path, capsys, monkeypatch, section, key, limit):
     # the limit itself passes the schema (load_config only); one more is
     # refused before any solver is built, and the test never builds one
-    at_limit = write_config(tmp_path, **{section: {key: limit}})
-    assert load_config(str(at_limit))[section][key] == limit
-    monkeypatch.setattr(cli, "_Workspace", lambda config: pytest.fail("a solver was built"))
-    over = write_config(tmp_path, name="over.json", **{section: {key: limit + 1}})
     command = "td-map" if section == "td_map" else "solve"
+    at_limit = write_config(tmp_path, **{section: {key: limit}})
+    assert load_config(str(at_limit), command)[section][key] == limit
+    monkeypatch.setattr(cli, "BoundarySolver", lambda *args: pytest.fail("a solver was built"))
+    over = write_config(tmp_path, name="over.json", **{section: {key: limit + 1}})
     assert main([command, "--config", str(over), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert f"key '{key}' in section '{section}' must be at most {limit}" in err
@@ -265,10 +264,10 @@ def test_counts_bounded_above(tmp_path, capsys, monkeypatch, section, key, limit
 def test_out_of_memory_is_a_solver_failure(tmp_path, capsys, monkeypatch):
     # input the schema accepts but the machine cannot hold exits 3 with a
     # message, not a traceback; no memory is allocated to show it
-    def out_of_memory(config):
+    def out_of_memory(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "_Workspace", out_of_memory)
+    monkeypatch.setattr(cli, "BoundarySolver", out_of_memory)
     cfg = write_config(tmp_path)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
@@ -294,7 +293,7 @@ def test_td_map_keeping_no_point_refused(tmp_path, capsys, td_map):
 
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda path: path.stem)
 def test_demo_configs_load(path):
-    config = load_config(str(path))
+    config = load_config(str(path), "solve")
     assert config["discretization"]["n_cheb_modes"] == 32
     assert config["output"]["directory"] == "out"
     assert config["td_map"]["n_grid"] in (8, 15)
@@ -386,6 +385,49 @@ def test_foreign_keys_and_partial_sections_refused(tmp_path, capsys, command, ov
     out = tmp_path / "x"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("solve", {"crack": None}, "missing config section 'crack'"),
+        ("energy", {"crack": {"lengths": []}}, "crack.lengths must be a nonempty list"),
+        ("convergence", {}, "convergence requires at least 3 crack lengths"),
+        ("solve", {"crack": {"lengths": [0.1, 0.1]}}, "share the output tag '0.1'"),
+        ("td-map", {"load": {"sigma": [[1.0, 0.5], [0.0, 0.0]]}}, "load.sigma must be symmetric"),
+        ("energy", {"crack": {"center": [5.0, 0.0]}}, "point (5, 0) is outside the boundary"),
+        ("solve", {"crack": {"lengths": [0.2, 0.9]}}, "not smaller than the distance"),
+        ("td-map", {"td_map": {"margin": 5.0}}, "td_map keeps no grid point"),
+    ],
+    ids=[
+        "no-crack", "no-lengths", "two-lengths", "shared-tag", "non-symmetric-sigma",
+        "exterior-crack", "oversized-crack", "empty-td-map",
+    ],
+)
+def test_refusals_come_before_the_solver(
+    tmp_path, capsys, monkeypatch, command, overrides, message
+):
+    # every exit-2 refusal is made on the config or the mesh: no boundary
+    # solver, the one n^2 build, is ever constructed for it
+    monkeypatch.setattr(cli, "BoundarySolver", lambda *args: pytest.fail("a solver was built"))
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "x"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_refused(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setattr(cli, "BoundarySolver", lambda *args: pytest.fail("a solver was built"))
+    cfg = write_config(tmp_path)
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exit_:
+        main(["solve", "--config", str(cfg), "--out", str(out), "--threads", threads])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "crackbem solve: error: argument --threads: must be at least 1" in err
     assert not out.exists()
 
 

@@ -310,14 +310,6 @@ def test_neumann_reciprocity(solver_128):
     assert np.max(np.abs(n12 - n21.T)) < 1e-9
 
 
-@pytest.mark.parametrize("point", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, np.nan)])
-def test_clearance_refuses_non_finite_points(solver_128, point):
-    with pytest.raises(ValueError, match="is not finite"):
-        solver_128.require_clearance(point)
-    with pytest.raises(ValueError, match="is not finite"):
-        solver_128.require_clearance([(0.0, 0.0), point])
-
-
 @pytest.mark.parametrize("layout", ["component-major", "C-contiguous"])
 def test_layer_sum_matches_einsum(solver_128, layout):
     # every density shape the evaluators use: vector densities against rank-2
@@ -368,9 +360,6 @@ def test_interior_guard(solver_128):
         solver_128.neumann_trace(np.array([0.99, 0.0]))
     with pytest.raises(CrackTooCloseToBoundary):
         solver_128.neumann_conormal_row(np.array([0.0, 0.999]), np.array([1.0, 0.0]))
-    assert solver_128.minimum_interior_distance == pytest.approx(
-        2 * solver_128.mesh.h, abs=1e-14
-    )
 
 
 coefficients = st.lists(st.floats(-0.15, 0.15), max_size=2)
@@ -413,7 +402,7 @@ def test_neumann_reciprocity_on_stars(cos, sin, angles, fractions):
     solver = BoundarySolver(build_mesh(star, 128), LameParams(1.0, 1.0))
     x, z = (f * star.point(t) for f, t in zip(fractions, angles))
     assume(np.linalg.norm(x - z) > 0.05)
-    assume(np.min(solver.mesh.distance_to([x, z])) > 2.0 * solver.minimum_interior_distance)
+    assume(np.min(solver.mesh.distance_to([x, z])) > 2.0 * solver.mesh.minimum_interior_distance)
     n_xz = solver.neumann_interior(z, x[None, :])[0]
     n_zx = solver.neumann_interior(x, z[None, :])[0]
     assert np.max(np.abs(n_xz - n_zx.T)) < 1e-10

@@ -19,7 +19,7 @@ from crackbem import (
     rigid_gram,
     rigid_motion_basis,
 )
-from crackbem.errors import MeshError
+from crackbem.errors import CrackTooCloseToBoundary, MeshError
 from oracles import distance_to_ref
 
 
@@ -142,6 +142,28 @@ def test_distance_to_non_finite_point_is_quiet():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert mesh.distance_to((0.0, np.inf)) == -np.inf
+
+
+def test_clearance_rule():
+    # two node spacings, or the crack length if longer, from every node
+    mesh = build_mesh(Disk(), 128)
+    assert mesh.minimum_interior_distance == pytest.approx(2 * mesh.h, abs=1e-14)
+    mesh.require_clearance([(0.0, 0.0), (0.9, 0.0)])
+    with pytest.raises(CrackTooCloseToBoundary, match="is outside the boundary"):
+        mesh.require_clearance([(0.0, 0.0), (1.5, 0.0)])
+    with pytest.raises(CrackTooCloseToBoundary, match="not smaller than the distance"):
+        mesh.require_clearance((0.99, 0.0))
+    with pytest.raises(CrackTooCloseToBoundary, match="clearance 0.2 is not smaller"):
+        mesh.require_clearance((0.85, 0.0), length=0.2)
+
+
+@pytest.mark.parametrize("point", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, np.nan)])
+def test_clearance_refuses_non_finite_points(point):
+    mesh = build_mesh(Disk(), 128)
+    with pytest.raises(ValueError, match="is not finite"):
+        mesh.require_clearance(point)
+    with pytest.raises(ValueError, match="is not finite"):
+        mesh.require_clearance([(0.0, 0.0), point])
 
 
 def test_boundary_field_algebra():
