@@ -6,9 +6,11 @@ the cracked solution differs from the crack-free trace by a term of order
 eps^2 with an explicitly computable profile, and the remainder after removing
 that term drops at order eps^4. The potential energy difference follows the
 same pattern against its closed form. This script runs the sweep, prints the
-per-eps table, and fits the log-log slopes.
+per-eps table, and fits the log-log slopes.  The wall-clock time of the
+sweep goes to stderr, so stdout is the same on every run.
 """
 
+import sys
 import time
 
 import numpy as np
@@ -60,7 +62,7 @@ def main():
     ):
         fit = fit_log_slope(eps, np.array([r[key] for r in records]))
         print(f"slope of {label:<22}: {fit.slope:.3f}  (expected about {expect:.0f})")
-    print(f"sweep time: {elapsed:.2f} s")
+    print(f"sweep time: {elapsed:.2f} s", file=sys.stderr)
 
 
 if __name__ == "__main__":

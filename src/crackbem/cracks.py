@@ -31,15 +31,20 @@ transfer.  These nodes integrate the weight sqrt(1 - eta^2) exactly against
 polynomials of degree < 2 n_modes, so every transfer term converges
 spectrally in the number of crack modes.
 
-Each (crack node, boundary node) kernel pair is evaluated once per crack.
-With F the boundary-to-crack feedback matrix, the background traction at the
-nodes is f0 = F u0 - (the traction of the single layer S[g]), since the
-double-layer part of u0's representation is F applied to its trace.  The
-inversion of A followed by the polynomial part at the nodes is a fixed
-linear map R (chebyshev._polynomial_part_map), so with the transfer matrix
-the sweep is one matrix T = transfer kron(R, I2) (-4/E), and a Picard sweep
-is w = solve(T (f0 + F w)).  psi is expanded once, from the last sweep's
-traction.
+Each crack takes one pass over its (crack node, boundary node) pairs, in the
+crack frame (kernels._crack_frame_kernels).  It gives two matrices with rows
+in the crack frame and columns global: F, the boundary-to-crack feedback
+from the hypersingular kernel, and G, the crack traction kernel.  G serves
+twice.  The traction of the single layer S[g] at the nodes is G (W g), with W
+the boundary quadrature weights, so the background traction there is
+f0 = F u0 - G (W g): the double layer of u0's representation is F applied to
+its trace.  And the crack-to-boundary transfer is G^T diag(weights) on the
+Gauss-Chebyshev nodes.  The inversion of A followed by the polynomial part at
+the nodes is a fixed linear map R (chebyshev._polynomial_part_map), which
+acts on both components alike, so the sweep is one matrix
+T = transfer kron(R, I2) (-4/E), and a Picard sweep is w = solve(T (f0 + F w))
+with f in the crack frame.  psi is expanded once, from the last sweep's
+traction turned to the global frame.
 """
 
 from __future__ import annotations
@@ -56,8 +61,8 @@ from .chebyshev import (
     invert_finite_part_operator,
 )
 from .errors import SolveFailed
-from .forward import BackgroundField, _blocks_to_matrix, _hooke, _layer_sum
-from .kernels import dlp_traction_kernel, double_conormal_kernel, kelvin_gradient, rot90
+from .forward import BackgroundField
+from .kernels import _crack_frame_kernels, rot90
 from .mesh import BoundaryField
 
 __all__ = [
@@ -188,32 +193,31 @@ def solve_cracked(
     mesh.require_clearance(crack.clearance_points, crack.length)
 
     eta, gc_weights = gauss_chebyshev_u(n_modes)
-    nodes = crack.points(eta)
+    # one pass over the (node, boundary point) pairs, rows in the crack frame
+    # and columns global: the hypersingular kernel F and the crack traction
+    # kernel G, both (2m, 2n)
+    feedback, traction = _crack_frame_kernels(
+        crack.half_length * eta, crack.center, crack.tangent, mesh.points, mesh.normals, mat
+    )
+    # boundary -> crack: traction of the boundary double layer at the nodes,
+    # applied to the flat nodal trace
+    feedback *= np.repeat(mesh.weights, 2)
 
-    # boundary -> crack: traction of the boundary double layer at collocation
-    # points, a (2m, 2n) matrix applied to the flat nodal trace
-    feedback = _blocks_to_matrix(
-        double_conormal_kernel(
-            nodes[:, None, :], mesh.points[None, :, :], crack.normal, mesh.normals[None], mat
-        )
-    ) * np.repeat(mesh.weights, 2)
+    # background traction sigma(u0) . normal at the nodes, flat (2m,): the
+    # double layer of u0's representation gives feedback @ trace, and the
+    # traction of the single layer S[g] is G (W g)
+    weighted_g = (mesh.weights[:, None] * background.g.values).reshape(-1)
+    f0 = feedback @ background.trace.flat() - traction @ weighted_g
 
-    # background traction sigma(u0) . normal at the nodes, flat (2m,): its
-    # double-layer part is the feedback matrix applied to the background
-    # trace, so only the single layer S[g] takes a kernel pass of its own
-    kelvin = kelvin_gradient(nodes[:, None, :] - mesh.points, mat)
-    single = _layer_sum(mesh, kelvin, background.g.values)
-    f0 = feedback @ background.trace.flat() - (_hooke(mat, single) @ crack.normal).reshape(-1)
-
-    # crack -> boundary: double-layer transfer by Gauss-Chebyshev quadrature
-    # on the same nodes, a (2n, 2m) matrix applied to the flat polynomial
-    # part of the opening
-    transfer = _blocks_to_matrix(
-        dlp_traction_kernel(mesh.points[:, None, :], nodes[None, :, :], crack.normal, mat)
-    ) * np.repeat(crack.half_length**2 * gc_weights, 2)
-    # one sweep in one matrix: crack traction f -> polynomial part of
-    # psi = A^-1[-(4/E) f] at the nodes (the fixed map R) -> boundary data
-    sweep = (transfer @ np.kron(_polynomial_part_map(n_modes), np.eye(2))) * (-4.0 / mat.E)
+    # crack -> boundary: the double-layer transfer by Gauss-Chebyshev
+    # quadrature on the same nodes is G^T diag(half^2 weights), applied to the
+    # flat polynomial part of the opening in the crack frame.  One sweep in
+    # one matrix: crack traction f -> polynomial part of psi = A^-1[-(4/E) f]
+    # at the nodes (the fixed map R, alike on both components) -> boundary
+    # data.  The diagonal and -4/E scale the small (2m, 2m) factor, so the
+    # product is the only (2n, 2m) array a solve allocates besides F and G
+    scale = np.repeat(crack.half_length**2 * gc_weights, 2) * (-4.0 / mat.E)
+    sweep = traction.T @ (scale[:, None] * np.kron(_polynomial_part_map(n_modes), np.eye(2)))
 
     w = np.zeros(2 * mesh.n)
     history = []
@@ -224,7 +228,10 @@ def solve_cracked(
         history.append(update)
         w = w_new
         if update < tol:
-            psi = invert_finite_part_operator(-(4.0 / mat.E) * f.reshape(-1, 2), n_modes)
+            frame = np.stack([crack.tangent, crack.normal], axis=1)
+            psi = invert_finite_part_operator(
+                -(4.0 / mat.E) * f.reshape(-1, 2) @ frame.T, n_modes
+            )
             diagnostics = {
                 "iterations": iteration,
                 "last_update": update,

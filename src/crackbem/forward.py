@@ -115,12 +115,6 @@ def _row_panels(mesh: BoundaryMesh):
         yield slice(lo, hi), r0, r1, rho2, diag
 
 
-def _blocks_to_matrix(blocks: np.ndarray) -> np.ndarray:
-    """Pairwise blocks (p, n, 2, 2) as one (2p, 2n) matrix."""
-    p, n = blocks.shape[:2]
-    return blocks.transpose(0, 2, 1, 3).reshape(2 * p, 2 * n)
-
-
 def _circulant(column: np.ndarray) -> np.ndarray:
     """Read-only view of the circulant matrix [i, j] = column[(i - j) mod n];
     each row is a forward window into the reversed column taken twice, so

@@ -26,7 +26,6 @@ from crackbem import (
     invert_finite_part_operator,
 )
 from crackbem.errors import SolveFailed
-from crackbem.forward import _blocks_to_matrix
 from crackbem.kernels import dlp_traction_kernel, double_conormal_kernel
 
 
@@ -363,12 +362,12 @@ def solve_cracked_ref(background, crack, n_modes=32, tol=1e-11, max_iterations=5
     eta, gc_weights = gauss_chebyshev_u(n_modes)
     nodes = crack.points(eta)
     f0 = background.stress(nodes) @ crack.normal  # (m, 2)
-    feedback = _blocks_to_matrix(
+    feedback = _blocks_to_matrix_ref(
         double_conormal_kernel(
             nodes[:, None, :], mesh.points[None, :, :], crack.normal, mesh.normals[None], mat
         )
     ) * np.repeat(mesh.weights, 2)
-    transfer = _blocks_to_matrix(
+    transfer = _blocks_to_matrix_ref(
         dlp_traction_kernel(mesh.points[:, None, :], nodes[None, :, :], crack.normal, mat)
     ) * np.repeat(crack.half_length**2 * gc_weights, 2)
 

@@ -7,16 +7,24 @@ import numpy as np
 import pytest
 
 from crackbem import (
+    Disk,
+    Ellipse,
+    FourierStar,
     LameParams,
+    build_mesh,
     dlp_traction_gradient,
     dlp_traction_kernel,
     double_conormal_kernel,
+    gauss_chebyshev_u,
     kelvin_gradient,
     kelvin_matrix,
     rigid_motion_basis,
     rot90,
 )
+from crackbem.forward import _hooke, _layer_sum
+from crackbem.kernels import _crack_frame_kernels
 from oracles import (
+    _blocks_to_matrix_ref,
     conormal_derivative,
     dlp_traction_gradient_ref,
     dlp_traction_kernel_ref,
@@ -264,6 +272,78 @@ def test_canonical_kernel_value():
     # lam = mu = 1: -E/(4 pi) = -2/(3 pi) at unit separation
     w = hypersingular_kernel_canonical(1.0, 0.0, LameParams(1.0, 1.0))
     assert np.allclose(w, np.diag([-2.0 / (3 * np.pi)] * 2), atol=1e-16)
+
+
+# lam >> mu last: double_conormal_kernel loses accuracy in proportion to
+# lam/mu to cancellation there, while the crack-frame pass holds only E
+CRACK_FRAME_MATERIALS = MATERIALS + [LameParams(-0.5, 1.2), LameParams(20.0, 1.0)]
+CRACK_FRAME_SHAPES = [
+    Disk(),
+    Ellipse(a=1.2, b=0.8),
+    FourierStar(r0=1.0, cos_coeffs=(0.0, 0.0, 0.15), sin_coeffs=(0.0, 0.05)),
+]
+
+
+def random_crack_frames(rng, count, n_modes=16):
+    """(s, center, tangent) of seeded cracks inside the unit disk's middle."""
+    eta, _ = gauss_chebyshev_u(n_modes)
+    for _ in range(count):
+        s = rng.uniform(0.02, 0.2) * eta
+        yield s, rng.uniform(-0.3, 0.3, size=2), unit_vectors(rng, ())
+
+
+def as_blocks(matrix):
+    """(2p, 2n) interleaved matrix as its (p, n, 2, 2) blocks."""
+    p, n = matrix.shape[0] // 2, matrix.shape[1] // 2
+    return matrix.reshape(p, 2, n, 2).transpose(0, 2, 1, 3)
+
+
+@pytest.mark.parametrize("mat", CRACK_FRAME_MATERIALS)
+@pytest.mark.parametrize("shape", CRACK_FRAME_SHAPES)
+def test_crack_frame_kernels_match_public_kernels(shape, mat):
+    # rows turned into the crack frame, columns global, per pair block
+    mesh = build_mesh(shape, 64)
+    rng = np.random.default_rng(21)
+    for s, center, t in random_crack_frames(rng, 4):
+        m = rot90(t)
+        frame = np.stack([t, m], axis=1)
+        nodes = center + np.multiply.outer(s, t)
+        hyper = double_conormal_kernel(
+            nodes[:, None, :], mesh.points[None], m, mesh.normals[None], mat
+        )
+        traction = dlp_traction_kernel(mesh.points[None], nodes[:, None, :], m, mat)
+        hyper_ref = _blocks_to_matrix_ref(frame.T @ hyper)
+        traction_ref = _blocks_to_matrix_ref(frame.T @ np.swapaxes(traction, -1, -2))
+        hyper_pass, traction_pass = _crack_frame_kernels(
+            s, center, t, mesh.points, mesh.normals, mat
+        )
+        assert_pairwise_close(as_blocks(hyper_pass), as_blocks(hyper_ref), 2)
+        assert_pairwise_close(as_blocks(traction_pass), as_blocks(traction_ref), 2)
+
+
+@pytest.mark.parametrize("mat", CRACK_FRAME_MATERIALS)
+def test_crack_traction_kernel_gives_single_layer_traction(mat):
+    # G (W g) is the traction sigma(S[g]) m of the single layer at the nodes
+    mesh = build_mesh(CRACK_FRAME_SHAPES[2], 128)
+    rng = np.random.default_rng(34)
+    for s, center, t in random_crack_frames(rng, 3):
+        m = rot90(t)
+        nodes = center + np.multiply.outer(s, t)
+        g = rng.standard_normal((mesh.n, 2))
+        kelvin = kelvin_gradient(nodes[:, None, :] - mesh.points, mat)
+        reference = _hooke(mat, _layer_sum(mesh, kelvin, g)) @ m
+        _, traction = _crack_frame_kernels(s, center, t, mesh.points, mesh.normals, mat)
+        value = (traction @ (mesh.weights[:, None] * g).reshape(-1)).reshape(-1, 2)
+        value = value @ np.stack([t, m])  # crack frame -> global
+        assert np.max(np.abs(value - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def test_crack_frame_kernels_zero_separation_rejected():
+    points = np.array([[0.5, 0.5], [0.1, 0.0], [-0.5, 0.2]])
+    normals = unit_vectors(np.random.default_rng(2), (3,))
+    s = np.array([-0.1, 0.0, 0.1])
+    with pytest.raises(ValueError, match="zero separation"):
+        _crack_frame_kernels(s, (0.0, 0.0), (1.0, 0.0), points, normals, LameParams(1.0, 1.0))
 
 
 def test_rigid_motion_basis():
