@@ -199,17 +199,23 @@ class BoundaryMesh:
         sign is whichever the rounding gives; such points lie within half a
         node spacing of the wall, which the clearance rule refuses anyway.
         """
-        q = np.asarray(points, dtype=float)[..., None, :]
-        d = self.points - q  # offsets to each node and to the next one
-        e = np.concatenate([self.points[1:], self.points[:1]]) - q
-        d0, d1, e0, e1 = d[..., 0], d[..., 1], e[..., 0], e[..., 1]
+        q = np.asarray(points, dtype=float)
+        flat = q.reshape(-1, 2)
+        d0 = self.points[:, 0] - flat[:, :1]  # offsets to each node, (points, n)
+        d1 = self.points[:, 1] - flat[:, 1:]
         distance = np.sqrt(np.min(d0 * d0 + d1 * d1, axis=-1))
-        # an edge straddling the ray's line crosses the ray where
-        # (d0 e1 - d1 e0) / (e1 - d1) > 0; a non-finite point makes it NaN
+        # only an edge from node j to node k = j + 1 that straddles the ray's
+        # line can cross the ray, where (d0_j d1_k - d1_j d0_k) / (d1_k - d1_j)
+        # > 0; a non-finite point makes it NaN
+        above = d1 > 0.0
+        row, j = np.nonzero(above != np.roll(above, -1, axis=-1))
+        k = (j + 1) % self.n
         with np.errstate(invalid="ignore"):
-            right = (d0 * e1 - d1 * e0 > 0.0) == (e1 > d1)
-        crossings = np.count_nonzero(((d1 > 0.0) != (e1 > 0.0)) & right, axis=-1)
-        signed = np.where(crossings % 2 == 1, distance, -distance)
+            right = (d0[row, j] * d1[row, k] - d1[row, j] * d0[row, k] > 0.0) == (
+                d1[row, k] > d1[row, j]
+            )
+        crossings = np.bincount(row[right], minlength=len(flat))
+        signed = np.where(crossings % 2 == 1, distance, -distance).reshape(q.shape[:-1])
         return float(signed) if signed.ndim == 0 else signed
 
     @property

@@ -13,7 +13,8 @@ Four kinds live here, none of which the solver pipeline calls:
   Neumann-function rows;
 - the crack solve as a plain Picard loop: background stress at the nodes,
   then the finite-part inversion and its polynomial part in every sweep;
-- geometry: the winding-number form of the signed node distance.
+- geometry: the all-edges crossing-number and the winding-number forms of
+  the signed node distance.
 """
 
 import numpy as np
@@ -320,7 +321,31 @@ def layer_sum_ref(mesh, kernel, density):
     return np.einsum(spec, mesh.weights, kernel, density)
 
 
+def hooke_ref(mat: LameParams, grad):
+    """Stress lam tr(grad) I + mu (grad + grad^T) of displacement Jacobians
+    (..., 2, 2)."""
+    tr = np.trace(grad, axis1=-2, axis2=-1)
+    sym = grad + np.swapaxes(grad, -2, -1)
+    return mat.lam * tr[..., None, None] * np.eye(2) + mat.mu * sym
+
+
 def distance_to_ref(mesh, points):
+    """BoundaryMesh.distance_to with the crossing test run on every edge:
+    the minimum node distance, negated where a ray from the point in the +x
+    direction crosses an even number of edges of the node polygon."""
+    q = np.asarray(points, dtype=float)[..., None, :]
+    d = mesh.points - q  # offsets to each node and to the next one
+    e = np.concatenate([mesh.points[1:], mesh.points[:1]]) - q
+    d0, d1, e0, e1 = d[..., 0], d[..., 1], e[..., 0], e[..., 1]
+    distance = np.sqrt(np.min(d0 * d0 + d1 * d1, axis=-1))
+    with np.errstate(invalid="ignore"):
+        right = (d0 * e1 - d1 * e0 > 0.0) == (e1 > d1)
+    crossings = np.count_nonzero(((d1 > 0.0) != (e1 > 0.0)) & right, axis=-1)
+    signed = np.where(crossings % 2 == 1, distance, -distance)
+    return float(signed) if signed.ndim == 0 else signed
+
+
+def distance_to_winding_ref(mesh, points):
     """Signed node distance by the winding number of the node polygon: the
     minimum node distance, negated where the polygon does not wind once
     around the point (arctan2 turns summed over the nodes)."""

@@ -20,7 +20,7 @@ from crackbem import (
     rigid_motion_basis,
 )
 from crackbem.errors import CrackTooCloseToBoundary, MeshError
-from oracles import distance_to_ref
+from oracles import distance_to_ref, distance_to_winding_ref
 
 
 def test_disk_mesh_geometry():
@@ -132,8 +132,30 @@ def test_distance_to_matches_winding_number(shape):
     points = center + 1.5 * half * rng.uniform(-1.0, 1.0, (20000, 2))
     points = np.concatenate([points, mesh.points])
     signed = mesh.distance_to(points)
-    assert np.array_equal(signed, distance_to_ref(mesh, points))
+    assert np.array_equal(signed, distance_to_winding_ref(mesh, points))
     assert 0 < np.count_nonzero(signed > 0.0) < len(points) - mesh.n
+
+
+@pytest.mark.parametrize("shape", [
+    Disk(),
+    Ellipse(a=1.3, b=0.7),
+    FourierStar(r0=1.0, cos_coeffs=(0.0, 0.0, 0.0, 0.0, 0.3)),  # non-convex
+])
+def test_distance_to_matches_all_edges_crossing_test(shape):
+    # testing only the edges that straddle a point's line changes nothing,
+    # also for points outside, for rows at exactly a node's y (where an edge
+    # end lies on the line) and for a NaN point
+    mesh = build_mesh(shape, 128)
+    low, high = mesh.points.min(axis=0), mesh.points.max(axis=0)
+    rng = np.random.default_rng(29)
+    scattered = rng.uniform(1.5 * low, 1.5 * high, (2000, 2))
+    xs = np.linspace(1.2 * low[0], 1.2 * high[0], 40)
+    rows = np.stack(np.broadcast_arrays(xs, mesh.points[::9, 1:]), axis=-1)  # (15, 40, 2)
+    for points in (scattered, rows, mesh.points, np.array([np.nan, 0.3])):
+        assert np.array_equal(
+            mesh.distance_to(points), distance_to_ref(mesh, points), equal_nan=True
+        )
+    assert np.count_nonzero(mesh.distance_to(scattered) < 0.0) > 500
 
 
 def test_distance_to_non_finite_point_is_quiet():
