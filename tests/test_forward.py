@@ -258,6 +258,7 @@ CAUCHY_SHAPES = [
     Disk(),
     Ellipse(a=1.3, b=0.7),
     FourierStar(r0=1.0, cos_coeffs=(0.0, 0.0, 0.0, 0.0, 0.15)),  # five lobes
+    Disk(center=(300.0, -400.0)),  # far from the origin: z is taken from the centroid
 ]
 
 
