@@ -46,27 +46,6 @@ multipliers mu are discarded).  One
 LU factorization serves every right-hand side (background solves, Green
 function columns, crack feedback updates).
 
-Interior evaluation
--------------------
-Both layer potentials are plane elastic fields, so the stress and the
-displacement Jacobian of u = D[u] - S[g] at an interior point z are
-Kolosov-Muskhelishvili combinations of Cauchy sums sum_n c_n C^k with
-C = 1/(z - zeta_n) over the nodes zeta_n.  With Phi = u1 + i u2 the trace,
-G = g1 + i g2 the traction, N = n1 + i n2 the normal, w the weights,
-rbar = zbar - zetabar and kappa = E/(2 pi):
-
-    T1 = s11 + s22 = Re sum w [kappa Phi N C^2 + b G C]
-    T2 = s22 - s11 + 2i s12
-       = sum w [-kappa Phi N rbar C^3 - kappa Re(Phi Nbar) C^2
-                + 2 mu lam' Gbar C - (b/2) G rbar C^2]
-    omega = du2/dx - du1/dy = Im sum w [Phi N C^2 / pi - (lam' + mu') G C],
-
-so div u = T1 / (2 (lam + mu)), dU/dz = (div u + i omega)/2 and
-dU/dzbar = -conj(T2)/(4 mu) for U = u1 + i u2.  Splitting rbar C^k into
-zbar C^k - zetabar C^k makes each sum a matmul of C, C^2 or C^3 against
-per-node columns: eight sums in three complex products, and no
-(point, node) kernel tensor.
-
 Green-function rows
 -------------------
 N(x, y) is the traction (Neumann) domain Green function: a point force at y
@@ -95,8 +74,9 @@ from scipy.linalg import lu_factor, lu_solve
 from .errors import EquilibriumViolated, SolveFailed
 from .kernels import (
     LameParams,
-    _rho2,
+    dlp_traction_gradient,
     dlp_traction_kernel,
+    kelvin_gradient,
     kelvin_matrix,
     rigid_motion_basis,
 )
@@ -271,37 +251,21 @@ def _layer_sum(mesh: BoundaryMesh, kernel: np.ndarray, density: np.ndarray) -> n
     return np.moveaxis(out, kernel.ndim - 3, 0)
 
 
-def _cauchy_sums(z: np.ndarray, zeta: np.ndarray, columns: tuple) -> tuple:
-    """Cauchy sums  sum_n columns[k-1][n] / (z_p - zeta_n)^k  for k = 1, 2, 3.
-
-    z holds complex points (...), zeta the n complex nodes and columns three
-    complex (n, w_k) arrays of per-node coefficients; the result is three
-    (..., w_k) arrays, one matmul each against the powers of
-    C = 1/(z - zeta).  A point at a node raises ValueError before any
-    division."""
-    r0 = np.subtract.outer(z.real, zeta.real)
-    r1 = np.subtract.outer(z.imag, zeta.imag)
-    rho2 = _rho2(r0, r1)
-    c = np.empty(rho2.shape, dtype=complex)  # C = (r0 - i r1)/rho^2
-    np.divide(r0, rho2, out=c.real)
-    np.divide(r1, rho2, out=c.imag)
-    np.negative(c.imag, out=c.imag)
-    first = c @ columns[0]
-    power = c * c
-    second = power @ columns[1]
-    power *= c
-    return first, second, power @ columns[2]
+def _hooke(mat: LameParams, grad: np.ndarray) -> np.ndarray:
+    """Stress lam tr(grad) I + mu (grad + grad^T) of displacement Jacobians
+    (..., 2, 2)."""
+    tr = np.trace(grad, axis1=-2, axis2=-1)
+    sym = grad + np.swapaxes(grad, -2, -1)
+    return mat.lam * tr[..., None, None] * np.eye(2) + mat.mu * sym
 
 
 class BackgroundField:
     """Crack-free solution of the traction problem.
 
-    Holds the boundary trace (rigid-motion orthogonal) and the traction
-    data, and evaluates at interior points the representation
-    u(x) = D[u](x) - S[g](x): the displacement through the layer kernels,
-    its Jacobian and stress through the Cauchy sums of the module docstring.
-    Evaluation closer to the boundary than the mesh's
-    minimum_interior_distance is outside the accuracy contract.
+    Holds the boundary trace (rigid-motion orthogonal) and evaluates the
+    displacement and its derivatives at interior points through the
+    representation u(x) = D[u](x) - S[g](x).  Evaluation closer to the
+    boundary than about two node spacings is outside the accuracy contract.
     """
 
     def __init__(self, solver: "BoundarySolver", trace: BoundaryField, g: BoundaryField):
@@ -318,52 +282,16 @@ class BackgroundField:
         single = kelvin_matrix(x - m.points, self.mat)
         return _layer_sum(m, double, self.trace.values) - _layer_sum(m, single, self.g.values)
 
-    def _invariants(self, points) -> tuple:
-        """T1 = s11 + s22, T2 = s22 - s11 + 2i s12 and the rotation
-        omega = du2/dx - du1/dy at points (..., 2), each of shape (...)."""
-        m, mat = self.mesh, self.mat
-        x = np.atleast_2d(np.asarray(points, dtype=float))
-        # zbar S - S' below cancels in proportion to |z|, so z is measured
-        # from the node centroid: a translated curve keeps its accuracy
-        origin = np.mean(m.points, axis=0)
-        z = (x[..., 0] - origin[0]) + 1j * (x[..., 1] - origin[1])
-        zeta = (m.points[:, 0] - origin[0]) + 1j * (m.points[:, 1] - origin[1])
-        normal = m.normals[:, 0] + 1j * m.normals[:, 1]
-        phi = m.weights * (self.trace.values[:, 0] + 1j * self.trace.values[:, 1])
-        g = m.weights * (self.g.values[:, 0] + 1j * self.g.values[:, 1])
-        phi_n = phi * normal
-        first, second, third = _cauchy_sums(z, zeta, (
-            np.stack([g, g.conj()], axis=-1),
-            np.stack([phi_n, (phi * normal.conj()).real, g, g * zeta.conj()], axis=-1),
-            np.stack([phi_n, phi_n * zeta.conj()], axis=-1),
-        ))
-        zbar, kappa = z.conj(), mat.E / (2.0 * np.pi)
-        t1 = kappa * second[..., 0].real + mat.b * first[..., 0].real
-        t2 = (
-            -kappa * (zbar * third[..., 0] - third[..., 1])
-            - kappa * second[..., 1]
-            + (2.0 * mat.mu * mat.lam_prime) * first[..., 1]
-            - (0.5 * mat.b) * (zbar * second[..., 2] - second[..., 3])
-        )
-        omega = (second[..., 0] / np.pi - (mat.lam_prime + mat.mu_prime) * first[..., 0]).imag
-        return t1, t2, omega
-
     def gradient(self, points) -> np.ndarray:
         """Jacobian of the displacement, shape (p, 2, 2): [i, l] = du_i/dx_l."""
-        t1, t2, omega = self._invariants(points)
-        dz = 0.5 * (t1 / (2.0 * (self.mat.lam + self.mat.mu)) + 1j * omega)  # dU/dz
-        dzbar = -t2.conj() / (4.0 * self.mat.mu)  # dU/dzbar
-        plus, minus = dz + dzbar, dz - dzbar  # U_x, -i U_y
-        return np.stack([
-            np.stack([plus.real, -minus.imag], axis=-1),
-            np.stack([plus.imag, minus.real], axis=-1),
-        ], axis=-2)
+        x = np.atleast_2d(np.asarray(points, dtype=float))[:, None, :]
+        m = self.mesh
+        double = dlp_traction_gradient(x, m.points, m.normals, self.mat)
+        single = kelvin_gradient(x - m.points, self.mat)
+        return _layer_sum(m, double, self.trace.values) - _layer_sum(m, single, self.g.values)
 
     def stress(self, points) -> np.ndarray:
-        """Stress tensor, shape (p, 2, 2)."""
-        t1, t2, _ = self._invariants(points)
-        s11, s22, s12 = 0.5 * (t1 - t2.real), 0.5 * (t1 + t2.real), 0.5 * t2.imag
-        return np.stack([np.stack([s11, s12], axis=-1), np.stack([s12, s22], axis=-1)], axis=-2)
+        return _hooke(self.mat, self.gradient(points))
 
 
 class BoundarySolver:

@@ -321,14 +321,6 @@ def layer_sum_ref(mesh, kernel, density):
     return np.einsum(spec, mesh.weights, kernel, density)
 
 
-def hooke_ref(mat: LameParams, grad):
-    """Stress lam tr(grad) I + mu (grad + grad^T) of displacement Jacobians
-    (..., 2, 2)."""
-    tr = np.trace(grad, axis1=-2, axis2=-1)
-    sym = grad + np.swapaxes(grad, -2, -1)
-    return mat.lam * tr[..., None, None] * np.eye(2) + mat.mu * sym
-
-
 def distance_to_ref(mesh, points):
     """BoundaryMesh.distance_to with the crossing test run on every edge:
     the minimum node distance, negated where a ray from the point in the +x

@@ -304,8 +304,8 @@ def test_solve_cracked_evaluates_each_kernel_pair_once(solver_128, monkeypatch):
         "kelvin_gradient",
     ):
         counted(crackbem.kernels, name)
-    counted(crackbem.forward, "dlp_traction_kernel")
-    counted(crackbem.forward, "_cauchy_sums")
+    for name in ("dlp_traction_gradient", "dlp_traction_kernel", "kelvin_gradient"):
+        counted(crackbem.forward, name)
     counted(crackbem.cracks, "_crack_frame_kernels")
     counted(ChebyshevUExpansion, "polynomial_part")
     solution = solve_cracked(background, crack)

@@ -20,7 +20,6 @@ from crackbem import (
     FourierStar,
     LameParams,
     build_mesh,
-    dlp_traction_gradient,
     dlp_traction_kernel,
     kelvin_gradient,
     kelvin_matrix,
@@ -40,7 +39,6 @@ from oracles import (
     assemble_single_layer_ref,
     conormal_derivative,
     fd_jacobian,
-    hooke_ref,
     layer_sum_ref,
     linear_field,
 )
@@ -252,40 +250,6 @@ def test_background_gradient_matches_fd_on_star(mat):
         assert np.allclose(value, ref, atol=1e-9)
         curvature = max(curvature, float(np.max(np.abs(value - grad[0]))))
     assert curvature > 1e-2  # the gradient varies: the field is not linear
-
-
-CAUCHY_SHAPES = [
-    Disk(),
-    Ellipse(a=1.3, b=0.7),
-    FourierStar(r0=1.0, cos_coeffs=(0.0, 0.0, 0.0, 0.0, 0.15)),  # five lobes
-    Disk(center=(300.0, -400.0)),  # far from the origin: z is taken from the centroid
-]
-
-
-@pytest.mark.parametrize("lam", [-0.5, 1.0, 20.0])
-@pytest.mark.parametrize("shape", CAUCHY_SHAPES)
-def test_cauchy_stress_matches_tensor_layer_sums(shape, lam):
-    # the Cauchy sums against Hooke's law of the tensor kernel layer sums,
-    # for a solved background and for arbitrary (non-physical) layer data,
-    # at points 2, 4 and 8 node spacings in from the wall
-    mat = LameParams(lam, 1.0)
-    solver = BoundarySolver(build_mesh(shape, 128), mat)
-    m = solver.mesh
-    rng = np.random.default_rng(5)
-    loaded = solver.solve_background(BoundaryField(m, m.normals @ [[1.0, 0.3], [0.3, -0.5]]))
-    arbitrary = BackgroundField(
-        solver, *(BoundaryField(m, rng.standard_normal((m.n, 2))) for _ in range(2))
-    )
-    spacing = m.h * np.max(m.speed)
-    points = np.concatenate([m.points[::3] - k * spacing * m.normals[::3] for k in (2, 4, 8)])
-    x = points[:, None, :]
-    for field in (loaded, arbitrary):
-        grad = layer_sum_ref(
-            m, dlp_traction_gradient(x, m.points, m.normals, mat), field.trace.values
-        ) - layer_sum_ref(m, kelvin_gradient(x - m.points, mat), field.g.values)
-        sigma = hooke_ref(mat, grad)
-        assert np.max(np.abs(field.gradient(points) - grad)) <= 1e-12 * np.max(np.abs(grad))
-        assert np.max(np.abs(field.stress(points) - sigma)) <= 1e-12 * np.max(np.abs(sigma))
 
 
 def test_stress_at_a_node_is_refused(solver_128):
