@@ -94,8 +94,7 @@ def _conormal_profile(
     traction t0 across the crack line at its center: the leading perturbation
     without its length factor, so it depends only on the crack's center and
     direction."""
-    row = background.solver.neumann_conormal_row(np.asarray(crack.center), crack.normal)
-    return np.einsum("ick,k->ic", row, t0)
+    return background.solver.neumann_conormal_row(np.asarray(crack.center), crack.normal, t0)
 
 
 def _leading_factor(crack: CrackSegment, mat: LameParams) -> float:

@@ -32,19 +32,26 @@ polynomials of degree < 2 n_modes, so every transfer term converges
 spectrally in the number of crack modes.
 
 Each crack takes one pass over its (crack node, boundary node) pairs, in the
-crack frame (kernels._crack_frame_kernels).  It gives two matrices with rows
-in the crack frame and columns global: F, the boundary-to-crack feedback
-from the hypersingular kernel, and G, the crack traction kernel.  G serves
-twice.  The traction of the single layer S[g] at the nodes is G (W g), with W
-the boundary quadrature weights, so the background traction there is
-f0 = F u0 - G (W g): the double layer of u0's representation is F applied to
-its trace.  And the crack-to-boundary transfer is G^T diag(weights) on the
-Gauss-Chebyshev nodes.  The inversion of A followed by the polynomial part at
-the nodes is a fixed linear map R (chebyshev._polynomial_part_map), which
-acts on both components alike, so the sweep is one matrix
-T = transfer kron(R, I2) (-4/E), and a Picard sweep is w = solve(T (f0 + F w))
-with f in the crack frame.  psi is expanded once, from the last sweep's
-traction turned to the global frame.
+crack frame (kernels._crack_frame_kernels).  It gives two matrices in the
+crack frame on both sides, component-major (all t components, then all m
+components): F, the boundary-to-crack feedback from the hypersingular
+kernel, and G, the crack traction kernel.  G serves twice.  The traction of
+the single layer S[g] at the nodes is G (W g), with W the boundary
+quadrature weights, so the background traction there is
+f0 = F (W u0) - G (W g): the double layer of u0's representation is F
+applied to its trace.  And the crack-to-boundary transfer is
+G^T diag(half^2 weights) on the Gauss-Chebyshev nodes.  The nodal values of
+u0, g and each sweep's w enter the frame through one 2 x 2 rotation,
+Q = [t m].  The inversion of A followed by the polynomial part at the nodes
+is a fixed linear map R (chebyshev._polynomial_part_map), which acts on
+both components alike, so it multiplies the (2, m) crack traction from the
+right.  With D = diag(half^2 weights) (-4/E), a Picard sweep is
+
+    f = f0 + F (W w),   v = f (D R)^T,   w = solve((G^T v) Q^T),
+
+with f, v and G^T v in the frame and the solve's data global; no (2n, 2m)
+matrix is formed.  psi is expanded once, from the last sweep's traction
+turned to the global frame.
 """
 
 from __future__ import annotations
@@ -193,44 +200,47 @@ def solve_cracked(
     mesh.require_clearance(crack.clearance_points, crack.length)
 
     eta, gc_weights = gauss_chebyshev_u(n_modes)
-    # one pass over the (node, boundary point) pairs, rows in the crack frame
-    # and columns global: the hypersingular kernel F and the crack traction
-    # kernel G, both (2m, 2n)
+    # one pass over the (node, boundary point) pairs in the crack frame: the
+    # hypersingular kernel F and the crack traction kernel G, both (2m, 2n)
+    # and component-major, so the whole loop runs in the crack frame
     feedback, traction = _crack_frame_kernels(
         crack.half_length * eta, crack.center, crack.tangent, mesh.points, mesh.normals, mat
     )
-    # boundary -> crack: traction of the boundary double layer at the nodes,
-    # applied to the flat nodal trace
-    feedback *= np.repeat(mesh.weights, 2)
+    frame = np.stack([crack.tangent, crack.normal], axis=1)  # Q = [t m]
+
+    def weighted_in_frame(values):
+        """Nodal (n, 2) global values times the boundary weights, as the
+        flat component-major crack-frame vector F and G act on."""
+        return (frame.T @ values.T * mesh.weights).reshape(-1)
 
     # background traction sigma(u0) . normal at the nodes, flat (2m,): the
-    # double layer of u0's representation gives feedback @ trace, and the
-    # traction of the single layer S[g] is G (W g)
-    weighted_g = (mesh.weights[:, None] * background.g.values).reshape(-1)
-    f0 = feedback @ background.trace.flat() - traction @ weighted_g
+    # double layer of u0's representation gives F (W u0), and the traction
+    # of the single layer S[g] is G (W g)
+    weighted_g = weighted_in_frame(background.g.values)
+    f0 = feedback @ weighted_in_frame(background.trace.values) - traction @ weighted_g
 
-    # crack -> boundary: the double-layer transfer by Gauss-Chebyshev
-    # quadrature on the same nodes is G^T diag(half^2 weights), applied to the
-    # flat polynomial part of the opening in the crack frame.  One sweep in
-    # one matrix: crack traction f -> polynomial part of psi = A^-1[-(4/E) f]
-    # at the nodes (the fixed map R, alike on both components) -> boundary
-    # data.  The diagonal and -4/E scale the small (2m, 2m) factor, so the
-    # product is the only (2n, 2m) array a solve allocates besides F and G
-    scale = np.repeat(crack.half_length**2 * gc_weights, 2) * (-4.0 / mat.E)
-    sweep = traction.T @ (scale[:, None] * np.kron(_polynomial_part_map(n_modes), np.eye(2)))
+    # crack -> boundary: crack traction f -> polynomial part of
+    # psi = A^-1[-(4/E) f] at the nodes (the fixed map R, alike on both
+    # components) -> the double-layer transfer by Gauss-Chebyshev quadrature
+    # on the same nodes, G^T diag(half^2 weights).  The diagonal and -4/E
+    # scale the (m, m) map R once, so no sweep forms a (2n, 2m) matrix
+    scale = crack.half_length**2 * gc_weights * (-4.0 / mat.E)
+    to_transfer = (scale[:, None] * _polynomial_part_map(n_modes)).T
 
-    w = np.zeros(2 * mesh.n)
+    w = np.zeros((mesh.n, 2))
+    weighted_w = np.zeros(2 * mesh.n)
     history = []
     for iteration in range(1, max_iterations + 1):
-        f = f0 + feedback @ w
-        w_new = solver.solve_neumann(sweep @ f)
+        f = f0 + feedback @ weighted_w
+        v = f.reshape(2, -1) @ to_transfer
+        rhs = (traction.T @ v.reshape(-1)).reshape(2, -1).T @ frame.T
+        w_new = solver.solve_neumann(rhs)
         update = float(np.max(np.abs(w_new - w)))
         history.append(update)
         w = w_new
         if update < tol:
-            frame = np.stack([crack.tangent, crack.normal], axis=1)
             psi = invert_finite_part_operator(
-                -(4.0 / mat.E) * f.reshape(-1, 2) @ frame.T, n_modes
+                -(4.0 / mat.E) * f.reshape(2, -1).T @ frame.T, n_modes
             )
             diagnostics = {
                 "iterations": iteration,
@@ -238,9 +248,8 @@ def solve_cracked(
                 "tolerance": tol,
                 "update_history": history,
             }
-            return CrackedSolution(
-                background, crack, psi, BoundaryField.from_flat(mesh, w), diagnostics
-            )
+            return CrackedSolution(background, crack, psi, BoundaryField(mesh, w), diagnostics)
+        weighted_w = weighted_in_frame(w)
     raise SolveFailed(
         f"crack coupling did not contract to {tol:g} within {max_iterations} "
         f"sweeps; last trace update {history[-1]:.3g}"

@@ -407,15 +407,18 @@ class BoundarySolver:
         # subtract the rigid component so the trace is Psi-orthogonal
         return out - rigid_motion_basis(points) @ np.linalg.solve(self._gram, self._rows @ trace)
 
-    def neumann_conormal_row(self, z, e_perp) -> np.ndarray:
-        """Trace of x -> dN/dnu_y (x, z) for crack normal e_perp, (n, 2, 2).
+    def neumann_conormal_row(self, z, e_perp, t) -> np.ndarray:
+        """Trace of x -> dN/dnu_y (x, z) t for crack normal e_perp and a
+        traction vector t, (n, 2).
 
-        Column k solves the boundary equation with the double-layer traction
-        kernel column as data; the result is rigid-motion orthogonal.
+        One solve of the boundary equation with the double-layer traction
+        kernel contracted with t as data; the solve is linear, so this is
+        the two-column row (one column per unit source) contracted with t.
+        The result is rigid-motion orthogonal.
         """
         self.mesh.require_clearance(z)
         data = dlp_traction_kernel(self.mesh.points, z, e_perp, self.mat)
-        return self.solve_neumann(data)
+        return self.solve_neumann(data @ np.asarray(t, dtype=float))
 
 
 def solve_background(mesh: BoundaryMesh, mat: LameParams, g: BoundaryField) -> BackgroundField:

@@ -295,15 +295,16 @@ def _crack_frame_kernels(
     crack nodes x_q = center + s_q t and boundary points y_p with unit
     normals n_p, in the crack frame (t, m = rot90(t)).
 
-    Returns F and G, each (2 len(s), 2 len(points)) with rows (q, i) and
-    columns (p, j):
+    Returns F and G, each (2 len(s), 2 len(points)) and component-major, with
+    rows (i, q) and columns (k, p):
 
-        F[(q, i), (p, j)] = H_ij,  H = double_conormal_kernel(x_q, y_p, m, n_p),
-        G[(q, i), (p, j)] = K_ji,  K = dlp_traction_kernel(y_p, x_q, m),
+        F[(i, q), (k, p)] = (Q^T H Q)_ik,  H = double_conormal_kernel(x_q, y_p, m, n_p),
+        G[(i, q), (k, p)] = (Q^T K Q)_ki,  K = dlp_traction_kernel(y_p, x_q, m),
 
-    where the row index i is a crack-frame component (0 along t, 1 along m)
-    and the column index j a global one: each 2x2 block is its crack-frame
-    block times Q^T, Q = [t m].  Zero separation raises ValueError.
+    where Q = [t m] and i, k are crack-frame components (0 along t, 1 along
+    m), so each matrix acts on vectors laid out as all t components, then
+    all m components.  Each of the four component blocks is written once,
+    in place.  Zero separation raises ValueError.
 
     In the crack frame write r = x_q - y_p = (r_t, r_m) = rho (cos th, sin th).
     r_m does not depend on q, and r_t = s_q + (center - y_p) . t is an outer
@@ -311,14 +312,14 @@ def _crack_frame_kernels(
     reducing the products of cos th and sin th to C2 + i S2 = e^{2 i th} and
     C4 + i S4 = e^{4 i th}, the lam and mu terms combine into the one
     constant kappa = E/(4 pi) = -2 a (lam + mu) = -b mu: with n = (n_t, n_m),
-    row i of rho^2 H / kappa is (Sigma_i n)^T for the symmetric
+    row i of rho^2 Q^T H Q / kappa is (Sigma_i n)^T for the symmetric
 
         Sigma_t = [[S2 + S4, -C4], [-C4, S2 - S4]],
-        Sigma_m = [[-C4, S2 - S4], [S2 - S4, C4 - 2 C2]].
+        Sigma_m = [[-C4, S2 - S4], [S2 - S4, C4 - 2 C2]],
 
-    On the crack line (th = 0, n = m) this is the canonical -kappa/rho^2 I.
-    The offset of K(y_p, x_q) is -r, so with u = r/rho^2 its crack-frame
-    block is
+    so H_tm = H_mt.  On the crack line (th = 0, n = m) this is the canonical
+    -kappa/rho^2 I.  The offset of K(y_p, x_q) is -r, so with u = r/rho^2
+    its crack-frame block is
 
         K_kl = -a u_m delta_kl - b r_m u_k u_l + a (u_k m_l - m_k u_l).
     """
@@ -329,16 +330,19 @@ def _crack_frame_kernels(
     r_t = np.add.outer(s, d @ t)
     inv = 1.0 / _rho2(r_t, r_m)
     u_t, u_m = r_t * inv, r_m * inv
+    rows, cols = r_t.shape
 
-    # G first, so its blocks are gone before F's harmonics exist: few (m, n)
-    # arrays live at once, and little fresh memory is touched per call.
-    # Entry (i, k) of G's blocks is K_ki
+    # G first, so its temporaries are gone before F's harmonics exist: few
+    # (m, n) arrays live at once.  Entry (i, k) of G's blocks is K_ki
+    traction = np.empty((2, rows, 2, cols))
     a, b_r_m = mat.a, mat.b * r_m
-    cross = b_r_m * u_t * u_m
-    traction = _frame_blocks({
-        (0, 0): -a * u_m - b_r_m * u_t * u_t, (0, 1): -a * u_t - cross,
-        (1, 0): a * u_t - cross, (1, 1): -a * u_m - b_r_m * u_m * u_m,
-    }, t, m)
+    minus_a_u_m, a_u_t, b_u_t = -a * u_m, a * u_t, b_r_m * u_t
+    cross = b_u_t * u_m
+    np.subtract(minus_a_u_m, b_u_t * u_t, out=traction[0, :, 0])
+    np.subtract(-a_u_t, cross, out=traction[0, :, 1])
+    np.subtract(a_u_t, cross, out=traction[1, :, 0])
+    np.subtract(minus_a_u_m, b_r_m * u_m * u_m, out=traction[1, :, 1])
+    del minus_a_u_m, a_u_t, b_u_t, cross
 
     c2 = u_t * r_t - u_m * r_m
     s2 = 2.0 * u_m * r_t
@@ -347,23 +351,12 @@ def _crack_frame_kernels(
     n_t, n_m = normals @ t, normals @ m
     inv *= mat.E / (4.0 * np.pi)  # now kappa/rho^2
     minus = s2 - s4
-    h_tm = (minus * n_m - c4 * n_t) * inv
-    hyper = _frame_blocks({
-        (0, 0): ((s2 + s4) * n_t - c4 * n_m) * inv, (0, 1): h_tm,
-        (1, 0): h_tm, (1, 1): (minus * n_t + (c4 - 2.0 * c2) * n_m) * inv,
-    }, t, m)
-    return hyper, traction
-
-
-def _frame_blocks(blocks: dict, t: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(2q, 2p) matrix of the crack-frame blocks {(i, k): (q, p) array} times
-    Q^T, Q = [t m], written straight into the interleaved layout."""
-    rows, cols = blocks[0, 0].shape
-    out = np.empty((rows, 2, cols, 2))
-    for i in (0, 1):
-        for j in (0, 1):
-            out[:, i, :, j] = blocks[i, 0] * t[j] + blocks[i, 1] * m[j]
-    return out.reshape(2 * rows, 2 * cols)
+    hyper = np.empty((2, rows, 2, cols))
+    np.multiply((s2 + s4) * n_t - c4 * n_m, inv, out=hyper[0, :, 0])
+    np.multiply(minus * n_m - c4 * n_t, inv, out=hyper[0, :, 1])
+    hyper[1, :, 0] = hyper[0, :, 1]
+    np.multiply(minus * n_t + (c4 - 2.0 * c2) * n_m, inv, out=hyper[1, :, 1])
+    return hyper.reshape(2 * rows, 2 * cols), traction.reshape(2 * rows, 2 * cols)
 
 
 def rigid_motion_basis(points: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ Four kinds live here, none of which the solver pipeline calls:
   canonical straight-crack hypersingular kernel;
 - quadratures: einsum forms of the pairwise kernels and of the interior
   layer sums, identity-FFT forms of the boundary assembly, the brute-force
-  Hadamard finite part, and the crack trace recomputed through
-  Neumann-function rows;
+  Hadamard finite part, the crack trace recomputed through
+  Neumann-function rows, and the two-column Neumann conormal row;
 - the crack solve as a plain Picard loop: background stress at the nodes,
   then the finite-part inversion and its polynomial part in every sweep;
 - geometry: the all-edges crossing-number and the winding-number forms of
@@ -363,9 +363,17 @@ def trace_from_neumann_representation(solution, n_quad: int = 48) -> np.ndarray:
     scale = crack.half_length**2
     out = np.zeros((solver.mesh.n, 2))
     for q in range(n_quad):
-        row = solver.neumann_conormal_row(crack.points(eta[q]), crack.normal)
-        out += scale * weights[q] * np.einsum("ick,k->ic", row, poly[q])
+        row = solver.neumann_conormal_row(crack.points(eta[q]), crack.normal, poly[q])
+        out += scale * weights[q] * row
     return out
+
+
+def neumann_conormal_row_ref(solver, z, e_perp):
+    """Trace of x -> dN/dnu_y (x, z) for crack normal e_perp as two columns,
+    (n, 2, 2): column k solves the boundary equation with column k of the
+    double-layer traction kernel as data."""
+    solver.mesh.require_clearance(z)
+    return solver.solve_neumann(dlp_traction_kernel(solver.mesh.points, z, e_perp, solver.mat))
 
 
 def solve_cracked_ref(background, crack, n_modes=32, tol=1e-11, max_iterations=50):

@@ -180,6 +180,38 @@ def test_length_sweep_evaluates_the_background_stress_once(solver_128, monkeypat
     assert calls == [(2,)]
 
 
+def counted_solves(solver, monkeypatch):
+    """Record the shape of every right-hand side solver.solve_neumann gets."""
+    shapes = []
+    solve = solver.solve_neumann
+
+    def counting(rhs):
+        shapes.append(np.shape(rhs))
+        return solve(rhs)
+
+    monkeypatch.setattr(solver, "solve_neumann", counting)
+    return shapes
+
+
+def test_neumann_perturbation_solves_one_column(solver_128, monkeypatch):
+    # the leading term is one solve on the kernel contracted with t0
+    background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
+    crack = CrackSegment(center=(0.2, -0.1), direction=(0.6, 0.8), length=0.1)
+    shapes = counted_solves(solver_128, monkeypatch)
+    neumann_perturbation(background, crack)
+    assert shapes == [(solver_128.mesh.n, 2)]
+
+
+def test_length_sweep_solves_the_leading_term_once(solver_128, monkeypatch):
+    # one (n, 2) solve for the leading term before the first crack, then
+    # one (n, 2) solve per Picard sweep of each crack
+    background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
+    shapes = counted_solves(solver_128, monkeypatch)
+    records = length_sweep(background, (0.2, -0.1), (0.6, 0.8), (0.15, 0.08, 0.04), n_modes=24)
+    sweeps = sum(r["solution"].diagnostics["iterations"] for r in records)
+    assert shapes == [(solver_128.mesh.n, 2)] * (1 + sweeps)
+
+
 def test_length_sweep_refuses_whole_sweep_before_solving(solver_128, monkeypatch):
     # the 0.9 crack fails the clearance rule, so not even 0.1 is solved
     background = constant_stress_background(solver_128, np.diag([1.0, 0.0]))

@@ -256,7 +256,7 @@ def seeded_background(solver, seed):
 
 @pytest.mark.parametrize("n, n_modes", [(128, 32), (256, 32), (256, 12)])
 def test_solve_cracked_matches_reference_loop(mat, n, n_modes):
-    # the per-crack sweep matrix and the background traction read off the
+    # the sweeps in the crack frame and the background traction read off the
     # feedback matrix change w and psi at rounding level only, and the sweep
     # count not at all
     solver = BoundarySolver(build_mesh(Disk(), n), mat)

@@ -41,6 +41,7 @@ from oracles import (
     fd_jacobian,
     layer_sum_ref,
     linear_field,
+    neumann_conormal_row_ref,
 )
 
 MATERIALS = [LameParams(1.0, 1.0), LameParams(2.5, 0.7), LameParams(-0.3, 1.2)]
@@ -360,19 +361,33 @@ def test_neumann_row_equivariance(solver_128):
     rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     z = np.array([0.4, 0.15])
     e_perp = np.array([0.6, 0.8])
-    row = solver_128.neumann_conormal_row(z, e_perp)
-    row_rot = solver_128.neumann_conormal_row(rot @ z, rot @ e_perp)
-    assert np.allclose(
-        np.roll(row_rot, -k, axis=0), np.einsum("ab,ibc,dc->iad", rot, row, rot),
-        atol=1e-11,
-    )
+    for t in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-0.3, 0.7])):
+        row = solver_128.neumann_conormal_row(z, e_perp, t)
+        row_rot = solver_128.neumann_conormal_row(rot @ z, rot @ e_perp, rot @ t)
+        assert np.allclose(np.roll(row_rot, -k, axis=0), row @ rot.T, atol=1e-11)
+
+
+def test_neumann_conormal_row_is_the_two_column_row_contracted(solver_128):
+    # one solve on the kernel contracted with t equals the two-column solve
+    # contracted with t: the solve is linear
+    rng = np.random.default_rng(18)
+    for _ in range(4):
+        z = rng.uniform(-0.5, 0.5, size=2)
+        angle, t = rng.uniform(0.0, 2.0 * np.pi), rng.standard_normal(2)
+        e_perp = np.array([np.cos(angle), np.sin(angle)])
+        row = solver_128.neumann_conormal_row(z, e_perp, t)
+        reference = neumann_conormal_row_ref(solver_128, z, e_perp) @ t
+        assert row.shape == (solver_128.mesh.n, 2)
+        assert np.max(np.abs(row - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_interior_guard(solver_128):
     with pytest.raises(CrackTooCloseToBoundary):
         solver_128.neumann_trace(np.array([0.99, 0.0]))
     with pytest.raises(CrackTooCloseToBoundary):
-        solver_128.neumann_conormal_row(np.array([0.0, 0.999]), np.array([1.0, 0.0]))
+        solver_128.neumann_conormal_row(
+            np.array([0.0, 0.999]), np.array([1.0, 0.0]), np.array([1.0, 0.0])
+        )
 
 
 coefficients = st.lists(st.floats(-0.15, 0.15), max_size=2)
@@ -398,7 +413,7 @@ def test_exterior_points_refused(cos, sin, theta, factor):
     with pytest.raises(CrackTooCloseToBoundary, match="outside the boundary"):
         solver.neumann_trace(point)
     with pytest.raises(CrackTooCloseToBoundary, match="outside the boundary"):
-        solver.neumann_conormal_row(point, np.array([0.0, 1.0]))
+        solver.neumann_conormal_row(point, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
 @settings(max_examples=20, deadline=None, database=None)

@@ -24,7 +24,6 @@ from crackbem import (
 from crackbem.forward import _hooke, _layer_sum
 from crackbem.kernels import _crack_frame_kernels
 from oracles import (
-    _blocks_to_matrix_ref,
     conormal_derivative,
     dlp_traction_gradient_ref,
     dlp_traction_kernel_ref,
@@ -293,15 +292,16 @@ def random_crack_frames(rng, count, n_modes=16):
 
 
 def as_blocks(matrix):
-    """(2p, 2n) interleaved matrix as its (p, n, 2, 2) blocks."""
+    """(2p, 2n) component-major matrix, rows (i, q) and columns (k, p), as
+    its (p, n, 2, 2) blocks."""
     p, n = matrix.shape[0] // 2, matrix.shape[1] // 2
-    return matrix.reshape(p, 2, n, 2).transpose(0, 2, 1, 3)
+    return matrix.reshape(2, p, 2, n).transpose(1, 3, 0, 2)
 
 
 @pytest.mark.parametrize("mat", CRACK_FRAME_MATERIALS)
 @pytest.mark.parametrize("shape", CRACK_FRAME_SHAPES)
 def test_crack_frame_kernels_match_public_kernels(shape, mat):
-    # rows turned into the crack frame, columns global, per pair block
+    # rows and columns turned into the crack frame, per pair block
     mesh = build_mesh(shape, 64)
     rng = np.random.default_rng(21)
     for s, center, t in random_crack_frames(rng, 4):
@@ -312,29 +312,32 @@ def test_crack_frame_kernels_match_public_kernels(shape, mat):
             nodes[:, None, :], mesh.points[None], m, mesh.normals[None], mat
         )
         traction = dlp_traction_kernel(mesh.points[None], nodes[:, None, :], m, mat)
-        hyper_ref = _blocks_to_matrix_ref(frame.T @ hyper)
-        traction_ref = _blocks_to_matrix_ref(frame.T @ np.swapaxes(traction, -1, -2))
+        hyper_ref = frame.T @ hyper @ frame
+        traction_ref = frame.T @ np.swapaxes(traction, -1, -2) @ frame
         hyper_pass, traction_pass = _crack_frame_kernels(
             s, center, t, mesh.points, mesh.normals, mat
         )
-        assert_pairwise_close(as_blocks(hyper_pass), as_blocks(hyper_ref), 2)
-        assert_pairwise_close(as_blocks(traction_pass), as_blocks(traction_ref), 2)
+        assert hyper_pass.shape == traction_pass.shape == (2 * len(s), 2 * mesh.n)
+        assert_pairwise_close(as_blocks(hyper_pass), hyper_ref, 2)
+        assert_pairwise_close(as_blocks(traction_pass), traction_ref, 2)
 
 
 @pytest.mark.parametrize("mat", CRACK_FRAME_MATERIALS)
 def test_crack_traction_kernel_gives_single_layer_traction(mat):
-    # G (W g) is the traction sigma(S[g]) m of the single layer at the nodes
+    # G (W g), both in the crack frame, is the traction sigma(S[g]) m of the
+    # single layer at the nodes
     mesh = build_mesh(CRACK_FRAME_SHAPES[2], 128)
     rng = np.random.default_rng(34)
     for s, center, t in random_crack_frames(rng, 3):
         m = rot90(t)
+        frame = np.stack([t, m], axis=1)
         nodes = center + np.multiply.outer(s, t)
         g = rng.standard_normal((mesh.n, 2))
         kelvin = kelvin_gradient(nodes[:, None, :] - mesh.points, mat)
         reference = _hooke(mat, _layer_sum(mesh, kelvin, g)) @ m
         _, traction = _crack_frame_kernels(s, center, t, mesh.points, mesh.normals, mat)
-        value = (traction @ (mesh.weights[:, None] * g).reshape(-1)).reshape(-1, 2)
-        value = value @ np.stack([t, m])  # crack frame -> global
+        weighted_g = (frame.T @ (mesh.weights[:, None] * g).T).reshape(-1)
+        value = (traction @ weighted_g).reshape(2, -1).T @ frame.T  # crack frame -> global
         assert np.max(np.abs(value - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
