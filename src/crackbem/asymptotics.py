@@ -81,10 +81,20 @@ def stress_intensity_from_stress(stress: np.ndarray, direction) -> StressIntensi
     return StressIntensity(k1=np.sum(t * e_perp, axis=-1), k2=np.sum(t * e, axis=-1))
 
 
+def _center_traction(background: BackgroundField, crack: CrackSegment) -> tuple:
+    """(t0, sif): the background traction t0 across the crack line at its
+    center, from one crack-frame pass at eta = 0 (crack_traction_samples),
+    and its intensity pair K_I = t0 . m, K_II = t0 . t."""
+    t0 = crack_traction_samples(background, crack, 0.0)[0]
+    return t0, StressIntensity(k1=t0 @ crack.normal, k2=t0 @ crack.tangent)
+
+
 def stress_intensity(background: BackgroundField, crack: CrackSegment) -> StressIntensity:
-    """Intensity pair of the background stress at the crack center."""
-    stress = background.stress(np.asarray(crack.center))[0]
-    return stress_intensity_from_stress(stress, crack.tangent)
+    """Intensity pair of the background traction across the crack line at
+    its center; the traction comes from the crack-frame pass, not from a
+    stress tensor, and agrees with stress_intensity_from_stress of the
+    background stress there to rounding."""
+    return _center_traction(background, crack)[1]
 
 
 def _conormal_profile(
@@ -108,7 +118,7 @@ def neumann_perturbation(background: BackgroundField, crack: CrackSegment) -> np
     Evaluates (pi eps^2 / 2E) dN/dnu_y(x_i, z) t0 at every boundary node;
     the full solve differs from this by O(eps^4), rigid motions aside.
     """
-    t0 = crack_traction_samples(background, crack, 0.0)[0]
+    t0 = _center_traction(background, crack)[0]
     return _leading_factor(crack, background.mat) * _conormal_profile(background, crack, t0)
 
 
@@ -171,15 +181,15 @@ def length_sweep(
     "energy_mismatch".  solve_kwargs go to solve_cracked.  The cracks come
     from sweep_cracks, so the sweep is refused whole before the first solve;
     the stress intensity and the leading term depend only on the center and
-    direction, so the background stress at the center (giving K1, K2 and t0)
-    and the Neumann row are each evaluated once.  Raises ValueError for an
-    empty list of lengths.
+    direction, so the crack-line traction t0 at the center (one crack-frame
+    pass at eta = 0, giving K1, K2 and the leading term) and the Neumann row
+    are each evaluated once.  Raises ValueError for an empty list of
+    lengths.
     """
     cracks = sweep_cracks(background.mesh, center, direction, lengths)
     mat = background.mat
-    stress = background.stress(np.asarray(cracks[0].center))  # (1, 2, 2)
-    sif = stress_intensity_from_stress(stress[0], cracks[0].tangent)
-    profile = _conormal_profile(background, cracks[0], (stress @ cracks[0].normal)[0])
+    t0, sif = _center_traction(background, cracks[0])
+    profile = _conormal_profile(background, cracks[0], t0)
     records = []
     for crack in cracks:
         solution = solve_cracked(background, crack, **solve_kwargs)

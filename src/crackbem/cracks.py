@@ -40,12 +40,19 @@ the single layer S[g] at the nodes is G (W g), with W the boundary
 quadrature weights, so the background traction there is
 f0 = F (W u0) - G (W g): the double layer of u0's representation is F
 applied to its trace.  And the crack-to-boundary transfer is
-G^T diag(half^2 weights) on the Gauss-Chebyshev nodes.  The nodal values of
-u0, g and each sweep's w enter the frame through one 2 x 2 rotation,
-Q = [t m].  The inversion of A followed by the polynomial part at the nodes
-is a fixed linear map R (chebyshev._polynomial_part_map), which acts on
-both components alike, so it multiplies the (2, m) crack traction from the
-right.  With D = diag(half^2 weights) (-4/E), a Picard sweep is
+G^T diag(half^2 weights) on the Gauss-Chebyshev nodes.
+
+The background traction sigma(u0) m on a crack line is always this
+f0 = F (W u0) - G (W g) from the pass (_background_traction), never a
+stress tensor: the Picard data at the Gauss-Chebyshev nodes, the samples of
+crack_traction_samples, and so the traction t0 at the center that gives the
+leading term and the stress intensities K_I = t0 . m, K_II = t0 . t.
+
+The nodal values of u0, g and each sweep's w enter the frame through one
+2 x 2 rotation, Q = [t m].  The inversion of A followed by the polynomial
+part at the nodes is a fixed linear map R (chebyshev._polynomial_part_map),
+which acts on both components alike, so it multiplies the (2, m) crack
+traction from the right.  With D = diag(half^2 weights) (-4/E), a Picard sweep is
 
     f = f0 + F (W w),   v = f (D R)^T,   w = solve((G^T v) Q^T),
 
@@ -137,12 +144,46 @@ class CrackSegment:
         )
 
 
+def _weighted_in_frame(frame: np.ndarray, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Nodal (n, 2) global values times the boundary weights, as the flat
+    component-major crack-frame vector F and G act on."""
+    return (frame.T @ values.T * weights).reshape(-1)
+
+
+def _background_traction(background: BackgroundField, crack: CrackSegment, s):
+    """One crack-frame pass at the crack points center + s t, s (k,).
+
+    Returns (F, G, Q, f0): the pass's two (2k, 2n) matrices, the frame
+    Q = [t m] and the background traction sigma(u0) m at the points,
+    f0 = F (W u0) - G (W g), flat (2k,) in the crack frame and
+    component-major (all t components, then all m components).
+    """
+    mesh = background.mesh
+    feedback, traction = _crack_frame_kernels(
+        s, crack.center, crack.tangent, mesh.points, mesh.normals, background.mat
+    )
+    frame = np.stack([crack.tangent, crack.normal], axis=1)
+    # the double layer of u0's representation gives F (W u0), and the
+    # traction of the single layer S[g] is G (W g)
+    weighted_g = _weighted_in_frame(frame, mesh.weights, background.g.values)
+    weighted_u0 = _weighted_in_frame(frame, mesh.weights, background.trace.values)
+    f0 = feedback @ weighted_u0 - traction @ weighted_g
+    return feedback, traction, frame, f0
+
+
 def crack_traction_samples(
     background: BackgroundField, crack: CrackSegment, eta
 ) -> np.ndarray:
-    """Background traction sigma(u0) . normal at crack points y(eta)."""
-    stress = background.stress(crack.points(eta))
-    return stress @ crack.normal
+    """Background traction sigma(u0) . normal at crack points y(eta), (k, 2)
+    in the global frame, for eta a scalar (k = 1) or 1-D of length k.
+
+    It is f0 = F (W u0) - G (W g) of one crack-frame pass over the
+    (len(eta), n) pairs, the same traction solve_cracked iterates on; no
+    stress tensor is formed.
+    """
+    s = crack.half_length * np.atleast_1d(np.asarray(eta, dtype=float))
+    _, _, frame, f0 = _background_traction(background, crack, s)
+    return f0.reshape(2, -1).T @ frame.T
 
 
 class CrackedSolution:
@@ -202,22 +243,11 @@ def solve_cracked(
     eta, gc_weights = gauss_chebyshev_u(n_modes)
     # one pass over the (node, boundary point) pairs in the crack frame: the
     # hypersingular kernel F and the crack traction kernel G, both (2m, 2n)
-    # and component-major, so the whole loop runs in the crack frame
-    feedback, traction = _crack_frame_kernels(
-        crack.half_length * eta, crack.center, crack.tangent, mesh.points, mesh.normals, mat
+    # and component-major, so the whole loop runs in the crack frame, and
+    # the background traction f0 at the nodes, flat (2m,)
+    feedback, traction, frame, f0 = _background_traction(
+        background, crack, crack.half_length * eta
     )
-    frame = np.stack([crack.tangent, crack.normal], axis=1)  # Q = [t m]
-
-    def weighted_in_frame(values):
-        """Nodal (n, 2) global values times the boundary weights, as the
-        flat component-major crack-frame vector F and G act on."""
-        return (frame.T @ values.T * mesh.weights).reshape(-1)
-
-    # background traction sigma(u0) . normal at the nodes, flat (2m,): the
-    # double layer of u0's representation gives F (W u0), and the traction
-    # of the single layer S[g] is G (W g)
-    weighted_g = weighted_in_frame(background.g.values)
-    f0 = feedback @ weighted_in_frame(background.trace.values) - traction @ weighted_g
 
     # crack -> boundary: crack traction f -> polynomial part of
     # psi = A^-1[-(4/E) f] at the nodes (the fixed map R, alike on both
@@ -249,7 +279,7 @@ def solve_cracked(
                 "update_history": history,
             }
             return CrackedSolution(background, crack, psi, BoundaryField(mesh, w), diagnostics)
-        weighted_w = weighted_in_frame(w)
+        weighted_w = _weighted_in_frame(frame, mesh.weights, w)
     raise SolveFailed(
         f"crack coupling did not contract to {tol:g} within {max_iterations} "
         f"sweeps; last trace update {history[-1]:.3g}"

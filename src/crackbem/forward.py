@@ -44,7 +44,8 @@ whose constraint rows enforce the rigid-motion orthogonality of w and whose
 extra columns absorb the compatibility defect of the right-hand side (the
 multipliers mu are discarded).  One
 LU factorization serves every right-hand side (background solves, Green
-function columns, crack feedback updates).
+function columns, crack feedback updates), and every solve goes through
+lu_solve, which is LAPACK getrs on that factor with no wrapper between.
 
 Green-function rows
 -------------------
@@ -69,7 +70,8 @@ stress-free.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from .errors import EquilibriumViolated, SolveFailed
 from .kernels import (
@@ -95,6 +97,20 @@ __all__ = [
 # temporary is about 128 KiB, so the double layer's six panel arrays and its
 # output rows stay in a 2 MiB L2 cache through all their passes
 _PANEL_ENTRIES = 2**14
+
+
+def lu_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve with an (lu, piv) factor from lu_factor by LAPACK getrs.
+
+    rhs is (N, k) float64 and may be overwritten: callers pass a right-hand
+    side they have just built.  No finiteness or shape check is made.  A
+    nonzero getrs info raises ValueError with scipy's lu_solve message.
+    """
+    lu, piv = factor
+    solution, info = dgetrs(lu, piv, rhs, overwrite_b=True)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal gesv|posv")
+    return solution
 
 
 def _row_panels(mesh: BoundaryMesh):
@@ -338,10 +354,10 @@ class BoundarySolver:
         ValueError.
         """
         rhs = np.asarray_chkfinite(rhs, dtype=float)
-        columns = rhs.reshape(2 * self.mesh.n, -1)
-        bordered = np.vstack([columns, np.zeros((3, columns.shape[1]))])
-        solution = lu_solve(self._neumann_lu, bordered, check_finite=False)
-        return solution[:-3].reshape(rhs.shape)
+        n2 = 2 * self.mesh.n
+        bordered = np.zeros((n2 + 3, rhs.size // n2))
+        bordered[:n2] = rhs.reshape(n2, -1)
+        return lu_solve(self._neumann_lu, bordered)[:n2].reshape(rhs.shape)
 
     def solve_background(self, g: BoundaryField) -> BackgroundField:
         """Solve the crack-free traction problem for data g equilibrated to 1e-8."""

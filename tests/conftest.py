@@ -17,6 +17,7 @@ from crackbem import (
     LameParams,
     build_mesh,
     length_sweep,
+    project_off_rigid_motions,
 )
 
 SWEEP_EPS = (0.2, 0.1, 0.05, 0.025)
@@ -57,6 +58,16 @@ def constant_stress_background(solver, sigma):
     """Background field with traction data g = sigma . n on the boundary."""
     values = solver.mesh.normals @ np.asarray(sigma, dtype=float).T
     return solver.solve_background(BoundaryField(solver.mesh, values))
+
+
+def fourier_load_background(solver):
+    """Background field under a non-constant Fourier traction load, projected
+    off the rigid motions, so the interior stress varies from point to point."""
+    mesh = solver.mesh
+    t = mesh.params
+    values = np.cos(t)[:, None] * [1.0, 0.0] + np.sin(t)[:, None] * [0.0, 0.5]
+    values += np.cos(3.0 * t)[:, None] * [0.3, -0.2]
+    return solver.solve_background(project_off_rigid_motions(BoundaryField(mesh, values)))
 
 
 def run_sweep(background, center, direction, eps_values=SWEEP_EPS):

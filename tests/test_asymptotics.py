@@ -12,6 +12,7 @@ from crackbem import (
     BoundarySolver,
     CrackSegment,
     Disk,
+    Ellipse,
     FourierStar,
     LameParams,
     StressIntensity,
@@ -31,7 +32,7 @@ from crackbem import (
 )
 from crackbem.errors import CrackTooCloseToBoundary
 from crackbem.mesh import BoundaryField
-from conftest import constant_stress_background
+from conftest import constant_stress_background, fourier_load_background
 
 
 def test_intensity_decomposition_exact():
@@ -164,20 +165,55 @@ def test_length_sweep_records_match_direct_calls(solver_128):
         assert record["energy_mismatch"] == abs(diff - formula)
 
 
-def test_length_sweep_evaluates_the_background_stress_once(solver_128, monkeypatch):
-    # K1, K2 and the leading term's traction t0 all come from one stress
-    # evaluation at the center, whatever the number of lengths
+def test_length_sweep_evaluates_the_crack_line_traction_once(solver_128, monkeypatch):
+    # K1, K2 and the leading term's traction t0 all come from one crack-line
+    # traction at the center (eta = 0), whatever the number of lengths
     background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
     calls = []
-    stress = BackgroundField.stress
+    samples = crackbem.asymptotics.crack_traction_samples
 
-    def counting(self, points):
-        calls.append(np.shape(points))
-        return stress(self, points)
+    def counting(background, crack, eta):
+        calls.append(eta)
+        return samples(background, crack, eta)
 
-    monkeypatch.setattr(BackgroundField, "stress", counting)
-    length_sweep(background, (0.2, -0.1), (0.6, 0.8), (0.15, 0.08, 0.04), n_modes=24)
-    assert calls == [(2,)]
+    monkeypatch.setattr(crackbem.asymptotics, "crack_traction_samples", counting)
+    for lengths in ((0.15,), (0.15, 0.08, 0.04)):
+        calls.clear()
+        length_sweep(background, (0.2, -0.1), (0.6, 0.8), lengths, n_modes=24)
+        assert calls == [0.0]
+
+
+def test_crack_ops_never_form_the_background_stress(solver_128, monkeypatch):
+    # the crack ops take the background traction from the crack-frame pass;
+    # the stress tensor serves only the orientation scan
+    background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
+    crack = CrackSegment(center=(0.2, -0.1), direction=(0.6, 0.8), length=0.1)
+
+    def refuse(self, points):
+        raise AssertionError("BackgroundField.stress was called")
+
+    monkeypatch.setattr(BackgroundField, "stress", refuse)
+    solve_cracked(background, crack, n_modes=24)
+    neumann_perturbation(background, crack)
+    stress_intensity(background, crack)
+    length_sweep(background, crack.center, crack.direction, (0.1, 0.05), n_modes=24)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [Ellipse(a=1.3, b=0.7), FourierStar(r0=1.0, cos_coeffs=(0.0, 0.0, 0.0, 0.0, 0.15))],
+)
+@pytest.mark.parametrize("material", [LameParams(2.5, 0.7), LameParams(-0.5, 1.0)])
+def test_stress_intensity_matches_the_background_stress(shape, material):
+    background = fourier_load_background(BoundarySolver(build_mesh(shape, 128), material))
+    for angle in np.linspace(0.0, np.pi, 5):
+        direction = (np.cos(angle), np.sin(angle))
+        crack = CrackSegment(center=(0.15, -0.1), direction=direction, length=0.2)
+        stress = background.stress(np.asarray(crack.center))[0]
+        ref = stress_intensity_from_stress(stress, crack.tangent)
+        sif = stress_intensity(background, crack)
+        assert abs(sif.k1 - ref.k1) <= 1e-13 * np.max(np.abs(stress))
+        assert abs(sif.k2 - ref.k2) <= 1e-13 * np.max(np.abs(stress))
 
 
 def counted_solves(solver, monkeypatch):

@@ -13,6 +13,7 @@ from crackbem import (
     ChebyshevUExpansion,
     CrackSegment,
     Disk,
+    Ellipse,
     FourierStar,
     LameParams,
     build_mesh,
@@ -21,7 +22,7 @@ from crackbem import (
     solve_cracked,
 )
 from crackbem.errors import CrackTooCloseToBoundary, SolveFailed
-from conftest import constant_stress_background
+from conftest import constant_stress_background, fourier_load_background
 from oracles import solve_cracked_ref, trace_from_neumann_representation
 
 
@@ -80,6 +81,32 @@ def test_crack_traction_samples_constant_stress(solver_128):
     eta = np.linspace(-0.9, 0.9, 5)
     samples = crack_traction_samples(background, crack, eta)
     assert np.allclose(samples, [0.0, 1.0], atol=1e-10)
+
+
+TRACTION_SHAPES = [
+    Disk(),
+    Ellipse(a=1.3, b=0.7),
+    FourierStar(r0=1.0, cos_coeffs=(0.0, 0.0, 0.0, 0.0, 0.15)),  # 5 lobes
+]
+TRACTION_MATERIALS = [LameParams(1.0, 1.0), LameParams(2.5, 0.7), LameParams(-0.5, 1.0)]
+
+
+@pytest.mark.parametrize("shape", TRACTION_SHAPES)
+@pytest.mark.parametrize("material", TRACTION_MATERIALS)
+def test_crack_traction_samples_match_the_background_stress(shape, material):
+    # the crack-frame pass F (W u0) - G (W g) is the traction of the
+    # background stress tensor, sigma(u0) m, at every crack point
+    background = fourier_load_background(BoundarySolver(build_mesh(shape, 128), material))
+    for crack in (
+        CrackSegment(center=(0.15, -0.1), direction=(0.6, 0.8), length=0.3),
+        CrackSegment(center=(-0.3, 0.2), direction=(1.0, 0.0), length=0.2),
+    ):
+        for eta in (0.0, np.array([-0.9, -0.3, 0.0, 0.6])):
+            samples = crack_traction_samples(background, crack, eta)
+            stress = background.stress(crack.points(eta))
+            assert samples.shape == (np.size(eta), 2)
+            err = np.max(np.abs(samples - stress @ crack.normal))
+            assert err <= 1e-13 * np.max(np.abs(stress))
 
 
 def test_wide_domain_opening_matches_closed_form(mat):

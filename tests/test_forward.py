@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.linalg import lu_factor
 
 from crackbem import (
@@ -27,6 +28,7 @@ from crackbem import (
     rigid_motion_basis,
     solve_cracked,
 )
+from crackbem import forward
 from crackbem.errors import CrackTooCloseToBoundary, EquilibriumViolated, SolveFailed
 from crackbem.forward import (
     _PANEL_ENTRIES,
@@ -283,6 +285,29 @@ def test_solve_neumann_refuses_non_finite_data(solver_128):
     rhs[5, 1] = np.inf
     with pytest.raises(ValueError, match="infs or NaNs"):
         solver_128.solve_neumann(rhs)
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_lu_solve_is_scipys_lu_solve(solver_128, columns):
+    # getrs on the solver's factor, bit for bit what scipy's wrapper returns
+    rhs = np.random.default_rng(5).standard_normal((2 * solver_128.mesh.n + 3, columns))
+    expected = scipy.linalg.lu_solve(solver_128._neumann_lu, rhs, check_finite=False)
+    assert np.array_equal(forward.lu_solve(solver_128._neumann_lu, rhs.copy()), expected)
+
+
+@pytest.mark.parametrize("shape", [(128, 2), (256,), (128, 2, 3)])
+def test_solve_neumann_calls_lu_solve_once(solver_128, monkeypatch, shape):
+    calls = []
+    solve = forward.lu_solve
+
+    def counting(factor, rhs):
+        calls.append(rhs.shape)
+        return solve(factor, rhs)
+
+    monkeypatch.setattr(forward, "lu_solve", counting)
+    rhs = np.random.default_rng(6).standard_normal(shape)
+    assert solver_128.solve_neumann(rhs).shape == shape
+    assert calls == [(2 * solver_128.mesh.n + 3, rhs.size // (2 * solver_128.mesh.n))]
 
 
 def test_non_finite_factor_is_refused(mat, monkeypatch):
