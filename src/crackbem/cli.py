@@ -311,9 +311,19 @@ def _records_csv(records: list, columns: list, precision: int) -> str:
     return _csv(columns, [[r[c] for c in columns] for r in records], precision)
 
 
-def _trace_csv(field: BoundaryField, precision: int) -> str:
-    rows = np.column_stack([field.mesh.params, field.mesh.points, field.values])
-    return _csv(["node_param", "x", "y", "u1", "u2"], rows.tolist(), precision)
+def _trace_writer(mesh, precision: int):
+    """The CSV text (node_param, x, y, u1, u2) of boundary fields on mesh; the
+    node columns are formatted once, here, for every file written with it."""
+    fmt = f"%.{precision}g"
+    nodes = np.column_stack([mesh.params, mesh.points]).tolist()
+    prefixes = [f"{fmt},{fmt},{fmt}," % tuple(node) for node in nodes]
+    values = f"{fmt},{fmt}\n"
+
+    def trace_csv(field: BoundaryField) -> str:
+        rows = zip(prefixes, field.values.tolist())
+        return "node_param,x,y,u1,u2\n" + "".join(p + values % tuple(v) for p, v in rows)
+
+    return trace_csv
 
 
 def _json(payload: dict) -> str:
@@ -323,7 +333,8 @@ def _json(payload: dict) -> str:
 def cmd_solve(background, config: dict, sweep: dict, warnings: list) -> dict:
     records = length_sweep(background, **sweep)
     precision, disc = config["output"]["precision"], config["discretization"]
-    files = {"trace_u0.csv": _trace_csv(background.trace, precision)}
+    trace_csv = _trace_writer(background.mesh, precision)
+    files = {"trace_u0.csv": trace_csv(background.trace)}
     diagnostics = {
         "n_boundary": background.mesh.n,
         "tolerance": disc["tol"],
@@ -334,7 +345,7 @@ def cmd_solve(background, config: dict, sweep: dict, warnings: list) -> dict:
     eta, _ = gauss_chebyshev_u(disc["n_cheb_modes"])
     for record in records:
         tag, solution = f"{record['eps']:g}", record["solution"]
-        files[f"trace_ueps_{tag}.csv"] = _trace_csv(solution.trace_values(), precision)
+        files[f"trace_ueps_{tag}.csv"] = trace_csv(solution.trace_values())
         s = 0.5 * record["eps"] * eta
         rows = np.column_stack([s, solution.opening(s)]).tolist()
         files[f"crack_opening_{tag}.csv"] = _csv(["x1", "phi1", "phi2"], rows, precision)

@@ -23,14 +23,16 @@ Storage
 Both layers are built in row panels of consecutive nodes, each holding
 about _PANEL_ENTRIES node pairs, so the pair arrays r0, r1 and 1/rho^2 of
 one panel stay in cache through every elementwise pass over them and no
-n x n temporary exists.  Only the double layer is stored: each panel writes
-its four component blocks straight into its rows of the bordered matrix
-below.  The single layer serves only as data for the solves (S g for
-traction data g), so it is applied and never stored: its circulant part by
-FFT over the whole density, and per panel its smooth log part (h/2)
-log(rho^2) and its rhat rhat^T part r (r . density)/rho^2, accumulated into
-the panel's rows.  The bordered matrix and its LU factors are thus the only
-n^2 arrays a solver ever holds.
+n x n temporary exists.  Only the double layer is stored, in the bordered
+matrix below, which is column-major: LAPACK's layout, so lu_factor copies
+it once, as a plain memcpy, and never transposes it.  Its panels are panels
+of source nodes, and each writes its four component blocks straight into
+its contiguous columns.  The single layer serves only as data for the
+solves (S g for traction data g), so it is applied and never stored: its
+circulant part by FFT over the whole density, and per panel its smooth log
+part (h/2) log(rho^2) and its rhat rhat^T part r (r . density)/rho^2,
+accumulated into the panel's rows.  The bordered matrix and its LU factors
+are thus the only n^2 arrays a solver ever holds.
 
 Rank-3 completion
 -----------------
@@ -113,14 +115,18 @@ def lu_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def _row_panels(mesh: BoundaryMesh):
-    """Yield, per panel of consecutive nodes lo..hi-1, the row slice lo:hi,
-    the (rows, n) node-pair arrays r0, r1 of r_ij = x_i - x_j (exactly 0 at
-    j = i) and rho^2 = |r|^2 with 1 at j = i, a placeholder: every diagonal
-    entry built from it is overwritten with its limit; and the index of those
-    diagonal entries in the panel (local row, global column)."""
-    n = mesh.n
-    x, y = mesh.points.T
+def _row_panels(points: np.ndarray):
+    """Yield, per panel of consecutive nodes lo..hi-1 of points (n, 2), the
+    row slice lo:hi, the (rows, n) node-pair arrays r0, r1 of r_ij = x_i - x_j
+    (exactly 0 at j = i) and rho^2 = |r|^2 with 1 at j = i, a placeholder:
+    every diagonal entry built from it is overwritten with its limit; and the
+    index of those diagonal entries in the panel (local row, global column).
+
+    Given the negated points, entry [j, i] is (-x_j) - (-x_i), which is
+    x_i - x_j bit for bit, signed zeros included: the panels of the
+    transposed pair arrays."""
+    n = len(points)
+    x, y = points.T
     rows = max(1, _PANEL_ENTRIES // n)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
@@ -145,59 +151,62 @@ def assemble_double_layer(
     """Dense 2n x 2n Nystrom matrix of the double-layer traction operator.
 
     Like a numpy ufunc, it writes into `out` when given (any (2n, 2n) float
-    view, such as the top-left block of a bordered matrix) and returns it."""
+    view, such as the top-left block of a bordered matrix) and returns it;
+    without `out` the matrix is allocated column-major, LAPACK's layout.
+    Either way the matrix is built by columns: panels of source nodes j fill
+    rows 2j, 2j + 1 of out.T, which are contiguous in column-major storage."""
     n, h, speed = mesh.n, mesh.h, mesh.speed
     if out is None:
-        out = np.empty((2 * n, 2 * n))
+        out = np.empty((2 * n, 2 * n), order="F")
+    transposed = out.T
 
     # Cauchy part  a [ (1/2) cot((t-s)/2) + gsm ] J: the conjugate circulant
     # pi H (multipliers -i sgn k) minus h cot is one column in the offset
-    # k = i - j, taken signed so the column is exactly odd
+    # k = i - j; a panel of source rows j reads it at -k, the column reversed
     k = np.fft.fftfreq(n, d=1.0 / n)
     column = np.pi * np.real(np.fft.ifft(-1j * np.sign(k)))
     column[1:] -= h * 0.5 / np.tan(0.5 * h * k[1:])
-    circulant = _circulant(column)
+    circulant = _circulant(column[-np.arange(n)])
 
-    # per-node factors, component-major so each panel reads them in order,
-    # and the diagonal limits of the smooth part, the skew part and rhat
-    # rhat^T (tau tau^T)
-    weighted_normals = np.ascontiguousarray(((h * speed)[:, None] * mesh.normals).T)
-    first_deriv = np.ascontiguousarray(mesh.first_deriv.T)
+    # per-source factors, read per panel row, and the diagonal limits of the
+    # smooth part, the skew part and rhat rhat^T (tau tau^T)
+    weighted_normals = (h * speed)[:, None] * mesh.normals
     s_limit = h * np.einsum("ik,ik->i", mesh.normals, mesh.second_deriv) / (2.0 * speed)
     skew_limit = column[0] - h * np.einsum(
         "ik,ik->i", mesh.first_deriv, mesh.second_deriv
     ) / (2.0 * speed**2)
     tau = mesh.first_deriv / speed[:, None]
 
-    for rows, r0, r1, inv_rho2, diag in _row_panels(mesh):
+    # panels of source rows j over the pairs r_ij = x_i - x_j
+    for rows, r0, r1, inv_rho2, diag in _row_panels(-mesh.points):
         np.reciprocal(inv_rho2, out=inv_rho2)
         scratch = np.empty_like(r0)
-        block = out[2 * rows.start : 2 * rows.stop]
+        block = transposed[2 * rows.start : 2 * rows.stop]
 
         # smooth symmetric part  h [a I + b rhat rhat^T] (n(s).r)/rho^2 |x'(s)|
-        s = r0 * weighted_normals[0]
-        s += np.multiply(r1, weighted_normals[1], out=scratch)
+        s = r0 * weighted_normals[rows, 0, None]
+        s += np.multiply(r1, weighted_normals[rows, 1, None], out=scratch)
         s *= inv_rho2
         s[diag] = s_limit[rows]
 
-        skew = r0 * first_deriv[0]
-        skew += np.multiply(r1, first_deriv[1], out=scratch)
+        skew = r0 * mesh.first_deriv[rows, 0, None]
+        skew += np.multiply(r1, mesh.first_deriv[rows, 1, None], out=scratch)
         skew *= inv_rho2
         skew *= h
         skew += circulant[rows]
         skew[diag] = skew_limit[rows]
         skew *= mat.a
 
-        # the component blocks: s b rhat_0 rhat_1 +- a skew off the diagonal
-        # and s [a + b rhat_k rhat_k] on it; each is formed in contiguous
-        # memory and written once into its stride
+        # the component blocks of K^T: s b rhat_0 rhat_1 -+ a skew off the
+        # diagonal and s [a + b rhat_k rhat_k] on it; each is formed in
+        # contiguous memory and written once into its stride
         off = np.multiply(r0, r1, out=scratch)
         off *= inv_rho2
         off[diag] = tau[rows, 0] * tau[rows, 1]
         off *= mat.b
         off *= s
-        np.add(off, skew, out=block[0::2, 1::2])
-        np.subtract(off, skew, out=block[1::2, 0::2])
+        np.subtract(off, skew, out=block[0::2, 1::2])
+        np.add(off, skew, out=block[1::2, 0::2])
         for component, r in enumerate((r0, r1)):
             r *= r
             r *= inv_rho2
@@ -235,7 +244,7 @@ def apply_single_layer(mesh: BoundaryMesh, mat: LameParams, density) -> np.ndarr
     tau = mesh.first_deriv / speed[:, None]
     rr = tau[:, :, None] * np.einsum("ik,ikc->ic", tau, phi)[:, None, :]
 
-    for rows, r0, r1, rho2, diag in _row_panels(mesh):
+    for rows, r0, r1, rho2, diag in _row_panels(mesh.points):
         q = np.empty_like(rho2)
         for c in range(phi.shape[2]):
             np.multiply(r0, phi[:, 0, c], out=q)
@@ -329,7 +338,8 @@ class BoundarySolver:
         basis = rigid_motion_basis(mesh.points)  # (n, 2, 3)
         self._columns = basis.reshape(n2, 3)  # C
         self._rows = (mesh.weights[:, None, None] * basis).reshape(n2, 3).T  # C^T W
-        bordered = np.zeros((n2 + 3, n2 + 3))
+        # column-major, so lu_factor's copy for getrf is a plain memcpy
+        bordered = np.zeros((n2 + 3, n2 + 3), order="F")
         # -I/2 + K, assembled in place: a view into the bordered matrix
         self.operator = assemble_double_layer(mesh, mat, out=bordered[:n2, :n2])
         self.operator[np.diag_indices(n2)] -= 0.5

@@ -132,19 +132,30 @@ def _rho2(r0, r1) -> np.ndarray:
     return rho2
 
 
-def _tensor(components: dict) -> np.ndarray:
-    """Array (..., 2, 2) or (..., 2, 2, 2) whose entry [..., *index] is
-    components[index]; the components broadcast against each other.
+def _slots(shape: tuple) -> tuple[np.ndarray, list]:
+    """Empty component-major storage (2, 2, 2) + shape for a gradient
+    kernel, and its eight component slots in index order: views (0-d ones for
+    a single pair), so ufuncs write each component straight into place."""
+    out = np.empty((2, 2, 2) + shape)
+    return out, [out[index + (...,)] for index in np.ndindex(2, 2, 2)]
 
-    The storage is component-major, (2, 2[, 2], ...), so every component is
-    written contiguously; the result is a transposed view with the components
-    last (a transpose, not np.moveaxis: this runs on every kernel call)."""
+
+def _components_last(out: np.ndarray, rank: int) -> np.ndarray:
+    """The kernel result (..., 2, 2[, 2]) of component-major storage: a
+    transposed view (a transpose, not np.moveaxis: this runs on every kernel
+    call)."""
+    return out.transpose(*range(rank, out.ndim), *range(rank))
+
+
+def _tensor(components: dict) -> np.ndarray:
+    """Array (..., 2, 2) whose entry [..., *index] is components[index]; the
+    components broadcast against each other.  They are copied into
+    component-major storage, so every component is written contiguously."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in components.values()))
-    rank = len(next(iter(components)))
-    out = np.empty((2,) * rank + shape)
+    out = np.empty((2, 2) + shape)
     for index, value in components.items():
         out[index] = value
-    return out.transpose(*range(rank, out.ndim), *range(rank))
+    return _components_last(out, 2)
 
 
 def kelvin_matrix(dx: np.ndarray, mat: LameParams) -> np.ndarray:
@@ -170,19 +181,35 @@ def kelvin_gradient(dx: np.ndarray, mat: LameParams) -> np.ndarray:
 
         lam' delta_ij dx_l / rho^2
         - mu' [(delta_li dx_j + delta_lj dx_i)/rho^2 - 2 dx_i dx_j dx_l/rho^4]
+
+    Each component is written straight into the result, whose storage is
+    component-major.
     """
     r0, r1, rho2 = _offset(dx)
     u0, u1 = r0 / rho2, r1 / rho2
     lam, mu = mat.lam_prime, mat.mu_prime
-    # p_ij = 2 mu' dx_i dx_j / rho^4
-    p00, p01, p11 = (2.0 * mu) * u0 * u0, (2.0 * mu) * u0 * u1, (2.0 * mu) * u1 * u1
-    off0, off1 = p01 * r0 - mu * u1, p01 * r1 - mu * u0
-    return _tensor({
-        (0, 0, 0): (lam - 2.0 * mu) * u0 + p00 * r0, (0, 0, 1): lam * u1 + p00 * r1,
-        (0, 1, 0): off0, (0, 1, 1): off1,
-        (1, 0, 0): off0, (1, 0, 1): off1,
-        (1, 1, 0): lam * u0 + p11 * r0, (1, 1, 1): (lam - 2.0 * mu) * u1 + p11 * r1,
-    })
+    out, (g000, g001, g010, g011, _, _, g110, g111) = _slots(np.shape(rho2))
+    # p holds p_ij = 2 mu' dx_i dx_j / rho^4 in turn, t the linear terms
+    two_mu_u, p, t = (np.empty(np.shape(rho2)) for _ in range(3))
+    np.multiply(u0, 2.0 * mu, out=two_mu_u)
+    np.multiply(two_mu_u, u0, out=p)
+    np.multiply(p, r0, out=g000)
+    g000 += np.multiply(u0, lam - 2.0 * mu, out=t)
+    np.multiply(p, r1, out=g001)
+    g001 += np.multiply(u1, lam, out=t)
+    np.multiply(two_mu_u, u1, out=p)
+    np.multiply(p, r0, out=g010)
+    g010 -= np.multiply(u1, mu, out=t)
+    np.multiply(p, r1, out=g011)
+    g011 -= np.multiply(u0, mu, out=t)
+    out[1, 0] = out[0, 1]
+    np.multiply(u1, 2.0 * mu, out=two_mu_u)
+    np.multiply(two_mu_u, u1, out=p)
+    np.multiply(p, r0, out=g110)
+    g110 += np.multiply(u0, lam, out=t)
+    np.multiply(p, r1, out=g111)
+    g111 += np.multiply(u1, lam - 2.0 * mu, out=t)
+    return _components_last(out, 3)
 
 
 def dlp_traction_kernel(
@@ -212,31 +239,6 @@ def dlp_traction_kernel(
     })
 
 
-def _dlp_gradient_components(x, y, normal_y, mat: LameParams) -> dict:
-    """Components {(k, j, l): d K_kj / d x_l}, see dlp_traction_gradient."""
-    r0, r1, rho2 = _offset(x, y)
-    n = np.asarray(normal_y, dtype=float)
-    n0, n1 = n[..., 0] / rho2, n[..., 1] / rho2  # n~
-    u0, u1 = r0 / rho2, r1 / rho2
-    a, b = mat.a, mat.b
-    s = n0 * r0 + n1 * r1
-    bs = b * s
-    p00, p01, p11 = a + b * r0 * u0, b * r0 * u1, a + b * r1 * u1
-    # q_kj = 2 Q_kj, and skew = 2 a skew_01 = -2 a skew_10
-    skew = (2.0 * a) * (r0 * n1 - n0 * r1)
-    q00, q11 = 2.0 * a * s + 4.0 * bs * r0 * u0, 2.0 * a * s + 4.0 * bs * r1 * u1
-    q01 = 4.0 * bs * r0 * u1 - skew
-    q10 = q01 + 2.0 * skew
-    v0, v1 = bs * u0 - a * n0, bs * u1 - a * n1
-    w0, w1 = bs * u0 + a * n0, bs * u1 + a * n1
-    return {
-        (0, 0, 0): p00 * n0 - q00 * u0 + v0 + w0, (0, 0, 1): p00 * n1 - q00 * u1,
-        (0, 1, 0): p01 * n0 - q01 * u0 + v1, (0, 1, 1): p01 * n1 - q01 * u1 + w0,
-        (1, 0, 0): p01 * n0 - q10 * u0 + w1, (1, 0, 1): p01 * n1 - q10 * u1 + v0,
-        (1, 1, 0): p11 * n0 - q11 * u0, (1, 1, 1): p11 * n1 - q11 * u1 + v1 + w1,
-    }
-
-
 def dlp_traction_gradient(
     x: np.ndarray, y: np.ndarray, normal_y: np.ndarray, mat: LameParams
 ) -> np.ndarray:
@@ -251,8 +253,63 @@ def dlp_traction_gradient(
     P_kj = a delta_kj + b r_k r_j/rho^2,
     Q_kj = a s delta_kj + 2 b s r_k r_j/rho^2 - a skew_kj,
     v = b s u - a n~,  w = b s u + a n~.
+
+    Each component is written straight into the result, whose storage is
+    component-major.
     """
-    return _tensor(_dlp_gradient_components(x, y, normal_y, mat))
+    r0, r1, rho2 = _offset(x, y)
+    n = np.asarray(normal_y, dtype=float)
+    n0, n1 = n[..., 0] / rho2, n[..., 1] / rho2  # n~
+    u0, u1 = r0 / rho2, r1 / rho2
+    a, b = mat.a, mat.b
+    s = n0 * r0 + n1 * r1
+    bs = b * s
+    two_a_s, four_bs = (2.0 * a) * s, 4.0 * bs
+    # skew = 2 a skew_01 = -2 a skew_10
+    skew = (2.0 * a) * (r0 * n1 - n0 * r1)
+    out, (g000, g001, g010, g011, g100, g101, g110, g111) = _slots(np.shape(s))
+    # p and q hold P_kj and q_kj = 2 Q_kj of one (k, j) in turn
+    p, q, t, b_r, four_bs_r = (np.empty(np.shape(s)) for _ in range(5))
+
+    def fill(g_0, g_1):
+        # d_l K_kj without its v and w terms: P_kj n~_l - q_kj u_l
+        for g, n_l, u_l in ((g_0, n0, u0), (g_1, n1, u1)):
+            np.multiply(p, n_l, out=g)
+            g -= np.multiply(q, u_l, out=t)
+
+    def diagonal(r_k, u_k):
+        # P_kk = a + b r_k u_k and q_kk = 2 a s + 4 b s r_k u_k
+        np.multiply(r_k, b, out=b_r)
+        np.add(np.multiply(b_r, u_k, out=p), a, out=p)
+        np.multiply(four_bs, r_k, out=four_bs_r)
+        np.add(np.multiply(four_bs_r, u_k, out=q), two_a_s, out=q)
+
+    diagonal(r0, u0)
+    fill(g000, g001)
+    # P_01 = P_10 = b r_0 u_1, q_01 = 4 b s r_0 u_1 - skew, q_10 = q_01 + 2 skew
+    np.multiply(b_r, u1, out=p)
+    np.subtract(np.multiply(four_bs_r, u1, out=q), skew, out=q)
+    fill(g010, g011)
+    q += np.multiply(skew, 2.0, out=t)
+    fill(g100, g101)
+    diagonal(r1, u1)
+    fill(g110, g111)
+
+    # the delta terms: v_j where l = k and w_k where l = j, v before w
+    v, w, bs_u, a_n = p, q, b_r, four_bs_r
+    for n_c, u_c, with_v, with_w in (
+        (n0, u0, (g000, g101), (g000, g011)),
+        (n1, u1, (g010, g111), (g111, g100)),
+    ):
+        np.multiply(bs, u_c, out=bs_u)
+        np.multiply(n_c, a, out=a_n)
+        np.subtract(bs_u, a_n, out=v)
+        np.add(bs_u, a_n, out=w)
+        for g in with_v:
+            g += v
+        for g in with_w:
+            g += w
+    return _components_last(out, 3)
 
 
 def double_conormal_kernel(
@@ -271,7 +328,8 @@ def double_conormal_kernel(
     On a straight crack with normal_x = normal_y perpendicular to x - y this
     reduces to the canonical -E/(4 pi |x-y|^2) I form.
     """
-    g = _dlp_gradient_components(x, y, normal_y, mat)
+    g = dlp_traction_gradient(x, y, normal_y, mat)
+    g = g.transpose(-3, -2, -1, *range(g.ndim - 3))  # [k, j, l, ...], its storage
     m = np.asarray(normal_x, dtype=float)
     m = (m[..., 0], m[..., 1])
     div = [g[0, j, 0] + g[1, j, 1] for j in (0, 1)]

@@ -208,7 +208,10 @@ class BoundaryMesh:
         # line can cross the ray, where (d0_j d1_k - d1_j d0_k) / (d1_k - d1_j)
         # > 0; a non-finite point makes it NaN
         above = d1 > 0.0
-        row, j = np.nonzero(above != np.roll(above, -1, axis=-1))
+        straddles = np.empty_like(above)
+        np.not_equal(above[:, :-1], above[:, 1:], out=straddles[:, :-1])
+        np.not_equal(above[:, -1], above[:, 0], out=straddles[:, -1])
+        row, j = np.nonzero(straddles)
         k = (j + 1) % self.n
         with np.errstate(invalid="ignore"):
             right = (d0[row, j] * d1[row, k] - d1[row, j] * d0[row, k] > 0.0) == (

@@ -337,6 +337,25 @@ def distance_to_ref(mesh, points):
     return float(signed) if signed.ndim == 0 else signed
 
 
+def distance_to_rolled_ref(mesh, points):
+    """BoundaryMesh.distance_to with each node paired to the next one by
+    np.roll, a rolled copy of the (points, n) side-of-line mask, instead of
+    by slices."""
+    flat = np.asarray(points, dtype=float).reshape(-1, 2)
+    d0 = mesh.points[:, 0] - flat[:, :1]
+    d1 = mesh.points[:, 1] - flat[:, 1:]
+    distance = np.sqrt(np.min(d0 * d0 + d1 * d1, axis=-1))
+    above = d1 > 0.0
+    row, j = np.nonzero(above != np.roll(above, -1, axis=-1))
+    k = (j + 1) % mesh.n
+    with np.errstate(invalid="ignore"):
+        right = (d0[row, j] * d1[row, k] - d1[row, j] * d0[row, k] > 0.0) == (
+            d1[row, k] > d1[row, j]
+        )
+    crossings = np.bincount(row[right], minlength=len(flat))
+    return np.where(crossings % 2 == 1, distance, -distance)
+
+
 def distance_to_winding_ref(mesh, points):
     """Signed node distance by the winding number of the node polygon: the
     minimum node distance, negated where the polygon does not wind once

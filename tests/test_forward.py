@@ -111,6 +111,26 @@ def test_double_layer_fills_the_given_block():
         assert np.all(bordered[2 * n :] == 7.0) and np.all(bordered[:, 2 * n :] == 7.0)
 
 
+@pytest.mark.parametrize("shape", SHAPES[:2], ids=["disk", "ellipse"])
+def test_column_major_factor_is_the_row_major_factor(shape):
+    # the solver's bordered matrix is column-major, and its factor and pivots
+    # are those of the row-major bordered matrix to the bit
+    mesh = build_mesh(shape, 64)
+    mat = MATERIALS[1]
+    solver = BoundarySolver(mesh, mat)
+    n2 = 2 * mesh.n
+    assert solver.operator.strides == (8, 8 * (n2 + 3))
+    bordered = np.zeros((n2 + 3, n2 + 3))
+    assemble_double_layer(mesh, mat, out=bordered[:n2, :n2])
+    bordered[np.diag_indices(n2)] -= 0.5
+    basis = rigid_motion_basis(mesh.points)
+    bordered[:n2, n2:] = basis.reshape(n2, 3)
+    bordered[n2:, :n2] = (mesh.weights[:, None, None] * basis).reshape(n2, 3).T
+    lu, piv = lu_factor(bordered)
+    assert lu.tobytes(order="F") == solver._neumann_lu[0].tobytes(order="F")
+    assert np.array_equal(piv, solver._neumann_lu[1])
+
+
 def _traced_peak(call) -> int:
     """Peak traced bytes allocated while `call()` runs, above its start."""
     tracemalloc.start()

@@ -253,6 +253,28 @@ def test_kernels_match_einsum_oracles(mat):
 
 
 @pytest.mark.parametrize("mat", MATERIALS)
+@pytest.mark.parametrize("x_shape, y_shape", [
+    ((2,), (2,)),  # one pair: 0-d component slots
+    ((4, 1, 2), (7, 2)),  # interior points against boundary nodes
+    ((3, 2), (3, 2)),  # paired points
+])
+def test_gradient_kernels_fill_every_pair_shape(mat, x_shape, y_shape):
+    # both gradient kernels write their components into the result in
+    # place, for every broadcast shape of the pairs
+    rng = np.random.default_rng(23)
+    x = rng.uniform(-1.0, 1.0, size=x_shape)
+    y = rng.uniform(-1.0, 1.0, size=y_shape) + 2.5
+    n_y = unit_vectors(rng, y_shape[:-1])
+    pairs = np.broadcast_shapes(x_shape[:-1], y_shape[:-1]) + (2, 2, 2)
+    for value, reference in (
+        (kelvin_gradient(x - y, mat), kelvin_gradient_ref(x - y, mat)),
+        (dlp_traction_gradient(x, y, n_y, mat), dlp_traction_gradient_ref(x, y, n_y, mat)),
+    ):
+        assert value.shape == pairs
+        assert_pairwise_close(value, reference, 3)
+
+
+@pytest.mark.parametrize("mat", MATERIALS)
 def test_double_conormal_matches_fd_conormal(mat):
     # general position: non-collinear points, non-parallel normals
     rng = np.random.default_rng(13)

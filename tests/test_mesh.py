@@ -20,7 +20,7 @@ from crackbem import (
     rigid_motion_basis,
 )
 from crackbem.errors import CrackTooCloseToBoundary, MeshError
-from oracles import distance_to_ref, distance_to_winding_ref
+from oracles import distance_to_ref, distance_to_rolled_ref, distance_to_winding_ref
 
 
 def test_disk_mesh_geometry():
@@ -156,6 +156,29 @@ def test_distance_to_matches_all_edges_crossing_test(shape):
             mesh.distance_to(points), distance_to_ref(mesh, points), equal_nan=True
         )
     assert np.count_nonzero(mesh.distance_to(scattered) < 0.0) > 500
+
+
+@pytest.mark.parametrize("shape", [
+    Disk(),
+    Ellipse(a=1.3, b=0.7),
+    FourierStar(r0=1.0, cos_coeffs=(0.0, 0.0, 0.0, 0.3)),  # non-convex
+])
+def test_distance_to_straddles_by_slices_as_by_roll(shape):
+    # pairing each node with the next by slices gives the signed distances
+    # of the rolled mask to the bit, also on the polygon's edges: at the
+    # nodes, at rounded edge midpoints and along rows through node heights
+    mesh = build_mesh(shape, 96)
+    low, high = mesh.points.min(axis=0), mesh.points.max(axis=0)
+    rng = np.random.default_rng(41)
+    midpoints = 0.5 * (mesh.points + np.roll(mesh.points, -1, axis=0))
+    xs = rng.uniform(1.2 * low[0], 1.2 * high[0], 30)
+    rows = np.stack(np.broadcast_arrays(xs, mesh.points[::7, 1:]), axis=-1).reshape(-1, 2)
+    points = np.concatenate([
+        rng.uniform(1.3 * low, 1.3 * high, (3000, 2)), mesh.points, midpoints, rows,
+    ])
+    signed = mesh.distance_to(points)
+    assert np.array_equal(signed, distance_to_rolled_ref(mesh, points))
+    assert np.count_nonzero(signed == 0.0) == mesh.n
 
 
 def test_distance_to_non_finite_point_is_quiet():
