@@ -34,7 +34,7 @@ import numpy as np
 
 from .cracks import CrackSegment, crack_traction_samples, solve_cracked
 from .forward import BackgroundField
-from .kernels import LameParams, rot90
+from .kernels import LameParams
 from .mesh import BoundaryField, BoundaryMesh
 
 __all__ = [
@@ -73,12 +73,23 @@ class StressIntensity:
 def stress_intensity_from_stress(stress: np.ndarray, direction) -> StressIntensity:
     """Intensity pair of stress tensors (..., 2, 2) for crack tangents
     `direction` (..., 2); the two broadcast, so k1 and k2 are floats for one
-    tensor and tangent and arrays of the broadcast shape otherwise."""
+    tensor and tangent and arrays of the broadcast shape otherwise.
+
+    With e the unit tangent and m = (-e1, e0) the crack normal, the traction
+    across the crack line is t_i = sigma_i0 m0 + sigma_i1 m1, and
+    K_I = t . m, K_II = t . e.  Raises ValueError for a zero or non-finite
+    direction."""
     e = np.asarray(direction, dtype=float)
-    e = e / np.hypot(e[..., 0], e[..., 1])[..., None]
-    e_perp = rot90(e)
-    t = (np.asarray(stress, dtype=float) @ e_perp[..., None])[..., 0]
-    return StressIntensity(k1=np.sum(t * e_perp, axis=-1), k2=np.sum(t * e, axis=-1))
+    if not np.all(np.isfinite(e)):
+        raise ValueError("crack direction must be finite")
+    norm = np.hypot(e[..., 0], e[..., 1])
+    if np.any(norm == 0.0):
+        raise ValueError("crack direction must be a nonzero vector")
+    e0, e1 = e[..., 0] / norm, e[..., 1] / norm
+    s = np.asarray(stress, dtype=float)
+    t0 = s[..., 0, 1] * e0 - s[..., 0, 0] * e1
+    t1 = s[..., 1, 1] * e0 - s[..., 1, 0] * e1
+    return StressIntensity(k1=t1 * e0 - t0 * e1, k2=t0 * e0 + t1 * e1)
 
 
 def _center_traction(background: BackgroundField, crack: CrackSegment) -> tuple:

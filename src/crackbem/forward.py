@@ -289,8 +289,11 @@ class BackgroundField:
 
     Holds the boundary trace (rigid-motion orthogonal) and evaluates the
     displacement and its derivatives at interior points through the
-    representation u(x) = D[u](x) - S[g](x).  Evaluation closer to the
-    boundary than about two node spacings is outside the accuracy contract.
+    representation u(x) = D[u](x) - S[g](x).  Accuracy falls near the
+    boundary: at two node spacings (BoundaryMesh.minimum_interior_distance)
+    the stress is off by 1.4e-3 to 6.3e-3 of max|sigma|, at four by at most
+    1.9e-8 (constant-stress load on the disk and a 1.3 x 0.7 ellipse,
+    N = 128 and 256).
     """
 
     def __init__(self, solver: "BoundarySolver", trace: BoundaryField, g: BoundaryField):

@@ -30,6 +30,36 @@ yields the hypersingular kernel; on a straight crack with coinciding unit
 normals it reduces to the canonical form -E/(4 pi (x1-y1)^2) I with the
 plane-stress Young modulus E = 4 mu (lam+mu)/(lam+2mu).
 
+The two gradient kernels are evaluated in the complex notation of Kolosov
+and Muskhelishvili.  Identify a vector v with v0 + i v1, so the offset is
+z = r0 + i r1 (rho^2 = |z|^2) and the normal at y is n = n0 + i n1, and use
+the Wirtinger derivatives d = (d_0 - i d_1)/2 and dbar = (d_0 + i d_1)/2,
+so that d_0 = d + dbar and d_1 = i (d - dbar).  The projector r r^T/rho^2
+is (I + R)/2, where R maps a vector phi to (z/zbar) conj(phi); with
+v = nbar/zbar, (n . r)/rho^2 = Re v, and the skew part of K is
+a Im(v) [[0, 1], [-1, 0]], which acts as multiplication by -i a Im v.  So
+the two kernels act on a density phi as
+
+    Phi(r) phi     = (lam' log rho - h) phi - h (z/zbar) conj(phi),  h = mu'/2,
+    K(x, y; n) phi = P phi + Q conj(phi),                            q = b/4,
+        P = q (n/z + nbar/zbar) + a n/z,   Q = q (n/zbar + nbar z/zbar^2).
+
+Differentiating these coefficient functions of z and zbar leaves, for the
+Kelvin matrix, the two harmonics
+
+    u = 1/zbar = z/rho^2,   w = z/zbar^2 = u^2 z,
+
+and for the double layer the three
+
+    B2 = n/zbar^2,   B3 = nbar/zbar^2,   B5 = nbar z/zbar^3 = B3 z^2/rho^2.
+
+Column j of a gradient is the derivative of the image of phi = 1 (j = 0)
+or phi = i (j = 1), and row k its real (k = 0) or imaginary (k = 1) part,
+so each of the eight components is a constant real combination of the
+real and imaginary parts of the harmonics: one small coefficient matrix
+applied to the harmonics writes all eight (the tables are in
+kelvin_gradient and dlp_traction_gradient).
+
 All kernels take raw points (arrays with trailing dimension 2, broadcastable)
 rather than mesh indices, so the same code serves boundary, crack, and
 interior evaluation.
@@ -132,19 +162,25 @@ def _rho2(r0, r1) -> np.ndarray:
     return rho2
 
 
-def _slots(shape: tuple) -> tuple[np.ndarray, list]:
-    """Empty component-major storage (2, 2, 2) + shape for a gradient
-    kernel, and its eight component slots in index order: views (0-d ones for
-    a single pair), so ufuncs write each component straight into place."""
-    out = np.empty((2, 2, 2) + shape)
-    return out, [out[index + (...,)] for index in np.ndindex(2, 2, 2)]
-
-
 def _components_last(out: np.ndarray, rank: int) -> np.ndarray:
     """The kernel result (..., 2, 2[, 2]) of component-major storage: a
     transposed view (a transpose, not np.moveaxis: this runs on every kernel
     call)."""
     return out.transpose(*range(rank, out.ndim), *range(rank))
+
+
+def _complex(v) -> np.ndarray:
+    """Points or vectors (..., 2) as complex numbers v0 + i v1, shape (...)."""
+    return np.ascontiguousarray(v, dtype=float).view(complex)[..., 0]
+
+
+def _harmonic_gradient(coef: np.ndarray, harmonics: np.ndarray, shape: tuple) -> np.ndarray:
+    """Gradient kernel (*shape, 2, 2, 2) from complex harmonics (..., h) and
+    the (8, 2h) table whose row [k, j, l] (in index order) weighs their real
+    and imaginary parts: one matmul writes every component into
+    component-major storage."""
+    flat = harmonics.reshape(-1, harmonics.shape[-1]).view(float)
+    return _components_last((coef @ flat.T).reshape((2, 2, 2) + shape), 3)
 
 
 def _tensor(components: dict) -> np.ndarray:
@@ -182,34 +218,42 @@ def kelvin_gradient(dx: np.ndarray, mat: LameParams) -> np.ndarray:
         lam' delta_ij dx_l / rho^2
         - mu' [(delta_li dx_j + delta_lj dx_i)/rho^2 - 2 dx_i dx_j dx_l/rho^4]
 
-    Each component is written straight into the result, whose storage is
-    component-major.
+    From Phi phi = (lam' log rho - h) phi - h (z/zbar) conj(phi) (module
+    docstring), with z = dx0 + i dx1, d log rho = 1/(2z),
+    dbar log rho = 1/(2 zbar), d (z/zbar) = u and dbar (z/zbar) = -w:
+
+        d_0 (Phi phi) = lam' Re(u) phi - h (u - w) conj(phi),
+        d_1 (Phi phi) = lam' Im(u) phi - i h (u + w) conj(phi).
+
+    The real (i = 0) and imaginary (i = 1) parts at phi = 1 (j = 0) and
+    phi = i (j = 1) are
+
+        [0,0,0] = (lam'-h) Re u + h Re w    [0,0,1] = (lam'+h) Im u + h Im w
+        [0,1,0] = [1,0,0] = -h Im u + h Im w
+        [0,1,1] = [1,0,1] = -h Re u - h Re w
+        [1,1,0] = (lam'+h) Re u - h Re w    [1,1,1] = (lam'-h) Im u - h Im w
+
+    with u = z/rho^2 and w = u^2 z.
     """
-    r0, r1, rho2 = _offset(dx)
-    u0, u1 = r0 / rho2, r1 / rho2
-    lam, mu = mat.lam_prime, mat.mu_prime
-    out, (g000, g001, g010, g011, _, _, g110, g111) = _slots(np.shape(rho2))
-    # p holds p_ij = 2 mu' dx_i dx_j / rho^4 in turn, t the linear terms
-    two_mu_u, p, t = (np.empty(np.shape(rho2)) for _ in range(3))
-    np.multiply(u0, 2.0 * mu, out=two_mu_u)
-    np.multiply(two_mu_u, u0, out=p)
-    np.multiply(p, r0, out=g000)
-    g000 += np.multiply(u0, lam - 2.0 * mu, out=t)
-    np.multiply(p, r1, out=g001)
-    g001 += np.multiply(u1, lam, out=t)
-    np.multiply(two_mu_u, u1, out=p)
-    np.multiply(p, r0, out=g010)
-    g010 -= np.multiply(u1, mu, out=t)
-    np.multiply(p, r1, out=g011)
-    g011 -= np.multiply(u0, mu, out=t)
-    out[1, 0] = out[0, 1]
-    np.multiply(u1, 2.0 * mu, out=two_mu_u)
-    np.multiply(two_mu_u, u1, out=p)
-    np.multiply(p, r0, out=g110)
-    g110 += np.multiply(u0, lam, out=t)
-    np.multiply(p, r1, out=g111)
-    g111 += np.multiply(u1, lam - 2.0 * mu, out=t)
-    return _components_last(out, 3)
+    z = np.atleast_1d(_complex(dx))
+    inv = 1.0 / _rho2(z.real, z.imag)
+    harmonics = np.empty(z.shape + (2,), dtype=complex)
+    u = np.multiply(z, inv, out=harmonics[..., 0])
+    w = np.multiply(u, u, out=harmonics[..., 1])
+    w *= z
+    lam, h = mat.lam_prime, 0.5 * mat.mu_prime
+    coef = np.array([
+        # Re u, Im u, Re w, Im w
+        [lam - h, 0.0, h, 0.0],
+        [0.0, lam + h, 0.0, h],
+        [0.0, -h, 0.0, h],
+        [-h, 0.0, -h, 0.0],
+        [0.0, -h, 0.0, h],
+        [-h, 0.0, -h, 0.0],
+        [lam + h, 0.0, -h, 0.0],
+        [0.0, lam - h, 0.0, -h],
+    ])
+    return _harmonic_gradient(coef, harmonics, np.shape(dx)[:-1])
 
 
 def dlp_traction_kernel(
@@ -244,72 +288,53 @@ def dlp_traction_gradient(
 ) -> np.ndarray:
     """Gradient in x of the double-layer traction kernel, shape (..., 2, 2, 2).
 
-    Entry [k, j, l] is d K_kj / d x_l.  With u = r/rho^2, n~ = n/rho^2,
-    s = (n.r)/rho^2 and skew_kj = (r_k n_j - n_k r_j)/rho^2, differentiating
-    K_kj = P_kj s - a skew_kj gives
+    Entry [k, j, l] is d K_kj / d x_l.  From K phi = P phi + Q conj(phi)
+    (module docstring), with z = (x0 - y0) + i (x1 - y1) and n the normal
+    at y as a complex number,
 
-        d_l K_kj = P_kj n~_l - 2 Q_kj u_l + delta_lk v_j + delta_lj w_k,
+        d P = -(a+q) n/z^2 = -(a+q) conj(B3),   dbar P = -q B3,
+        d Q = q B3,                             dbar Q = -q B2 - 2q B5,
 
-    P_kj = a delta_kj + b r_k r_j/rho^2,
-    Q_kj = a s delta_kj + 2 b s r_k r_j/rho^2 - a skew_kj,
-    v = b s u - a n~,  w = b s u + a n~.
+    so d_0 P = -q B3 - (a+q) conj(B3), d_1 P = i (q B3 - (a+q) conj(B3)),
+    d_0 Q = q (B3 - B2 - 2 B5), d_1 Q = i q (B3 + B2 + 2 B5), and
+    d_l (K phi) = d_l P phi + d_l Q conj(phi).  The real (k = 0) and
+    imaginary (k = 1) parts at phi = 1 (j = 0) and phi = i (j = 1) are
 
-    Each component is written straight into the result, whose storage is
-    component-major.
+        [0,0,0] = -q Re B2 - (a+q) Re B3 - 2q Re B5
+        [0,0,1] = -q Im B2 - (a+3q) Im B3 - 2q Im B5
+        [0,1,0] = -q Im B2 + (q-a) Im B3 - 2q Im B5
+        [0,1,1] =  q Re B2 + (a+q) Re B3 + 2q Re B5
+        [1,0,0] = -q Im B2 + (a+q) Im B3 - 2q Im B5
+        [1,0,1] =  q Re B2 + (q-a) Re B3 + 2q Re B5
+        [1,1,0] =  q Re B2 - (a+3q) Re B3 + 2q Re B5
+        [1,1,1] =  q Im B2 - (a+q) Im B3 + 2q Im B5
+
+    with c = (z/rho^2)^2 = 1/zbar^2, B2 = c n, B3 = c nbar and
+    B5 = B3 z^2/rho^2.
     """
-    r0, r1, rho2 = _offset(x, y)
-    n = np.asarray(normal_y, dtype=float)
-    n0, n1 = n[..., 0] / rho2, n[..., 1] / rho2  # n~
-    u0, u1 = r0 / rho2, r1 / rho2
-    a, b = mat.a, mat.b
-    s = n0 * r0 + n1 * r1
-    bs = b * s
-    two_a_s, four_bs = (2.0 * a) * s, 4.0 * bs
-    # skew = 2 a skew_01 = -2 a skew_10
-    skew = (2.0 * a) * (r0 * n1 - n0 * r1)
-    out, (g000, g001, g010, g011, g100, g101, g110, g111) = _slots(np.shape(s))
-    # p and q hold P_kj and q_kj = 2 Q_kj of one (k, j) in turn
-    p, q, t, b_r, four_bs_r = (np.empty(np.shape(s)) for _ in range(5))
-
-    def fill(g_0, g_1):
-        # d_l K_kj without its v and w terms: P_kj n~_l - q_kj u_l
-        for g, n_l, u_l in ((g_0, n0, u0), (g_1, n1, u1)):
-            np.multiply(p, n_l, out=g)
-            g -= np.multiply(q, u_l, out=t)
-
-    def diagonal(r_k, u_k):
-        # P_kk = a + b r_k u_k and q_kk = 2 a s + 4 b s r_k u_k
-        np.multiply(r_k, b, out=b_r)
-        np.add(np.multiply(b_r, u_k, out=p), a, out=p)
-        np.multiply(four_bs, r_k, out=four_bs_r)
-        np.add(np.multiply(four_bs_r, u_k, out=q), two_a_s, out=q)
-
-    diagonal(r0, u0)
-    fill(g000, g001)
-    # P_01 = P_10 = b r_0 u_1, q_01 = 4 b s r_0 u_1 - skew, q_10 = q_01 + 2 skew
-    np.multiply(b_r, u1, out=p)
-    np.subtract(np.multiply(four_bs_r, u1, out=q), skew, out=q)
-    fill(g010, g011)
-    q += np.multiply(skew, 2.0, out=t)
-    fill(g100, g101)
-    diagonal(r1, u1)
-    fill(g110, g111)
-
-    # the delta terms: v_j where l = k and w_k where l = j, v before w
-    v, w, bs_u, a_n = p, q, b_r, four_bs_r
-    for n_c, u_c, with_v, with_w in (
-        (n0, u0, (g000, g101), (g000, g011)),
-        (n1, u1, (g010, g111), (g111, g100)),
-    ):
-        np.multiply(bs, u_c, out=bs_u)
-        np.multiply(n_c, a, out=a_n)
-        np.subtract(bs_u, a_n, out=v)
-        np.add(bs_u, a_n, out=w)
-        for g in with_v:
-            g += v
-        for g in with_w:
-            g += w
-    return _components_last(out, 3)
+    z = np.atleast_1d(_complex(x) - _complex(y))
+    n = _complex(normal_y)
+    inv = 1.0 / _rho2(z.real, z.imag)
+    harmonics = np.empty(np.broadcast_shapes(z.shape, n.shape) + (3,), dtype=complex)
+    u = z * inv
+    c = u * u
+    np.multiply(c, n, out=harmonics[..., 0])
+    b3 = np.multiply(c, n.conj(), out=harmonics[..., 1])
+    np.multiply(b3, np.multiply(u, z, out=u), out=harmonics[..., 2])
+    a, q = mat.a, 0.25 * mat.b
+    coef = np.array([
+        # Re B2, Im B2, Re B3, Im B3, Re B5, Im B5
+        [-q, 0.0, -(a + q), 0.0, -2.0 * q, 0.0],
+        [0.0, -q, 0.0, -(a + 3.0 * q), 0.0, -2.0 * q],
+        [0.0, -q, 0.0, q - a, 0.0, -2.0 * q],
+        [q, 0.0, a + q, 0.0, 2.0 * q, 0.0],
+        [0.0, -q, 0.0, a + q, 0.0, -2.0 * q],
+        [q, 0.0, q - a, 0.0, 2.0 * q, 0.0],
+        [q, 0.0, -(a + 3.0 * q), 0.0, 2.0 * q, 0.0],
+        [0.0, q, 0.0, -(a + q), 0.0, 2.0 * q],
+    ])
+    pairs = np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1], np.shape(normal_y)[:-1])
+    return _harmonic_gradient(coef, harmonics, pairs)
 
 
 def double_conormal_kernel(

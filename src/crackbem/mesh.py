@@ -223,7 +223,11 @@ class BoundaryMesh:
 
     @property
     def minimum_interior_distance(self) -> float:
-        """Two node spacings: the evaluator accuracy contract near the wall."""
+        """Two node spacings: the least wall distance of a crack and of a
+        td-map point, not an accuracy bound.  The interior stress evaluated
+        there is off by 1.4e-3 to 6.3e-3 of max|sigma|, and by at most 1.9e-8
+        at four spacings (constant-stress load on the disk and a 1.3 x 0.7
+        ellipse, N = 128 and 256)."""
         return 2.0 * self.h * float(np.max(self.speed))
 
     def require_clearance(self, points, length: float = 0.0) -> None:

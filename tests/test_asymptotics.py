@@ -64,6 +64,15 @@ def test_intensity_normalizes_direction():
     b = stress_intensity_from_stress(np.diag([2.0, -1.0]), np.array([0.6, 0.8]))
     assert a.k1 == pytest.approx(b.k1, abs=1e-14)
     assert a.k2 == pytest.approx(b.k2, abs=1e-14)
+    # a direction that cannot be normalized is refused, also inside a batch
+    for direction, message in (
+        ((0.0, 0.0), "nonzero vector"),
+        ([[1.0, 0.0], [0.0, 0.0]], "nonzero vector"),
+        ((np.nan, 1.0), "must be finite"),
+        ([[1.0, 0.0], [np.inf, 0.0]], "must be finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            stress_intensity_from_stress(np.eye(2), direction)
 
 
 def test_intensity_broadcasts_over_stresses_and_directions():

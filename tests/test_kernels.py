@@ -37,6 +37,9 @@ from oracles import (
 )
 
 MATERIALS = [LameParams(1.0, 1.0), LameParams(2.5, 0.7), LameParams(-0.3, 1.2)]
+# lam >> mu last: double_conormal_kernel loses accuracy in proportion to
+# lam/mu to cancellation there, while the crack-frame pass holds only E
+CRACK_FRAME_MATERIALS = MATERIALS + [LameParams(-0.5, 1.2), LameParams(20.0, 1.0)]
 
 
 def test_material_constants():
@@ -226,52 +229,59 @@ def assert_pairwise_close(value, reference, rank, rtol=1e-13):
     assert np.all(np.max(np.abs(value - reference), axis=axes) <= rtol * scale)
 
 
-@pytest.mark.parametrize("mat", MATERIALS)
+@pytest.mark.parametrize("mat", CRACK_FRAME_MATERIALS)
 def test_kernels_match_einsum_oracles(mat):
-    # (p, 1, 2) targets against (1, n, 2) sources, random unit normals
     rng = np.random.default_rng(5)
+    # (p, 1, 2) targets against (1, n, 2) sources, random unit normals
     x = rng.uniform(-1.5, 1.5, size=(6, 1, 2))
     y = rng.uniform(-1.5, 1.5, size=(1, 9, 2))
-    n_y = unit_vectors(rng, (1, 9))
-    n_x = unit_vectors(rng, (6, 9))  # one normal per pair of points
-    for kernel, oracle, rank in (
-        (kelvin_matrix, kelvin_matrix_ref, 2),
-        (kelvin_gradient, kelvin_gradient_ref, 3),
-    ):
-        assert_pairwise_close(kernel(x - y, mat), oracle(x - y, mat), rank)
-    for kernel, oracle, rank in (
-        (dlp_traction_kernel, dlp_traction_kernel_ref, 2),
-        (dlp_traction_gradient, dlp_traction_gradient_ref, 3),
-    ):
-        assert_pairwise_close(kernel(x, y, n_y, mat), oracle(x, y, n_y, mat), rank)
-    for m in (n_x, n_x[0, 0]):
-        assert_pairwise_close(
-            double_conormal_kernel(x, y, m, n_y, mat),
-            double_conormal_kernel_ref(x, y, m, n_y, mat),
-            2,
-        )
+    grid = (x, y, unit_vectors(rng, (1, 9)), unit_vectors(rng, (6, 9)))
+    # paired points at separations about 1e-4 (near) and 1e3 (far)
+    x = rng.uniform(-1.5, 1.5, size=(8, 2))
+    rho = np.repeat([1e-4, 1e3], 4) * rng.uniform(0.5, 2.0, size=8)
+    y = x + rho[:, None] * unit_vectors(rng, (8,))
+    paired = (x, y, unit_vectors(rng, (8,)), unit_vectors(rng, (8,)))
+    for x, y, n_y, n_x in (grid, paired):  # n_x: one normal per pair of points
+        for kernel, oracle, rank in (
+            (kelvin_matrix, kelvin_matrix_ref, 2),
+            (kelvin_gradient, kelvin_gradient_ref, 3),
+        ):
+            assert_pairwise_close(kernel(x - y, mat), oracle(x - y, mat), rank)
+        for kernel, oracle, rank in (
+            (dlp_traction_kernel, dlp_traction_kernel_ref, 2),
+            (dlp_traction_gradient, dlp_traction_gradient_ref, 3),
+        ):
+            assert_pairwise_close(kernel(x, y, n_y, mat), oracle(x, y, n_y, mat), rank)
+        for m in (n_x, n_x.reshape(-1, 2)[0]):  # and one normal for all
+            assert_pairwise_close(
+                double_conormal_kernel(x, y, m, n_y, mat),
+                double_conormal_kernel_ref(x, y, m, n_y, mat),
+                2,
+            )
 
 
-@pytest.mark.parametrize("mat", MATERIALS)
+@pytest.mark.parametrize("mat", CRACK_FRAME_MATERIALS)
 @pytest.mark.parametrize("x_shape, y_shape", [
-    ((2,), (2,)),  # one pair: 0-d component slots
+    ((2,), (2,)),  # one pair
     ((4, 1, 2), (7, 2)),  # interior points against boundary nodes
     ((3, 2), (3, 2)),  # paired points
 ])
 def test_gradient_kernels_fill_every_pair_shape(mat, x_shape, y_shape):
-    # both gradient kernels write their components into the result in
-    # place, for every broadcast shape of the pairs
+    # both gradient kernels return every broadcast shape of the pairs, also
+    # with the points scaled to separations about 1e-4 (near) and 1e3 (far)
     rng = np.random.default_rng(23)
     x = rng.uniform(-1.0, 1.0, size=x_shape)
     y = rng.uniform(-1.0, 1.0, size=y_shape) + 2.5
     n_y = unit_vectors(rng, y_shape[:-1])
     pairs = np.broadcast_shapes(x_shape[:-1], y_shape[:-1]) + (2, 2, 2)
-    for value, reference in (
-        (kelvin_gradient(x - y, mat), kelvin_gradient_ref(x - y, mat)),
-        (dlp_traction_gradient(x, y, n_y, mat), dlp_traction_gradient_ref(x, y, n_y, mat)),
-    ):
-        assert value.shape == pairs
-        assert_pairwise_close(value, reference, 3)
+    for scale in (1.0, 1e-4, 1e3):
+        xs, ys = scale * x, scale * y
+        for value, reference in (
+            (kelvin_gradient(xs - ys, mat), kelvin_gradient_ref(xs - ys, mat)),
+            (dlp_traction_gradient(xs, ys, n_y, mat), dlp_traction_gradient_ref(xs, ys, n_y, mat)),
+        ):
+            assert value.shape == pairs
+            assert_pairwise_close(value, reference, 3)
 
 
 @pytest.mark.parametrize("mat", MATERIALS)
@@ -294,10 +304,6 @@ def test_canonical_kernel_value():
     w = hypersingular_kernel_canonical(1.0, 0.0, LameParams(1.0, 1.0))
     assert np.allclose(w, np.diag([-2.0 / (3 * np.pi)] * 2), atol=1e-16)
 
-
-# lam >> mu last: double_conormal_kernel loses accuracy in proportion to
-# lam/mu to cancellation there, while the crack-frame pass holds only E
-CRACK_FRAME_MATERIALS = MATERIALS + [LameParams(-0.5, 1.2), LameParams(20.0, 1.0)]
 CRACK_FRAME_SHAPES = [
     Disk(),
     Ellipse(a=1.2, b=0.8),
