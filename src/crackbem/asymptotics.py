@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cracks import CrackSegment, crack_traction_samples, solve_cracked
+from .cracks import CrackSegment, _admit, crack_traction_samples, solve_cracked
 from .forward import BackgroundField
 from .kernels import LameParams
 from .mesh import BoundaryField, BoundaryMesh
@@ -94,9 +94,18 @@ def stress_intensity_from_stress(stress: np.ndarray, direction) -> StressIntensi
 
 def _center_traction(background: BackgroundField, crack: CrackSegment) -> tuple:
     """(t0, sif): the background traction t0 across the crack line at its
-    center, from one crack-frame pass at eta = 0 (crack_traction_samples),
-    and its intensity pair K_I = t0 . m, K_II = t0 . t."""
-    t0 = crack_traction_samples(background, crack, 0.0)[0]
+    center and its intensity pair K_I = t0 . m, K_II = t0 . t.
+
+    The crack is admitted through the background's record (cracks._admit),
+    and t0 comes from one crack-frame pass at eta = 0
+    (crack_traction_samples) only when the record holds none yet; it is
+    then kept there, read-only, for the next crack op on the same crack."""
+    record = _admit(background, crack)
+    if record.t0 is None:
+        t0 = crack_traction_samples(background, crack, 0.0)[0]
+        t0.flags.writeable = False
+        record.t0 = t0
+    t0 = record.t0
     return t0, StressIntensity(k1=t0 @ crack.normal, k2=t0 @ crack.tangent)
 
 
@@ -104,7 +113,8 @@ def stress_intensity(background: BackgroundField, crack: CrackSegment) -> Stress
     """Intensity pair of the background traction across the crack line at
     its center; the traction comes from the crack-frame pass, not from a
     stress tensor, and agrees with stress_intensity_from_stress of the
-    background stress there to rounding."""
+    background stress there to rounding.  It refuses the cracks that
+    solve_cracked refuses, with the same messages."""
     return _center_traction(background, crack)[1]
 
 
@@ -127,7 +137,8 @@ def neumann_perturbation(background: BackgroundField, crack: CrackSegment) -> np
     """Leading boundary-trace perturbation of the traction problem, (n, 2).
 
     Evaluates (pi eps^2 / 2E) dN/dnu_y(x_i, z) t0 at every boundary node;
-    the full solve differs from this by O(eps^4), rigid motions aside.
+    the full solve differs from this by O(eps^4), rigid motions aside.  It
+    refuses the cracks that solve_cracked refuses, with the same messages.
     """
     t0 = _center_traction(background, crack)[0]
     return _leading_factor(crack, background.mat) * _conormal_profile(background, crack, t0)

@@ -36,18 +36,23 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=8)
 def gauss_chebyshev_u(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss quadrature for the weight sqrt(1-x^2) on (-1, 1).
 
     Returns nodes x_k = cos(k pi/(n+1)), k = n..1 (ascending in x), and
     weights w_k = pi/(n+1) sin^2(k pi/(n+1)); exact for polynomial
-    integrands of degree <= 2n - 1 against the weight.
+    integrands of degree <= 2n - 1 against the weight.  Built once per n,
+    so both arrays are read-only.
     """
     if n < 1:
         raise ValueError("need at least one quadrature node")
     k = np.arange(n, 0, -1)
     theta = k * np.pi / (n + 1)
-    return np.cos(theta), np.pi / (n + 1) * np.sin(theta) ** 2
+    nodes, weights = np.cos(theta), np.pi / (n + 1) * np.sin(theta) ** 2
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def chebyshev_u_values(x: np.ndarray, n_modes: int) -> np.ndarray:
@@ -121,7 +126,6 @@ def _sine_transform(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     theta = np.arccos(nodes)
     n1 = np.arange(1, n_modes + 1)
     dst = 2.0 / (n_modes + 1) * np.sin(np.outer(n1, theta)) * np.sin(theta)
-    nodes.flags.writeable = False
     dst.flags.writeable = False
     return nodes, dst
 

@@ -76,7 +76,7 @@ from .chebyshev import (
 )
 from .errors import SolveFailed
 from .forward import BackgroundField
-from .kernels import _crack_frame_kernels, rot90
+from .kernels import _crack_frame_kernels
 from .mesh import BoundaryField
 
 __all__ = [
@@ -121,11 +121,12 @@ class CrackSegment:
 
     @property
     def tangent(self) -> np.ndarray:
-        return np.asarray(self.direction)
+        return np.array(self.direction)
 
     @property
     def normal(self) -> np.ndarray:
-        return rot90(np.asarray(self.direction))
+        e0, e1 = self.direction
+        return np.array((-e1, e0))
 
     @property
     def half_length(self) -> float:
@@ -142,6 +143,33 @@ class CrackSegment:
         return np.asarray(self.center) + self.half_length * np.multiply.outer(
             eta, self.tangent
         )
+
+
+@dataclass(eq=False)
+class _Admission:
+    """A background's record of the last crack it admitted, and the
+    background traction t0 at that crack's center once it has been
+    computed (asymptotics._center_traction)."""
+
+    crack: CrackSegment
+    t0: np.ndarray | None = None
+
+
+def _admit(background: BackgroundField, crack: CrackSegment) -> _Admission:
+    """Admit a crack for the crack ops on `background`: return its record.
+
+    The background holds one record.  For an equal crack (same center,
+    direction and length) it is returned as it is; otherwise
+    BoundaryMesh.require_clearance tests the crack's center and tips with
+    its length, and only a crack that passes replaces the record.  The
+    clearance depends on nothing else, since the mesh is immutable, and the
+    record dies with the background.
+    """
+    record = background._admitted
+    if record is None or record.crack != crack:
+        background.mesh.require_clearance(crack.clearance_points, crack.length)
+        record = background._admitted = _Admission(crack)
+    return record
 
 
 def _weighted_in_frame(frame: np.ndarray, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -162,7 +190,8 @@ def _background_traction(background: BackgroundField, crack: CrackSegment, s):
     feedback, traction = _crack_frame_kernels(
         s, crack.center, crack.tangent, mesh.points, mesh.normals, background.mat
     )
-    frame = np.stack([crack.tangent, crack.normal], axis=1)
+    e0, e1 = crack.direction
+    frame = np.array(((e0, -e1), (e1, e0)))  # Q = [t m]
     # the double layer of u0's representation gives F (W u0), and the
     # traction of the single layer S[g] is G (W g)
     weighted_g = _weighted_in_frame(frame, mesh.weights, background.g.values)
@@ -179,8 +208,10 @@ def crack_traction_samples(
 
     It is f0 = F (W u0) - G (W g) of one crack-frame pass over the
     (len(eta), n) pairs, the same traction solve_cracked iterates on; no
-    stress tensor is formed.
+    stress tensor is formed.  The crack is admitted as solve_cracked admits
+    it, so it refuses the same cracks with the same messages.
     """
+    _admit(background, crack)
     s = crack.half_length * np.atleast_1d(np.asarray(eta, dtype=float))
     _, _, frame, f0 = _background_traction(background, crack, s)
     return f0.reshape(2, -1).T @ frame.T
@@ -226,10 +257,11 @@ def solve_cracked(
 ) -> CrackedSolution:
     """Solve the coupled crack/boundary system by Picard iteration on w.
 
-    Raises ValueError unless max_iterations >= 1 and tol > 0, lets
-    BoundaryMesh.require_clearance refuse the crack's center and tips with
-    its length, and raises SolveFailed if the trace update has not dropped
-    below tol in sup norm within max_iterations sweeps.
+    Raises ValueError unless max_iterations >= 1 and tol > 0, admits the
+    crack through the background's record (BoundaryMesh.require_clearance
+    refuses its center and tips with its length, unless the record already
+    holds that crack), and raises SolveFailed if the trace update has not
+    dropped below tol in sup norm within max_iterations sweeps.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
@@ -238,7 +270,7 @@ def solve_cracked(
     solver = background.solver
     mesh = solver.mesh
     mat = solver.mat
-    mesh.require_clearance(crack.clearance_points, crack.length)
+    _admit(background, crack)
 
     eta, gc_weights = gauss_chebyshev_u(n_modes)
     # one pass over the (node, boundary point) pairs in the crack frame: the

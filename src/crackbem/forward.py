@@ -294,6 +294,10 @@ class BackgroundField:
     the stress is off by 1.4e-3 to 6.3e-3 of max|sigma|, at four by at most
     1.9e-8 (constant-stress load on the disk and a 1.3 x 0.7 ellipse,
     N = 128 and 256).
+
+    It also holds the crack ops' one-entry admission record: the last crack
+    that passed the clearance rule on it and, once computed, the traction
+    across that crack at its center (cracks._admit).
     """
 
     def __init__(self, solver: "BoundarySolver", trace: BoundaryField, g: BoundaryField):
@@ -302,6 +306,7 @@ class BackgroundField:
         self.mat = solver.mat
         self.trace = trace
         self.g = g
+        self._admitted = None
 
     def displacement(self, points) -> np.ndarray:
         x = np.atleast_2d(np.asarray(points, dtype=float))[:, None, :]

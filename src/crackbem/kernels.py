@@ -407,7 +407,7 @@ def _crack_frame_kernels(
         K_kl = -a u_m delta_kl - b r_m u_k u_l + a (u_k m_l - m_k u_l).
     """
     t = np.asarray(tangent, dtype=float)
-    m = rot90(t)
+    m = np.array((-t[1], t[0]))
     d = np.asarray(center, dtype=float) - points
     r_m = d @ m
     r_t = np.add.outer(s, d @ t)

@@ -31,7 +31,7 @@ from crackbem import (
     topological_derivative,
 )
 from crackbem.errors import CrackTooCloseToBoundary
-from crackbem.mesh import BoundaryField
+from crackbem.mesh import BoundaryField, BoundaryMesh
 from conftest import constant_stress_background, fourier_load_background
 
 
@@ -176,8 +176,8 @@ def test_length_sweep_records_match_direct_calls(solver_128):
 
 def test_length_sweep_evaluates_the_crack_line_traction_once(solver_128, monkeypatch):
     # K1, K2 and the leading term's traction t0 all come from one crack-line
-    # traction at the center (eta = 0), whatever the number of lengths
-    background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
+    # traction at the center (eta = 0), whatever the number of lengths; each
+    # case has its own background, whose record holds no t0 yet
     calls = []
     samples = crackbem.asymptotics.crack_traction_samples
 
@@ -187,6 +187,7 @@ def test_length_sweep_evaluates_the_crack_line_traction_once(solver_128, monkeyp
 
     monkeypatch.setattr(crackbem.asymptotics, "crack_traction_samples", counting)
     for lengths in ((0.15,), (0.15, 0.08, 0.04)):
+        background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
         calls.clear()
         length_sweep(background, (0.2, -0.1), (0.6, 0.8), lengths, n_modes=24)
         assert calls == [0.0]
@@ -206,6 +207,124 @@ def test_crack_ops_never_form_the_background_stress(solver_128, monkeypatch):
     neumann_perturbation(background, crack)
     stress_intensity(background, crack)
     length_sweep(background, crack.center, crack.direction, (0.1, 0.05), n_modes=24)
+
+
+@pytest.fixture(scope="module")
+def solver_64():
+    return BoundarySolver(build_mesh(Disk(radius=1.0), 64), LameParams(1.0, 1.0))
+
+
+CRACK_OPS = {
+    "solve_cracked": solve_cracked,
+    "neumann_perturbation": neumann_perturbation,
+    "stress_intensity": stress_intensity,
+    "crack_traction_samples": lambda background, crack: crack_traction_samples(
+        background, crack, 0.0
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "center, length",
+    [((5.0, 5.0), 0.05), ((0.99, 0.0), 0.05), ((0.7, 0.0), 0.8), ((0.45, 0.0), 0.5)],
+    ids=["outside-the-body", "inside-the-floor", "tips-cross-the-wall", "tip-within-length"],
+)
+def test_crack_ops_refuse_what_the_solve_refuses(solver_64, center, length):
+    # uniaxial tension on a 64-node disk (floor 0.196): an unchecked center
+    # pass gives K_I = -81.2 at (0.99, 0), where the exact value is 0, and
+    # K_I = 0 at (5, 5), outside the body; the last two clear the floor at
+    # their centers, but (0.7, 0), the center of one and a tip of the other,
+    # lies closer to the wall than the crack's length
+    background = constant_stress_background(solver_64, np.diag([1.0, 0.0]))
+    crack = CrackSegment(center, (1.0, 0.0), length)
+    messages = {}
+    for name, op in CRACK_OPS.items():
+        with pytest.raises(CrackTooCloseToBoundary) as refused:
+            op(background, crack)
+        messages[name] = str(refused.value)
+    assert len(set(messages.values())) == 1, messages
+    assert background._admitted is None
+
+
+def counted_crack_work(monkeypatch):
+    """Record the points of every clearance test and the node count of
+    every crack-frame pass."""
+    tests, passes = [], []
+    require = BoundaryMesh.require_clearance
+    frame_kernels = crackbem.cracks._crack_frame_kernels
+
+    def counting_require(mesh, points, length=0.0):
+        tests.append(np.atleast_2d(np.asarray(points, dtype=float)).copy())
+        return require(mesh, points, length)
+
+    def counting_pass(s, *args):
+        passes.append(len(s))
+        return frame_kernels(s, *args)
+
+    monkeypatch.setattr(BoundaryMesh, "require_clearance", counting_require)
+    monkeypatch.setattr(crackbem.cracks, "_crack_frame_kernels", counting_pass)
+    return tests, passes
+
+
+def test_one_clearance_test_and_one_center_pass_per_crack(solver_128, monkeypatch):
+    # solve -> leading term -> intensities on one crack: the record admits
+    # the crack once and keeps t0 from the one center pass; the Neumann row
+    # keeps its own test of the center
+    sigma = np.diag([1.0, 0.3])
+    background = constant_stress_background(solver_128, sigma)
+    crack = CrackSegment(center=(0.2, -0.1), direction=(0.6, 0.8), length=0.1)
+    tests, passes = counted_crack_work(monkeypatch)
+    solution = solve_cracked(background, crack, n_modes=24)
+    leading = neumann_perturbation(background, crack)
+    sif = stress_intensity(background, crack)
+    assert [len(points) for points in tests] == [3, 1]
+    assert np.array_equal(tests[0], crack.clearance_points)
+    assert np.array_equal(tests[1], [crack.center])
+    assert passes == [24, 1]
+
+    # bitwise the values of fresh backgrounds, whose records are empty
+    def fresh():
+        return constant_stress_background(solver_128, sigma)
+
+    assert np.array_equal(solution.w.values, solve_cracked(fresh(), crack, n_modes=24).w.values)
+    assert np.array_equal(leading, neumann_perturbation(fresh(), crack))
+    fresh_sif = stress_intensity(fresh(), crack)
+    assert (sif.k1, sif.k2) == (fresh_sif.k1, fresh_sif.k2)
+
+
+@pytest.mark.parametrize(
+    "center, direction, length",
+    [((0.21, -0.1), (0.6, 0.8), 0.1), ((0.2, -0.1), (0.8, 0.6), 0.1), ((0.2, -0.1), (0.6, 0.8), 0.05)],
+    ids=["center", "direction", "length"],
+)
+def test_a_different_crack_misses_the_record(solver_128, monkeypatch, center, direction, length):
+    background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
+    crack = CrackSegment(center=(0.2, -0.1), direction=(0.6, 0.8), length=0.1)
+    stress_intensity(background, crack)
+    tests, passes = counted_crack_work(monkeypatch)
+    # an equal crack, built anew and with an unnormalized direction, hits
+    stress_intensity(background, CrackSegment((0.2, -0.1), (1.2, 1.6), 0.1))
+    assert (tests, passes) == ([], [])
+    other = CrackSegment(center, direction, length)
+    stress_intensity(background, other)
+    assert [len(points) for points in tests] == [3] and passes == [1]
+    assert background._admitted.crack == other
+
+
+def test_a_refused_crack_is_never_recorded(solver_128, monkeypatch):
+    background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
+    crack = CrackSegment(center=(0.2, -0.1), direction=(0.6, 0.8), length=0.1)
+    sif = stress_intensity(background, crack)
+    record = background._admitted
+    tests, passes = counted_crack_work(monkeypatch)
+    refused = CrackSegment(center=(0.97, 0.0), direction=(0.6, 0.8), length=0.1)
+    for _ in range(2):  # tested again: the refusal left no record
+        with pytest.raises(CrackTooCloseToBoundary):
+            stress_intensity(background, refused)
+    assert len(tests) == 2 and passes == []
+    assert background._admitted is record
+    assert stress_intensity(background, crack) == sif
+    assert len(tests) == 2 and passes == []
 
 
 @pytest.mark.parametrize(

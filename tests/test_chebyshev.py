@@ -37,6 +37,15 @@ def test_quadrature_rejects_empty():
         gauss_chebyshev_u(0)
 
 
+def test_quadrature_is_built_once_and_read_only():
+    nodes, weights = gauss_chebyshev_u(7)
+    again = gauss_chebyshev_u(7)
+    assert again[0] is nodes and again[1] is weights
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+
+
 def test_u_values_match_sine_formula():
     theta = np.array([0.4, 1.1, 2.6])
     vals = chebyshev_u_values(np.cos(theta), 6)
