@@ -205,15 +205,19 @@ def length_sweep(
     the stress intensity and the leading term depend only on the center and
     direction, so the crack-line traction t0 at the center (one crack-frame
     pass at eta = 0, giving K1, K2 and the leading term) and the Neumann row
-    are each evaluated once.  Raises ValueError for an empty list of
-    lengths.
+    are each evaluated once, and each crack's clearance is tested once, by
+    sweep_cracks.  Raises ValueError for an empty list of lengths.
     """
     cracks = sweep_cracks(background.mesh, center, direction, lengths)
     mat = background.mat
+    # sweep_cracks has tested every crack on this mesh: each is admitted
+    # as tested, so the crack ops below test none of them again
+    _admit(background, cracks[0], tested=True)
     t0, sif = _center_traction(background, cracks[0])
     profile = _conormal_profile(background, cracks[0], t0)
     records = []
     for crack in cracks:
+        _admit(background, crack, tested=True)
         solution = solve_cracked(background, crack, **solve_kwargs)
         leading = _leading_factor(crack, mat) * profile
         diff = potential_energy_difference(

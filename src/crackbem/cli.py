@@ -380,12 +380,15 @@ def cmd_td_map(background, config: dict, grid: list, warnings: list) -> dict:
     # repeat over a point's angles, or over the points, are formatted once
     g = f"%.{config['output']['precision']}g"
     angle_fields = [g % a + f",{g},{g},{g}," for a in angles.tolist()]
+    # one scan over the kept grid; the text is built row by row from slices,
+    # so the Python float lists stay row-sized
+    sif, td, best = orientation_scan(background, np.concatenate(grid), np.deg2rad(angles))
+    values = np.stack([sif.k1, sif.k2, td], axis=-1)  # (p, n_angles, 3)
+    values = values.reshape(len(td), 3 * len(angles))
+    bounds = np.cumsum([len(points) for points in grid])[:-1]
     blocks = []
-    for points in grid:
-        sif, td, best = orientation_scan(background, points, np.deg2rad(angles))
-        values = np.stack([sif.k1, sif.k2, td], axis=-1)  # (k, n_angles, 3)
-        values = values.reshape(len(points), 3 * len(angles)).tolist()
-        for (px, py), b, v in zip(points.tolist(), angles[best].tolist(), values):
+    for points, b_row, v_row in zip(grid, np.split(angles[best], bounds), np.split(values, bounds)):
+        for (px, py), b, v in zip(points.tolist(), b_row.tolist(), v_row.tolist()):
             prefix, suffix = g % px + "," + g % py + ",", g % b + "\n"
             blocks.append(prefix + (suffix + prefix).join(angle_fields) % tuple(v) + suffix)
     return {"td_map.csv": "x,y,angle_deg,K1,K2,td,min_angle_deg\n" + "".join(blocks)}

@@ -155,7 +155,7 @@ class _Admission:
     t0: np.ndarray | None = None
 
 
-def _admit(background: BackgroundField, crack: CrackSegment) -> _Admission:
+def _admit(background: BackgroundField, crack: CrackSegment, tested: bool = False) -> _Admission:
     """Admit a crack for the crack ops on `background`: return its record.
 
     The background holds one record.  For an equal crack (same center,
@@ -163,11 +163,14 @@ def _admit(background: BackgroundField, crack: CrackSegment) -> _Admission:
     BoundaryMesh.require_clearance tests the crack's center and tips with
     its length, and only a crack that passes replaces the record.  The
     clearance depends on nothing else, since the mesh is immutable, and the
-    record dies with the background.
+    record dies with the background.  tested=True skips the test for a
+    crack the caller has just tested on the background's mesh itself
+    (asymptotics.sweep_cracks).
     """
     record = background._admitted
     if record is None or record.crack != crack:
-        background.mesh.require_clearance(crack.clearance_points, crack.length)
+        if not tested:
+            background.mesh.require_clearance(crack.clearance_points, crack.length)
         record = background._admitted = _Admission(crack)
     return record
 

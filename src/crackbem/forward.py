@@ -78,6 +78,7 @@ from scipy.linalg.lapack import dgetrs
 from .errors import EquilibriumViolated, SolveFailed
 from .kernels import (
     LameParams,
+    _complex,
     dlp_traction_gradient,
     dlp_traction_kernel,
     kelvin_gradient,
@@ -276,6 +277,34 @@ def _layer_sum(mesh: BoundaryMesh, kernel: np.ndarray, density: np.ndarray) -> n
     return np.moveaxis(out, kernel.ndim - 3, 0)
 
 
+def _points_per_panel(n: int) -> int:
+    """Interior points per panel of the layer sums over n nodes: a quarter of
+    _PANEL_ENTRIES point-node pairs, so a panel's kernel values (8 float64
+    components per pair) and their complex harmonics stay in L2 cache."""
+    return max(1, _PANEL_ENTRIES // (4 * n))
+
+
+def _interior_points(points) -> np.ndarray:
+    """Interior points as a float (p, 2) array: one point (2,) or a stack
+    (p, 2), all finite; anything else raises ValueError."""
+    x = np.asarray(points, dtype=float)
+    if x.shape == (2,):
+        x = x[None]
+    if x.ndim != 2 or x.shape[1] != 2:
+        raise ValueError(f"interior points must have shape (p, 2) or (2,), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("interior points must be finite")
+    return x
+
+
+def _offsets(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Offsets x_p - y_j of points (p, 2) and nodes (n, 2), shape (p, n, 2):
+    one complex subtraction, bitwise equal to points[:, None] - nodes, with
+    no ufunc loop over the length-2 component axis."""
+    z = _complex(points)[:, None] - _complex(nodes)
+    return z.view(float).reshape(z.shape + (2,))
+
+
 def _hooke(mat: LameParams, grad: np.ndarray) -> np.ndarray:
     """Stress lam tr(grad) I + mu (grad + grad^T) of displacement Jacobians
     (..., 2, 2)."""
@@ -293,7 +322,9 @@ class BackgroundField:
     boundary: at two node spacings (BoundaryMesh.minimum_interior_distance)
     the stress is off by 1.4e-3 to 6.3e-3 of max|sigma|, at four by at most
     1.9e-8 (constant-stress load on the disk and a 1.3 x 0.7 ellipse,
-    N = 128 and 256).
+    N = 128 and 256).  Points are evaluated in panels of _points_per_panel,
+    so the kernel values of one panel stay in cache and none spans all the
+    points at once.
 
     It also holds the crack ops' one-entry admission record: the last crack
     that passed the clearance rule on it and, once computed, the traction
@@ -309,22 +340,32 @@ class BackgroundField:
         self._admitted = None
 
     def displacement(self, points) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(points, dtype=float))[:, None, :]
-        m = self.mesh
-        double = dlp_traction_kernel(x, m.points, m.normals, self.mat)
-        single = kelvin_matrix(x - m.points, self.mat)
-        return _layer_sum(m, double, self.trace.values) - _layer_sum(m, single, self.g.values)
+        """Displacement at interior points (p, 2) or one point (2,), shape (p, 2)."""
+        return self._represent(points, dlp_traction_kernel, kelvin_matrix, (2,))
 
     def gradient(self, points) -> np.ndarray:
         """Jacobian of the displacement, shape (p, 2, 2): [i, l] = du_i/dx_l."""
-        x = np.atleast_2d(np.asarray(points, dtype=float))[:, None, :]
-        m = self.mesh
-        double = dlp_traction_gradient(x, m.points, m.normals, self.mat)
-        single = kelvin_gradient(x - m.points, self.mat)
-        return _layer_sum(m, double, self.trace.values) - _layer_sum(m, single, self.g.values)
+        return self._represent(points, dlp_traction_gradient, kelvin_gradient, (2, 2))
 
     def stress(self, points) -> np.ndarray:
         return _hooke(self.mat, self.gradient(points))
+
+    def _represent(self, points, double_kernel, single_kernel, shape: tuple) -> np.ndarray:
+        """D[u0] - S[g] at the checked points through a double-layer and a
+        Kelvin kernel (the kernels or their gradients), (p, *shape): one
+        panel of _points_per_panel points at a time, each written into the
+        one result."""
+        points = _interior_points(points)
+        m = self.mesh
+        out = np.empty((len(points),) + shape)
+        rows = _points_per_panel(m.n)
+        for lo in range(0, len(points), rows):
+            x = points[lo : lo + rows]
+            double = double_kernel(x[:, None], m.points, m.normals, self.mat)
+            single = single_kernel(_offsets(x, m.points), self.mat)
+            out[lo : lo + rows] = _layer_sum(m, double, self.trace.values)
+            out[lo : lo + rows] -= _layer_sum(m, single, self.g.values)
+        return out
 
 
 class BoundarySolver:

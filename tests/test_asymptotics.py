@@ -266,6 +266,24 @@ def counted_crack_work(monkeypatch):
     return tests, passes
 
 
+def test_length_sweep_tests_each_crack_once(solver_128, monkeypatch):
+    # sweep_cracks tests the 3 cracks and the sweep admits them as tested;
+    # only the Neumann row makes its own test of the center
+    center, direction, lengths = (0.2, -0.1), (0.6, 0.8), (0.15, 0.08, 0.04)
+    background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
+    tests, passes = counted_crack_work(monkeypatch)
+    records = length_sweep(background, center, direction, lengths, n_modes=24)
+    assert [len(points) for points in tests] == [3, 3, 3, 1]
+    for points, length in zip(tests, lengths):
+        assert np.array_equal(points, CrackSegment(center, direction, length).clearance_points)
+    assert np.array_equal(tests[3], [center])
+    assert passes == [1, 24, 24, 24]
+    fresh = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
+    fresh = length_sweep(fresh, center, direction, lengths, n_modes=24)
+    for record, ref in zip(records, fresh):
+        assert np.array_equal(record["solution"].w.values, ref["solution"].w.values)
+
+
 def test_one_clearance_test_and_one_center_pass_per_crack(solver_128, monkeypatch):
     # solve -> leading term -> intensities on one crack: the record admits
     # the crack once and keeps t0 from the one center pass; the Neumann row
@@ -440,6 +458,26 @@ def test_orientation_scan_flat_case_picks_the_first_angle(solver_128):
     _, td, best = orientation_scan(background, SCAN_POINTS, np.arange(12) * (np.pi / 12))
     assert np.ptp(td) <= 1e-14
     assert np.all(best == 0)
+
+
+def test_orientation_scan_of_a_grid_matches_its_rows(solver_128):
+    # one scan over all kept grid points, as td-map makes it, agrees with
+    # one scan per grid row to rounding and picks the same angles
+    background = fourier_load_background(solver_128)
+    coords = np.linspace(-0.8, 0.8, 13)
+    rows = [np.column_stack([coords, np.full_like(coords, y)]) for y in coords]
+    rows = [row[np.hypot(*row.T) <= 0.8] for row in rows]
+    angles = np.arange(18) * (np.pi / 18)
+    sif, td, best = orientation_scan(background, np.concatenate(rows), angles)
+    per_row = [orientation_scan(background, row, angles) for row in rows]
+    for whole, parts in (
+        (sif.k1, [r[0].k1 for r in per_row]),
+        (sif.k2, [r[0].k2 for r in per_row]),
+        (td, [r[1] for r in per_row]),
+    ):
+        parts = np.concatenate(parts)
+        assert np.max(np.abs(whole - parts)) <= 1e-14 * np.max(np.abs(parts))
+    assert np.array_equal(best, np.concatenate([r[2] for r in per_row]))
 
 
 @settings(max_examples=20, deadline=None, database=None)

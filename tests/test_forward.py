@@ -3,6 +3,7 @@ Neumann solve, interior evaluation, and the Green-function rows."""
 
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from crackbem.forward import (
     apply_single_layer,
     assemble_double_layer,
 )
+from conftest import constant_stress_background, fourier_load_background
 from oracles import (
     assemble_double_layer_ref,
     assemble_single_layer_ref,
@@ -285,6 +287,77 @@ def test_stress_at_a_node_is_refused(solver_128):
             background.stress(np.array([[0.0, 0.0], mesh.points[5]]))
         with pytest.raises(ValueError, match="zero separation"):
             background.gradient(mesh.points[5])
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([[0.1, 0.2], [np.nan, 0.0]], "must be finite"),
+        ([0.1, np.inf], "must be finite"),
+        ([[-np.inf, 0.0]], "must be finite"),
+        (np.zeros((2, 3, 2)), r"shape \(p, 2\) or \(2,\), got \(2, 3, 2\)"),
+        ([0.1, 0.2, 0.3], r"got \(3,\)"),
+        (np.zeros((4, 3)), r"got \(4, 3\)"),
+        (0.5, r"got \(\)"),
+    ],
+    ids=["nan", "inf-point", "inf-stack", "stack-of-stacks", "3-vector", "3-columns", "scalar"],
+)
+@pytest.mark.parametrize("method", ["displacement", "gradient", "stress"])
+def test_malformed_interior_points_are_refused(solver_128, points, message, method):
+    background = constant_stress_background(solver_128, np.diag([1.0, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=message):
+            getattr(background, method)(points)
+
+
+def _assert_panels_match_points(background, points):
+    # every value equals the point's own evaluation to rounding
+    for method, shape in (("displacement", (2,)), ("gradient", (2, 2)), ("stress", (2, 2))):
+        evaluate = getattr(background, method)
+        values = evaluate(points)
+        assert values.shape == (len(points),) + shape
+        if len(points):
+            single = np.array([evaluate(point)[0] for point in points])
+            scale = np.max(np.abs(single))
+            assert np.max(np.abs(values - single)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize(
+    "panels, extra",
+    [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+    ids=["0", "1", "panel-1", "panel", "panel+1", "3*panel+5"],
+)
+def test_point_panels_match_point_by_point(solver_128, panels, extra):
+    # interior values are evaluated in panels of _points_per_panel points
+    p = panels * forward._points_per_panel(solver_128.mesh.n) + extra
+    background = fourier_load_background(solver_128)
+    radius, angle = np.random.default_rng(p).uniform((0.0, 0.0), (0.8, 2.0 * np.pi), (p, 2)).T
+    points = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    _assert_panels_match_points(background, points)
+
+
+def test_one_point_per_panel_on_a_fine_mesh():
+    # more nodes than a panel's point-node pairs: a panel holds one point
+    n = _PANEL_ENTRIES // 2
+    assert forward._points_per_panel(n) == 1
+    mesh = build_mesh(Disk(), n)
+    mat = MATERIALS[1]
+    t = mesh.params
+    trace = BoundaryField(mesh, np.column_stack([np.cos(2 * t), 0.5 * np.sin(3 * t)]))
+    g = BoundaryField(mesh, np.column_stack([np.sin(t), np.cos(2 * t)]))
+    # the layer sums need only the mesh and material of a solver
+    background = BackgroundField(SimpleNamespace(mesh=mesh, mat=mat), trace, g)
+    _assert_panels_match_points(background, np.array([[0.1, 0.2], [-0.4, 0.3], [0.0, -0.6]]))
+
+
+def test_interior_stress_keeps_a_few_panels(solver_128):
+    # 1000 points cost a few panels' kernel values at a time, not 1000 x n
+    background = fourier_load_background(solver_128)
+    n = solver_128.mesh.n
+    panel_kernel = 8 * 8 * forward._points_per_panel(n) * n  # 8 float64 per pair
+    points = np.random.default_rng(1).uniform(-0.5, 0.5, (1000, 2))
+    assert _traced_peak(lambda: background.stress(points)) < 8 * panel_kernel
 
 
 def test_unbalanced_traction_rejected(solver_128):

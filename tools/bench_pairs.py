@@ -33,7 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-TRACE_PAIRS = 1
+TRACE_PAIRS = 3
 
 
 def parse_output(stdout: str) -> tuple[dict, dict]:
