@@ -23,6 +23,7 @@ from crackbem import (
     fit_log_slope,
     length_sweep,
     solve_background,
+    sweep_cracks,
 )
 
 N_NODES = 256
@@ -40,7 +41,7 @@ def main():
     background = solve_background(mesh, mat, g)
 
     t0 = time.perf_counter()
-    records = length_sweep(background, CENTER, DIRECTION, EPS_VALUES)
+    records = length_sweep(background, sweep_cracks(mesh, CENTER, DIRECTION, EPS_VALUES))
     elapsed = time.perf_counter() - t0
 
     print("uniaxial tension, crack tilted 45 degrees at (0.3, 0)")

@@ -180,11 +180,22 @@ def orientation_scan(background: BackgroundField, points, angles) -> tuple:
     return sif, td, best
 
 
-def sweep_cracks(mesh: BoundaryMesh, center, direction, lengths) -> list:
+class _Sweep(tuple):
+    """The cracks of one sweep, each tested by mesh.require_clearance on
+    `mesh` (sweep_cracks)."""
+
+    def __new__(cls, mesh: BoundaryMesh, cracks):
+        sweep = super().__new__(cls, cracks)
+        sweep.mesh = mesh
+        return sweep
+
+
+def sweep_cracks(mesh: BoundaryMesh, center, direction, lengths) -> tuple:
     """One CrackSegment per length at a fixed center and direction, each
     passing mesh.require_clearance: a sweep is refused whole, and before any
-    solver exists.  Raises ValueError for an empty list of lengths."""
-    cracks = [CrackSegment(center, direction, length) for length in lengths]
+    solver exists.  The tuple returned is what length_sweep takes.  Raises
+    ValueError for an empty list of lengths."""
+    cracks = _Sweep(mesh, (CrackSegment(center, direction, length) for length in lengths))
     if not cracks:
         raise ValueError("length sweep needs at least one crack length")
     for crack in cracks:
@@ -192,23 +203,25 @@ def sweep_cracks(mesh: BoundaryMesh, center, direction, lengths) -> list:
     return cracks
 
 
-def length_sweep(
-    background: BackgroundField, center, direction, lengths, **solve_kwargs
-) -> list:
-    """Solve one crack per length at a fixed center and direction.
+def length_sweep(background: BackgroundField, cracks, **solve_kwargs) -> list:
+    """Solve each crack of a sweep: the tuple sweep_cracks returned on the
+    background's mesh, one crack per length at a fixed center and direction.
 
-    One record (a dict) per length: "solution" (the CrackedSolution), "eps",
+    One record (a dict) per crack: "solution" (the CrackedSolution), "eps",
     "K1", "K2", "sup_w", "sup_leading" (of the neumann_perturbation formula),
     "sup_mismatch", "energy_diff", "energy_formula" (energy_asymptotic) and
-    "energy_mismatch".  solve_kwargs go to solve_cracked.  The cracks come
-    from sweep_cracks, so the sweep is refused whole before the first solve;
-    the stress intensity and the leading term depend only on the center and
-    direction, so the crack-line traction t0 at the center (one crack-frame
-    pass at eta = 0, giving K1, K2 and the leading term) and the Neumann row
-    are each evaluated once, and each crack's clearance is tested once, by
-    sweep_cracks.  Raises ValueError for an empty list of lengths.
+    "energy_mismatch".  solve_kwargs go to solve_cracked.  sweep_cracks has
+    tested each crack's clearance, so none is tested again, and the sweep
+    was refused whole before the first solve; the stress intensity and the
+    leading term depend only on the center and direction, so the crack-line
+    traction t0 at the center (one crack-frame pass at eta = 0, giving K1,
+    K2 and the leading term) and the Neumann row are each evaluated once.
+    Raises ValueError for cracks that are not such a tuple.
     """
-    cracks = sweep_cracks(background.mesh, center, direction, lengths)
+    if not isinstance(cracks, _Sweep) or cracks.mesh is not background.mesh:
+        raise ValueError(
+            "length_sweep takes the cracks sweep_cracks returned on the background's mesh"
+        )
     mat = background.mat
     # sweep_cracks has tested every crack on this mesh: each is admitted
     # as tested, so the crack ops below test none of them again

@@ -63,7 +63,7 @@ _REQUIRED = object()
 # section, and a given key its kind does not take is refused.  Numbers, and
 # the numbers of a list, must exceed the lower bound and may not exceed the
 # upper bound.  The upper bounds keep a run within minutes and memory: a
-# solver retains two (2 n_boundary + 3)^2 matrices, 4.3 GB at 8192, a crack
+# solver retains one (2 n_boundary + 3)^2 matrix, 2.15 GB at 8192, a crack
 # whose updates stall above a tiny tol stops after 1000 sweeps, and 17
 # digits already round-trip a double.  A section with a _REQUIRED key stays
 # absent when not given; one whose keys all have defaults is filled in.
@@ -260,19 +260,19 @@ def _load_field(config: dict, mesh) -> tuple[BoundaryField, list]:
 
 
 def _crack_sweep(config: dict, mesh) -> dict:
-    """The length_sweep arguments of the configured crack sweep, refused
-    here unless every crack clears the mesh (sweep_cracks)."""
+    """The length_sweep arguments of the configured crack sweep: its cracks,
+    refused here unless every one clears the mesh (sweep_cracks), and the
+    solve options."""
     section, disc = config["crack"], config["discretization"]
     theta = np.deg2rad(section["angle_degrees"])
-    sweep = {
-        "center": np.asarray(section["center"], dtype=float),
-        "direction": np.array([np.cos(theta), np.sin(theta)]),
-        "lengths": section["lengths"],
-        "n_modes": disc["n_cheb_modes"], "tol": disc["tol"],
+    cracks = sweep_cracks(
+        mesh, np.asarray(section["center"], dtype=float),
+        np.array([np.cos(theta), np.sin(theta)]), section["lengths"],
+    )
+    return {
+        "cracks": cracks, "n_modes": disc["n_cheb_modes"], "tol": disc["tol"],
         "max_iterations": disc["max_iterations"],
     }
-    sweep_cracks(mesh, sweep["center"], sweep["direction"], sweep["lengths"])
-    return sweep
 
 
 def _td_grid(config: dict, mesh) -> list:
@@ -338,7 +338,7 @@ def cmd_solve(background, config: dict, sweep: dict, warnings: list) -> dict:
     diagnostics = {
         "n_boundary": background.mesh.n,
         "tolerance": disc["tol"],
-        "lengths": sweep["lengths"],
+        "lengths": config["crack"]["lengths"],
         "per_length": {},
         "warnings": warnings,
     }

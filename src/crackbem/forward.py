@@ -24,15 +24,16 @@ Both layers are built in row panels of consecutive nodes, each holding
 about _PANEL_ENTRIES node pairs, so the pair arrays r0, r1 and 1/rho^2 of
 one panel stay in cache through every elementwise pass over them and no
 n x n temporary exists.  Only the double layer is stored, in the bordered
-matrix below, which is column-major: LAPACK's layout, so lu_factor copies
-it once, as a plain memcpy, and never transposes it.  Its panels are panels
-of source nodes, and each writes its four component blocks straight into
-its contiguous columns.  The single layer serves only as data for the
-solves (S g for traction data g), so it is applied and never stored: its
-circulant part by FFT over the whole density, and per panel its smooth log
-part (h/2) log(rho^2) and its rhat rhat^T part r (r . density)/rho^2,
-accumulated into the panel's rows.  The bordered matrix and its LU factors
-are thus the only n^2 arrays a solver ever holds.
+matrix below, which is column-major: LAPACK's layout, so getrf factors it
+in its own buffer, with no copy and no transpose, and the matrix itself is
+not kept.  Its panels are panels of source nodes, and each writes its four
+component blocks straight into its contiguous columns.  The single layer
+serves only as data for the solves (S g for traction data g), so it is
+applied and never stored: its circulant part by FFT over the whole density,
+and per panel its smooth log part (h/2) log(rho^2) and its rhat rhat^T part
+r (r . density)/rho^2, accumulated into the panel's rows.  The LU factor of
+the bordered matrix is thus the only n^2 array a solver ever holds; the
+background residual check multiplies by the matrix through that factor.
 
 Rank-3 completion
 -----------------
@@ -44,10 +45,11 @@ the bordered system
 
 whose constraint rows enforce the rigid-motion orthogonality of w and whose
 extra columns absorb the compatibility defect of the right-hand side (the
-multipliers mu are discarded).  One
-LU factorization serves every right-hand side (background solves, Green
-function columns, crack feedback updates), and every solve goes through
-lu_solve, which is LAPACK getrs on that factor with no wrapper between.
+multipliers mu are returned by no solve; only the background residual
+check reads them).  One LU factorization serves every right-hand side
+(background solves, Green function columns, crack feedback updates), and
+every solve goes through lu_solve, which is LAPACK getrs on that factor
+with no wrapper between.
 
 Green-function rows
 -------------------
@@ -73,7 +75,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg.blas import dtrmv
+from scipy.linalg.lapack import dgetrs, dlaswp
 
 from .errors import EquilibriumViolated, SolveFailed
 from .kernels import (
@@ -373,9 +376,10 @@ class BoundarySolver:
 
     Assembles the double-layer Nystrom matrix in place as -I/2 + K inside
     the matrix bordered by the rigid-motion columns and constraint rows,
-    factorizes it once, and exposes the solves needed by the background
-    problem, the crack coupling, and the Green-function evaluators; the
-    single layer is applied to their data (apply_single_layer), not stored.
+    factorizes it once in its own buffer, keeping only the factor, and
+    exposes the solves needed by the background problem, the crack
+    coupling, and the Green-function evaluators; the single layer is
+    applied to their data (apply_single_layer), not stored.
     The factorization is immutable.
     """
 
@@ -387,14 +391,15 @@ class BoundarySolver:
         basis = rigid_motion_basis(mesh.points)  # (n, 2, 3)
         self._columns = basis.reshape(n2, 3)  # C
         self._rows = (mesh.weights[:, None, None] * basis).reshape(n2, 3).T  # C^T W
-        # column-major, so lu_factor's copy for getrf is a plain memcpy
+        # column-major, so getrf factors it in place, with no copy
         bordered = np.zeros((n2 + 3, n2 + 3), order="F")
         # -I/2 + K, assembled in place: a view into the bordered matrix
-        self.operator = assemble_double_layer(mesh, mat, out=bordered[:n2, :n2])
-        self.operator[np.diag_indices(n2)] -= 0.5
+        operator = assemble_double_layer(mesh, mat, out=bordered[:n2, :n2])
+        operator[np.diag_indices(n2)] -= 0.5
         bordered[:n2, n2:] = self._columns
         bordered[n2:, :n2] = self._rows
-        self._neumann_lu = lu_factor(bordered)
+        # the factor overwrites the bordered matrix: it is the one n^2 array
+        self._neumann_lu = lu_factor(bordered, overwrite_a=True)
         # the factor is immutable, so it is checked for non-finite values
         # once, here, and solve_neumann checks only its right-hand sides
         np.asarray_chkfinite(self._neumann_lu[0])
@@ -412,26 +417,45 @@ class BoundarySolver:
         their multipliers are not returned.  A non-finite rhs raises
         ValueError.
         """
+        return self._solve_bordered(rhs)[: 2 * self.mesh.n].reshape(np.shape(rhs))
+
+    def _solve_bordered(self, rhs) -> np.ndarray:
+        """The bordered solution [w; mu], (2n + 3, k), of right-hand sides
+        of 2n rows, refusing a non-finite rhs with ValueError."""
         rhs = np.asarray_chkfinite(rhs, dtype=float)
         n2 = 2 * self.mesh.n
         bordered = np.zeros((n2 + 3, rhs.size // n2))
         bordered[:n2] = rhs.reshape(n2, -1)
-        return lu_solve(self._neumann_lu, bordered)[:n2].reshape(rhs.shape)
+        return lu_solve(self._neumann_lu, bordered)
+
+    def _bordered_product(self, x: np.ndarray) -> np.ndarray:
+        """B x for the bordered matrix B = P L U, (2n + 3,), through its
+        factor: U x, then the unit-lower L, then the row interchanges applied
+        in reverse."""
+        lu, piv = self._neumann_lu
+        y = dtrmv(lu, x)
+        y = dtrmv(lu, y, lower=1, diag=1, overwrite_x=1)
+        return dlaswp(y[:, None], piv, inc=-1, overwrite_a=1)[:, 0]
 
     def solve_background(self, g: BoundaryField) -> BackgroundField:
-        """Solve the crack-free traction problem for data g equilibrated to 1e-8."""
+        """Solve the crack-free traction problem for data g equilibrated to 1e-8.
+
+        The bordered solution [w; mu] must satisfy its system to 1e-6 of
+        max|rhs|, or SolveFailed is raised: a relative bound, which holds in
+        any units.  The data's compatibility defect, which mu absorbs, is
+        bounded by the equilibrium check instead."""
         if not g.is_equilibrated(1e-8):
             raise EquilibriumViolated(
                 f"traction data has rigid-motion moments {g.rigid_moments()}; "
                 "the problem is unsolvable"
             )
         rhs = apply_single_layer(self.mesh, self.mat, g.flat())
-        w = self.solve_neumann(rhs)
-        residual = np.max(np.abs(self.operator @ w - rhs))
+        x = self._solve_bordered(rhs)[:, 0]
+        residual = np.max(np.abs(self._bordered_product(x) - np.pad(rhs, (0, 3))))
         # written so that a NaN residual fails too
-        if not residual <= 1e-6 * max(1.0, np.max(np.abs(rhs))):
+        if not residual <= 1e-6 * np.max(np.abs(rhs)):
             raise SolveFailed(f"background solve residual {residual:.3g}")
-        return BackgroundField(self, BoundaryField.from_flat(self.mesh, w), g)
+        return BackgroundField(self, BoundaryField.from_flat(self.mesh, x[: 2 * self.mesh.n]), g)
 
     # -- Green-function rows ----------------------------------------------
 

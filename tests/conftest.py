@@ -18,6 +18,7 @@ from crackbem import (
     build_mesh,
     length_sweep,
     project_off_rigid_motions,
+    sweep_cracks,
 )
 
 SWEEP_EPS = (0.2, 0.1, 0.05, 0.025)
@@ -73,7 +74,8 @@ def fourier_load_background(solver):
 def run_sweep(background, center, direction, eps_values=SWEEP_EPS):
     """Timed length_sweep: its records, their lengths and the elapsed seconds."""
     start = time.perf_counter()
-    records = length_sweep(background, center, direction, eps_values)
+    cracks = sweep_cracks(background.mesh, center, direction, eps_values)
+    records = length_sweep(background, cracks)
     return {
         "background": background,
         "records": records,

@@ -152,7 +152,9 @@ def test_length_sweep_records_match_direct_calls(solver_128):
     background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
     center, direction = (0.2, -0.1), (0.6, 0.8)
     options = {"n_modes": 24, "tol": 1e-10}
-    records = length_sweep(background, center, direction, (0.15, 0.08), **options)
+    records = length_sweep(
+        background, sweep_cracks(background.mesh, center, direction, (0.15, 0.08)), **options
+    )
     assert [r["eps"] for r in records] == [0.15, 0.08]
     for record in records:
         crack = CrackSegment(center, direction, record["eps"])
@@ -189,7 +191,8 @@ def test_length_sweep_evaluates_the_crack_line_traction_once(solver_128, monkeyp
     for lengths in ((0.15,), (0.15, 0.08, 0.04)):
         background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
         calls.clear()
-        length_sweep(background, (0.2, -0.1), (0.6, 0.8), lengths, n_modes=24)
+        cracks = sweep_cracks(background.mesh, (0.2, -0.1), (0.6, 0.8), lengths)
+        length_sweep(background, cracks, n_modes=24)
         assert calls == [0.0]
 
 
@@ -206,7 +209,8 @@ def test_crack_ops_never_form_the_background_stress(solver_128, monkeypatch):
     solve_cracked(background, crack, n_modes=24)
     neumann_perturbation(background, crack)
     stress_intensity(background, crack)
-    length_sweep(background, crack.center, crack.direction, (0.1, 0.05), n_modes=24)
+    cracks = sweep_cracks(background.mesh, crack.center, crack.direction, (0.1, 0.05))
+    length_sweep(background, cracks, n_modes=24)
 
 
 @pytest.fixture(scope="module")
@@ -272,14 +276,16 @@ def test_length_sweep_tests_each_crack_once(solver_128, monkeypatch):
     center, direction, lengths = (0.2, -0.1), (0.6, 0.8), (0.15, 0.08, 0.04)
     background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
     tests, passes = counted_crack_work(monkeypatch)
-    records = length_sweep(background, center, direction, lengths, n_modes=24)
+    records = length_sweep(
+        background, sweep_cracks(background.mesh, center, direction, lengths), n_modes=24
+    )
     assert [len(points) for points in tests] == [3, 3, 3, 1]
     for points, length in zip(tests, lengths):
         assert np.array_equal(points, CrackSegment(center, direction, length).clearance_points)
     assert np.array_equal(tests[3], [center])
     assert passes == [1, 24, 24, 24]
     fresh = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
-    fresh = length_sweep(fresh, center, direction, lengths, n_modes=24)
+    fresh = length_sweep(fresh, sweep_cracks(fresh.mesh, center, direction, lengths), n_modes=24)
     for record, ref in zip(records, fresh):
         assert np.array_equal(record["solution"].w.values, ref["solution"].w.values)
 
@@ -389,7 +395,8 @@ def test_length_sweep_solves_the_leading_term_once(solver_128, monkeypatch):
     # one (n, 2) solve per Picard sweep of each crack
     background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
     shapes = counted_solves(solver_128, monkeypatch)
-    records = length_sweep(background, (0.2, -0.1), (0.6, 0.8), (0.15, 0.08, 0.04), n_modes=24)
+    cracks = sweep_cracks(background.mesh, (0.2, -0.1), (0.6, 0.8), (0.15, 0.08, 0.04))
+    records = length_sweep(background, cracks, n_modes=24)
     sweeps = sum(r["solution"].diagnostics["iterations"] for r in records)
     assert shapes == [(solver_128.mesh.n, 2)] * (1 + sweeps)
 
@@ -405,7 +412,8 @@ def test_length_sweep_refuses_whole_sweep_before_solving(solver_128, monkeypatch
 
     monkeypatch.setattr(crackbem.asymptotics, "solve_cracked", counting)
     with pytest.raises(CrackTooCloseToBoundary):
-        length_sweep(background, (0.3, 0.0), (1.0, 0.0), (0.1, 0.2, 0.9))
+        cracks = sweep_cracks(background.mesh, (0.3, 0.0), (1.0, 0.0), (0.1, 0.2, 0.9))
+        length_sweep(background, cracks)
     assert calls == []
 
 
@@ -417,10 +425,23 @@ def test_sweep_cracks_refuses_on_the_mesh_alone():
         sweep_cracks(mesh, (0.3, 0.0), (1.0, 0.0), (0.1, 0.9))
 
 
+def test_length_sweep_takes_only_a_sweep_on_its_mesh(solver_128):
+    # the cracks must be the ones sweep_cracks tested on the background's
+    # mesh: a plain list, or a sweep tested on another mesh, is refused
+    background = constant_stress_background(solver_128, np.diag([1.0, 0.0]))
+    center, direction = (0.3, 0.0), (1.0, 0.0)
+    crack = CrackSegment(center, direction, 0.1)
+    other = sweep_cracks(build_mesh(Disk(), 128), center, direction, (0.1,))
+    assert tuple(other) == (crack,)
+    for cracks in ([crack], other):
+        with pytest.raises(ValueError, match="cracks sweep_cracks returned"):
+            length_sweep(background, cracks)
+
+
 def test_length_sweep_refuses_no_lengths(solver_128):
     background = constant_stress_background(solver_128, np.diag([1.0, 0.0]))
     with pytest.raises(ValueError, match="at least one crack length"):
-        length_sweep(background, (0.3, 0.0), (1.0, 0.0), ())
+        length_sweep(background, sweep_cracks(background.mesh, (0.3, 0.0), (1.0, 0.0), ()))
 
 
 SCAN_POINTS = np.array([[0.0, 0.0], [0.4, -0.2], [-0.3, 0.5]])
@@ -504,7 +525,8 @@ def test_sup_w_is_order_eps_squared_on_random_stars(modes, lam, mu, center, angl
     # |sigma e_perp| >= 0.5 for every orientation, so the leading term never vanishes
     background = constant_stress_background(solver, np.diag([1.0, 0.5]))
     direction = (np.cos(angle), np.sin(angle))
-    records = length_sweep(background, center, direction, (0.2, 0.1, 0.05))
+    cracks = sweep_cracks(solver.mesh, center, direction, (0.2, 0.1, 0.05))
+    records = length_sweep(background, cracks)
     r = [rec["sup_w"] / rec["eps"] ** 2 for rec in records]
     assert abs(r[1] - r[2]) <= 0.35 * abs(r[0] - r[1])
 

@@ -11,6 +11,7 @@ import pytest
 
 from crackbem import cli
 from crackbem.cli import _csv, load_config, main
+from crackbem.mesh import BoundaryMesh
 
 DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
 
@@ -297,6 +298,28 @@ def test_demo_configs_load(path):
     assert config["discretization"]["n_cheb_modes"] == 32
     assert config["output"]["directory"] == "out"
     assert config["td_map"]["n_grid"] in (8, 15)
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence", "energy"])
+@pytest.mark.parametrize(
+    "name, calls", [("disk_uniaxial.json", 5), ("star_fourier_load.json", 4)]
+)
+def test_one_clearance_test_per_crack(tmp_path, monkeypatch, command, name, calls):
+    # the CLI tests each crack once, before the solver exists, and the sweep
+    # admits them as tested; only the Neumann row tests the center again
+    tests = []
+    require = BoundaryMesh.require_clearance
+
+    def counting(mesh, points, length=0.0):
+        tests.append(length)
+        return require(mesh, points, length)
+
+    monkeypatch.setattr(BoundaryMesh, "require_clearance", counting)
+    path = DEMO_CONFIGS[0].parent / name
+    lengths = json.loads(path.read_text(encoding="utf-8"))["crack"]["lengths"]
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(tests) == calls == len(lengths) + 1
+    assert tests == [*lengths, 0.0]
 
 
 def test_exterior_crack_rejected(tmp_path, capsys):

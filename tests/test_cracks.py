@@ -20,6 +20,7 @@ from crackbem import (
     crack_traction_samples,
     length_sweep,
     solve_cracked,
+    sweep_cracks,
 )
 from crackbem.errors import CrackTooCloseToBoundary, SolveFailed
 from conftest import constant_stress_background, fourier_load_background
@@ -180,7 +181,8 @@ def rotation_invariants(solver, theta):
     sigma = rot @ np.array([[1.0, 0.3], [0.3, -0.5]]) @ rot.T
     background = constant_stress_background(solver, sigma)
     direction = rot @ np.array([np.cos(0.4), np.sin(0.4)])
-    (record,) = length_sweep(background, rot @ np.array([0.25, 0.05]), direction, [0.15])
+    cracks = sweep_cracks(background.mesh, rot @ np.array([0.25, 0.05]), direction, [0.15])
+    (record,) = length_sweep(background, cracks)
     w = record["solution"].w
     return record["energy_diff"], record["K1"] ** 2 + record["K2"] ** 2, np.sqrt(w.dot(w))
 
@@ -342,7 +344,8 @@ def scaled_record(shape, s, center, angle):
     solver = BoundarySolver(build_mesh(shape, 128), LameParams(1.0, 1.0))
     background = constant_stress_background(solver, [[1.0, 0.3], [0.3, -0.5]])
     direction = (np.cos(angle), np.sin(angle))
-    (record,) = length_sweep(background, s * np.asarray(center), direction, [s * 0.1])
+    cracks = sweep_cracks(background.mesh, s * np.asarray(center), direction, [s * 0.1])
+    (record,) = length_sweep(background, cracks)
     return record
 
 

@@ -67,6 +67,17 @@ def exterior_kelvin_field(mesh, mat, source, strength):
     return trace, g
 
 
+def boundary_operator(mesh, mat):
+    """The solver's -I/2 + K, which it factors and does not keep."""
+    operator = assemble_double_layer(mesh, mat)
+    operator[np.diag_indices(2 * mesh.n)] -= 0.5
+    return operator
+
+
+@pytest.fixture(scope="module")
+def operator_128(solver_128):
+    return boundary_operator(solver_128.mesh, solver_128.mat)
+
 
 # splits into several row panels with a partial last one, so the panel
 # seams and each panel's diagonal entries meet the oracles
@@ -87,7 +98,7 @@ def test_assembly_matches_identity_fft_oracles(shape, n):
         double = assemble_double_layer_ref(mesh, mat)
         for value, reference in (
             (assemble_double_layer(mesh, mat), double),
-            (BoundarySolver(mesh, mat).operator, double - 0.5 * np.eye(2 * n)),
+            (boundary_operator(mesh, mat), double - 0.5 * np.eye(2 * n)),
         ):
             assert value.shape == (2 * n, 2 * n)
             scale = np.max(np.abs(reference))
@@ -115,13 +126,13 @@ def test_double_layer_fills_the_given_block():
 
 @pytest.mark.parametrize("shape", SHAPES[:2], ids=["disk", "ellipse"])
 def test_column_major_factor_is_the_row_major_factor(shape):
-    # the solver's bordered matrix is column-major, and its factor and pivots
-    # are those of the row-major bordered matrix to the bit
+    # the solver factors its column-major bordered matrix in place, and its
+    # factor and pivots are those of the row-major bordered matrix to the bit
     mesh = build_mesh(shape, 64)
     mat = MATERIALS[1]
     solver = BoundarySolver(mesh, mat)
     n2 = 2 * mesh.n
-    assert solver.operator.strides == (8, 8 * (n2 + 3))
+    assert solver._neumann_lu[0].strides == (8, 8 * (n2 + 3))
     bordered = np.zeros((n2 + 3, n2 + 3))
     assemble_double_layer(mesh, mat, out=bordered[:n2, :n2])
     bordered[np.diag_indices(n2)] -= 0.5
@@ -146,7 +157,8 @@ def _traced_peak(call) -> int:
 
 def test_layers_keep_no_n_by_n_temporary():
     # both layers are built in row panels: neither allocates an n x n array
-    # on the way, and a solver peaks well below three bordered matrices
+    # on the way, and a solver factors its bordered matrix in place, so it
+    # peaks well below two of them
     n = 1024
     mesh = build_mesh(SHAPES[2], n)
     mat = MATERIALS[1]
@@ -158,12 +170,13 @@ def test_layers_keep_no_n_by_n_temporary():
     g = BoundaryField(mesh, mesh.normals @ np.diag([1.0, 0.3]))
     bordered = 8 * (2 * n + 3) ** 2
     peak = _traced_peak(lambda: BoundarySolver(mesh, mat).solve_background(g))
-    assert peak <= 2.5 * bordered
+    assert peak <= 1.5 * bordered
 
 
-def test_solver_memory_is_two_bordered_matrices():
-    # the solver keeps the bordered matrix and its LU factors, nothing of
-    # size n^2 besides; the single layer is applied, never stored
+def test_solver_memory_is_one_bordered_matrix():
+    # the solver keeps the LU factor of the bordered matrix, in the matrix's
+    # own buffer, and nothing of size n^2 besides; the single layer is
+    # applied, never stored
     n = 256
     mesh = build_mesh(Disk(), n)
     g = BoundaryField(mesh, mesh.normals @ np.diag([1.0, 0.0]))
@@ -177,28 +190,61 @@ def test_solver_memory_is_two_bordered_matrices():
     finally:
         tracemalloc.stop()
     assert background.trace.values.shape == (n, 2)
-    assert (peak - start) <= 4.5 * size
-    assert (retained - start) <= 2.1 * size
+    assert (peak - start) <= 2.0 * size
+    assert (retained - start) <= 1.1 * size
 
 
 def test_nan_solve_fails_the_background_residual(mat, monkeypatch):
     # NaN > bound is False: the residual check must not pass a NaN solve
     solver = BoundarySolver(build_mesh(Disk(), 32), mat)
     g = BoundaryField(solver.mesh, solver.mesh.normals @ np.diag([1.0, 0.0]))
-    monkeypatch.setattr(solver, "solve_neumann", lambda rhs: np.full_like(rhs, np.nan))
+    monkeypatch.setattr(forward, "lu_solve", lambda factor, rhs: np.full_like(rhs, np.nan))
     with pytest.raises(SolveFailed, match="background solve residual nan"):
         solver.solve_background(g)
 
 
-def test_rigid_traces_span_the_null_space(solver_128):
+def test_background_residual_bound_is_relative(monkeypatch):
+    # in SI units max|rhs| is about 4e-12, so an absolute floor of 1e-6 would
+    # pass a solution 0.1 % off; the bound scales with the data
+    mesh = build_mesh(Disk(), 64)
+    solver = BoundarySolver(mesh, LameParams(1.2e11, 8e10))
+    g = BoundaryField(mesh, mesh.normals @ np.diag([1.0, 0.0]))
+    assert solver.solve_background(g).trace.sup_norm() > 0.0
+    solve = forward.lu_solve
+    monkeypatch.setattr(forward, "lu_solve", lambda factor, rhs: solve(factor, rhs) * (1 + 1e-3))
+    with pytest.raises(SolveFailed, match="background solve residual"):
+        solver.solve_background(g)
+
+
+def test_zero_traction_solves_to_a_zero_trace(solver_128):
+    # a relative bound of zero still admits the exact zero solution
+    mesh = solver_128.mesh
+    background = solver_128.solve_background(BoundaryField(mesh, np.zeros((mesh.n, 2))))
+    assert not np.any(background.trace.values)
+
+
+def test_bordered_product_through_the_factor(solver_128, operator_128):
+    # P L U x is the bordered matrix times x, to the LU's backward error,
+    # and x is left as it was
+    n2 = 2 * solver_128.mesh.n
+    x = np.random.default_rng(3).standard_normal(n2 + 3)
+    given = x.copy()
+    top = operator_128 @ x[:n2] + solver_128._columns @ x[n2:]
+    expected = np.concatenate([top, solver_128._rows @ x[:n2]])
+    product = solver_128._bordered_product(x)
+    assert np.max(np.abs(product - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.array_equal(x, given)
+
+
+def test_rigid_traces_span_the_null_space(solver_128, operator_128):
     basis = rigid_motion_basis(solver_128.mesh.points)
     for a in range(3):
-        out = solver_128.operator @ basis[:, :, a].reshape(-1)
+        out = operator_128 @ basis[:, :, a].reshape(-1)
         assert np.max(np.abs(out)) < 1e-12
 
 
-def test_operator_has_exactly_three_null_directions(solver_128):
-    sv = np.linalg.svd(solver_128.operator, compute_uv=False)
+def test_operator_has_exactly_three_null_directions(operator_128):
+    sv = np.linalg.svd(operator_128, compute_uv=False)
     assert sv[-3] < 1e-10
     assert sv[-4] > 1e-3
 
@@ -210,11 +256,11 @@ def test_single_layer_of_constant_density(solver_128):
     assert np.allclose(out, [-1.0 / 6.0, 0.0], atol=1e-12)
 
 
-def test_jump_relation_for_regular_field(solver_128, mat):
+def test_jump_relation_for_regular_field(solver_128, operator_128, mat):
     # (-I/2 + K) u| = S[du/dnu] for a field with no singularity inside
     mesh = solver_128.mesh
     trace, g = exterior_kelvin_field(mesh, mat, np.array([2.5, 0.4]), np.array([1.0, -0.5]))
-    lhs = solver_128.operator @ trace.reshape(-1)
+    lhs = operator_128 @ trace.reshape(-1)
     rhs = apply_single_layer(mesh, mat, g.reshape(-1))
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -405,8 +451,8 @@ def test_solve_neumann_calls_lu_solve_once(solver_128, monkeypatch, shape):
 
 def test_non_finite_factor_is_refused(mat, monkeypatch):
     # the factor is checked once, when the solver is built
-    def non_finite(matrix):
-        lu, piv = lu_factor(matrix)
+    def non_finite(matrix, **kwargs):
+        lu, piv = lu_factor(matrix, **kwargs)
         lu[0, 0] = np.nan
         return lu, piv
 
@@ -415,10 +461,10 @@ def test_non_finite_factor_is_refused(mat, monkeypatch):
         BoundarySolver(build_mesh(Disk(), 32), mat)
 
 
-def test_solve_neumann_layout_round_trip(solver_128):
+def test_solve_neumann_layout_round_trip(solver_128, operator_128):
     # data manufactured inside the operator range so the residual vanishes
     rng = np.random.default_rng(2)
-    rhs = solver_128.operator @ rng.standard_normal(2 * solver_128.mesh.n)
+    rhs = operator_128 @ rng.standard_normal(2 * solver_128.mesh.n)
     flat = solver_128.solve_neumann(rhs)
     nodal = solver_128.solve_neumann(rhs.reshape(-1, 2))
     stacked = solver_128.solve_neumann(np.stack([rhs, 2 * rhs], axis=-1))
@@ -429,7 +475,7 @@ def test_solve_neumann_layout_round_trip(solver_128):
     assert np.allclose(stacked[:, 0], flat, atol=1e-14)
     assert np.allclose(stacked[:, 1], 2 * flat, atol=1e-12)
     # the solution solves the equation and is rigid-orthogonal
-    assert np.max(np.abs(solver_128.operator @ flat - rhs)) < 1e-10
+    assert np.max(np.abs(operator_128 @ flat - rhs)) < 1e-10
     moments = BoundaryField.from_flat(solver_128.mesh, flat).rigid_moments()
     assert np.max(np.abs(moments)) < 1e-12
 
