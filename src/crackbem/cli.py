@@ -20,9 +20,13 @@ td-map skips grid points nearer the wall than its margin, floored at the
 mesh's minimum interior distance, and refuses a grid that keeps no point.
 
 All CSV output uses '.' decimals and a fixed column order, floats printed
-with %.17g so reruns are byte-identical.  Exit codes: 0 success, 2 config or
-geometry violations, all found before a solver is built, 3 solver failure,
-including a failed background residual check and running out of memory.
+with %.17g so reruns are byte-identical.  Every number is computed before the
+output directory is made; a file's text is then written chunk by chunk, and
+td-map formats its map one grid point at a time as it writes, so it never
+holds the whole CSV.  Exit codes: 0 success, 2 config or geometry
+violations, all found before a solver is built, 3 solver failure, including
+a failed background residual check and running out of memory (also while a
+file is written).
 """
 
 from __future__ import annotations
@@ -334,7 +338,7 @@ def cmd_solve(background, config: dict, sweep: dict, warnings: list) -> dict:
     records = length_sweep(background, **sweep)
     precision, disc = config["output"]["precision"], config["discretization"]
     trace_csv = _trace_writer(background.mesh, precision)
-    files = {"trace_u0.csv": trace_csv(background.trace)}
+    files = {"trace_u0.csv": [trace_csv(background.trace)]}
     diagnostics = {
         "n_boundary": background.mesh.n,
         "tolerance": disc["tol"],
@@ -345,16 +349,16 @@ def cmd_solve(background, config: dict, sweep: dict, warnings: list) -> dict:
     eta, _ = gauss_chebyshev_u(disc["n_cheb_modes"])
     for record in records:
         tag, solution = f"{record['eps']:g}", record["solution"]
-        files[f"trace_ueps_{tag}.csv"] = trace_csv(solution.trace_values())
+        files[f"trace_ueps_{tag}.csv"] = [trace_csv(solution.trace_values())]
         s = 0.5 * record["eps"] * eta
         rows = np.column_stack([s, solution.opening(s)]).tolist()
-        files[f"crack_opening_{tag}.csv"] = _csv(["x1", "phi1", "phi2"], rows, precision)
+        files[f"crack_opening_{tag}.csv"] = [_csv(["x1", "phi1", "phi2"], rows, precision)]
         diagnostics["per_length"][tag] = {
             "iterations": solution.diagnostics["iterations"],
             "last_update": solution.diagnostics["last_update"],
             "sup_perturbation": record["sup_w"],
         }
-    files["diagnostics.json"] = _json(diagnostics)
+    files["diagnostics.json"] = [_json(diagnostics)]
     return files
 
 
@@ -368,8 +372,8 @@ def cmd_convergence(background, config: dict, sweep: dict, warnings: list) -> di
         slopes[key] = {"slope": fit.slope, "n_points_used": fit.n_points, "note": fit.note}
     columns = ["eps", "sup_w", "sup_mismatch", "energy_diff", "energy_formula", "energy_mismatch"]
     return {
-        "convergence.csv": _records_csv(records, columns, config["output"]["precision"]),
-        "slopes.json": _json(slopes),
+        "convergence.csv": [_records_csv(records, columns, config["output"]["precision"])],
+        "slopes.json": [_json(slopes)],
     }
 
 
@@ -386,23 +390,31 @@ def cmd_td_map(background, config: dict, grid: list, warnings: list) -> dict:
     values = np.stack([sif.k1, sif.k2, td], axis=-1)  # (p, n_angles, 3)
     values = values.reshape(len(td), 3 * len(angles))
     bounds = np.cumsum([len(points) for points in grid])[:-1]
-    blocks = []
-    for points, b_row, v_row in zip(grid, np.split(angles[best], bounds), np.split(values, bounds)):
-        for (px, py), b, v in zip(points.tolist(), b_row.tolist(), v_row.tolist()):
-            prefix, suffix = g % px + "," + g % py + ",", g % b + "\n"
-            blocks.append(prefix + (suffix + prefix).join(angle_fields) % tuple(v) + suffix)
-    return {"td_map.csv": "x,y,angle_deg,K1,K2,td,min_angle_deg\n" + "".join(blocks)}
+
+    def blocks():
+        # the numbers are all computed above; only their text is made here,
+        # one point's block at a time, as main writes it
+        yield "x,y,angle_deg,K1,K2,td,min_angle_deg\n"
+        rows = zip(grid, np.split(angles[best], bounds), np.split(values, bounds))
+        for points, b_row, v_row in rows:
+            for (px, py), b, v in zip(points.tolist(), b_row.tolist(), v_row.tolist()):
+                prefix, suffix = g % px + "," + g % py + ",", g % b + "\n"
+                yield prefix + (suffix + prefix).join(angle_fields) % tuple(v) + suffix
+
+    return {"td_map.csv": blocks()}
 
 
 def cmd_energy(background, config: dict, sweep: dict, warnings: list) -> dict:
     records = length_sweep(background, **sweep)
     columns = ["eps", "K1", "K2", "energy_diff", "energy_formula", "energy_mismatch"]
-    return {"energy.csv": _records_csv(records, columns, config["output"]["precision"])}
+    return {"energy.csv": [_records_csv(records, columns, config["output"]["precision"])]}
 
 
 # command -> (check, handler).  check(config, mesh) makes the refusals that
 # need the mesh; handler(background, config, checked, warnings) takes what it
-# returned and gives the command's output files as {name: text}.
+# returned and gives the command's output files as {name: chunks}: the text
+# of a file as an iterable of strings, which main writes in order.  A small
+# file is one string in a list; td-map's blocks are made as they are written.
 _COMMANDS = {
     "solve": (_crack_sweep, cmd_solve),
     "convergence": (_crack_sweep, cmd_convergence),
@@ -439,13 +451,15 @@ def main(argv=None) -> int:
             mat = LameParams(lam=config["material"]["lambda"], mu=config["material"]["mu"])
             background = BoundarySolver(mesh, mat).solve_background(g)
             files = handler(background, config, checked, warnings)
+            Path(out).mkdir(parents=True, exist_ok=True)
+            # UTF-8, '\n' line ends; a file is written chunk by chunk as its
+            # text is made, so td-map never holds its whole CSV
+            for name, chunks in files.items():
+                with open(Path(out) / name, "w", encoding="utf-8", newline="\n") as f:
+                    f.writelines(chunks)
         except MemoryError:
             # input the schema accepts but that this machine cannot hold
             raise SolveFailed(f"out of memory with n_boundary {n}; lower n_boundary") from None
-        Path(out).mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():  # UTF-8, '\n' line ends, one write each
-            with open(Path(out) / name, "w", encoding="utf-8", newline="\n") as f:
-                f.write(text)
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
         return 0

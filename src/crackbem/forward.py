@@ -399,10 +399,14 @@ class BoundarySolver:
         bordered[:n2, n2:] = self._columns
         bordered[n2:, :n2] = self._rows
         # the factor overwrites the bordered matrix: it is the one n^2 array
-        self._neumann_lu = lu_factor(bordered, overwrite_a=True)
-        # the factor is immutable, so it is checked for non-finite values
-        # once, here, and solve_neumann checks only its right-hand sides
-        np.asarray_chkfinite(self._neumann_lu[0])
+        self._neumann_lu = lu_factor(bordered, overwrite_a=True, check_finite=False)
+        # getrf only adds, multiplies and divides by entries, so a non-finite
+        # matrix leaves a non-finite factor: the factor is checked once, here,
+        # with no temporary (min and max carry a NaN), and solve_neumann
+        # checks only its right-hand sides
+        lu = self._neumann_lu[0]
+        if not (np.isfinite(lu.min()) and np.isfinite(lu.max())):
+            raise ValueError("array must not contain infs or NaNs")
         # the rigid part of nodal data f is C G^-1 (C^T W f)
         self._gram = rigid_gram(mesh)
 

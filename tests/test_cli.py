@@ -4,6 +4,7 @@ exit codes, all run in-process through main()."""
 import csv
 import filecmp
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from crackbem import cli
 from crackbem.cli import _csv, load_config, main
+from crackbem.errors import SolveFailed
 from crackbem.mesh import BoundaryMesh
 
 DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
@@ -274,6 +276,58 @@ def test_out_of_memory_is_a_solver_failure(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == "error: out of memory with n_boundary 64; lower n_boundary\n"
     assert not (tmp_path / "x").exists()
+
+
+def test_out_of_memory_while_writing_is_a_solver_failure(tmp_path, capsys, monkeypatch):
+    # a file's text is made as it is written, so running out of memory there
+    # exits 3 with the same message, not a traceback
+    def chunks():
+        yield "eps\n"
+        raise MemoryError
+
+    def streaming(*args):
+        return {"energy.csv": chunks()}
+
+    monkeypatch.setitem(cli._COMMANDS, "energy", (cli._crack_sweep, streaming))
+    cfg = write_config(tmp_path)
+    assert main(["energy", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory with n_boundary 64; lower n_boundary\n"
+
+
+def test_td_map_scan_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
+    # every number of the map is computed before the output directory is
+    # made; only the text is made as the file is written
+    def failing(*args):
+        raise SolveFailed("scan failed")
+
+    monkeypatch.setattr(cli, "orientation_scan", failing)
+    cfg = write_config(tmp_path, td_map={"n_grid": 3, "n_angles": 4, "margin": 0.45})
+    out = tmp_path / "td"
+    assert main(["td-map", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.endswith("error: scan failed\n")
+    assert not out.exists()
+
+
+def test_td_map_holds_less_than_its_csv(tmp_path):
+    # the map's text is written one grid point's block at a time, so the
+    # command's traced peak (solver, scan and all) stays below the file's size
+    cfg = write_config(
+        tmp_path,
+        discretization={"n_boundary": 128},
+        td_map={"n_grid": 40, "n_angles": 36, "margin": 0.3},
+    )
+    out = tmp_path / "td"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["td-map", "--config", str(cfg), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    size = (out / "td_map.csv").stat().st_size
+    assert size > 2_000_000
+    assert peak < size
 
 
 @pytest.mark.parametrize(
