@@ -265,13 +265,16 @@ def fit_log_slope(eps_values, values, noise_floor: float = 0.0) -> SlopeFit:
     """Fit a log-log decay rate, ignoring points at or below the noise floor.
 
     Mismatch values that have hit solver tolerance carry no decay
-    information; they are dropped before fitting.  With fewer than two
-    usable points the slope is None and the note says why.
+    information; they are dropped before fitting, so zero values are legal.
+    With fewer than two usable points the slope is None and the note says
+    why.  eps must be positive and finite, and values finite (ValueError).
     """
     eps_values = np.asarray(eps_values, dtype=float)
     values = np.asarray(values, dtype=float)
     if eps_values.shape != values.shape or eps_values.ndim != 1:
         raise ValueError("need matching 1-d arrays of eps and values")
+    if not (np.all((eps_values > 0.0) & (eps_values < np.inf)) and np.all(np.isfinite(values))):
+        raise ValueError("need positive finite eps and finite values")
     keep = values > noise_floor
     n = int(np.count_nonzero(keep))
     if n < 2:

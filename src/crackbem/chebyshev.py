@@ -31,7 +31,6 @@ __all__ = [
     "gauss_chebyshev_u",
     "chebyshev_u_values",
     "ChebyshevUExpansion",
-    "apply_finite_part_operator",
     "invert_finite_part_operator",
 ]
 
@@ -103,19 +102,6 @@ class ChebyshevUExpansion:
         sines = np.sin(theta[..., None] * n1)
         return np.tensordot(sines, self.coeffs, axes=([-1], [0]))
 
-    def polynomial_part(self, x) -> np.ndarray:
-        """sum_n c_n U_n(x), the factor multiplying the sqrt weight."""
-        u = chebyshev_u_values(np.asarray(x, dtype=float), self.n_modes)
-        return np.tensordot(u, self.coeffs, axes=([-1], [0]))
-
-
-def apply_finite_part_operator(expansion: ChebyshevUExpansion, x) -> np.ndarray:
-    """Spectral action of the finite-part operator: sum_n -(n+1) c_n U_n(x)."""
-    u = chebyshev_u_values(np.asarray(x, dtype=float), expansion.n_modes)
-    n1 = np.arange(1, expansion.n_modes + 1, dtype=float)
-    scaled = -(expansion.coeffs.T * n1).T
-    return np.tensordot(u, scaled, axes=([-1], [0]))
-
 
 @functools.lru_cache(maxsize=8)
 def _sine_transform(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,9 +119,9 @@ def _sine_transform(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=8)
 def _polynomial_part_map(n_modes: int) -> np.ndarray:
     """The read-only (M, M) matrix R = U diag(-1/(n+1)) DST, with U[k, n] =
-    U_n(x_k): R @ samples equals
-    invert_finite_part_operator(samples, M).polynomial_part(x) at the nodes
-    x_k, one fixed linear map built once per n_modes."""
+    U_n(x_k): R @ samples is the polynomial part sum_n c_n U_n(x_k) of
+    invert_finite_part_operator(samples, M) at the nodes x_k, one fixed
+    linear map built once per n_modes."""
     nodes, dst = _sine_transform(n_modes)
     u = chebyshev_u_values(nodes, n_modes)
     out = (u / -np.arange(1.0, n_modes + 1)) @ dst
@@ -146,17 +132,16 @@ def _polynomial_part_map(n_modes: int) -> np.ndarray:
 def invert_finite_part_operator(rhs, n_modes: int) -> ChebyshevUExpansion:
     """Solve A[psi] = rhs on the weighted basis.
 
-    `rhs` is a callable evaluated at the n_modes Gauss-Chebyshev nodes, or an
-    array of samples at those nodes (shape (n_modes,) or (n_modes, d)).  The
-    right-hand side is expanded in U_n by exact discrete sine orthogonality
-    and coefficient n is divided by -(n+1); the round trip
-    apply(invert(rhs)) reproduces polynomial data of degree < n_modes to
-    machine precision.
+    `rhs` holds samples at the n_modes Gauss-Chebyshev nodes, shape
+    (n_modes,) or (n_modes, d).  The right-hand side is expanded in U_n by
+    exact discrete sine orthogonality and coefficient n is divided by
+    -(n+1); applying A to the result reproduces polynomial data of degree
+    < n_modes to machine precision.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    nodes, dst = _sine_transform(n_modes)
-    vals = np.asarray(rhs(nodes) if callable(rhs) else rhs, dtype=float)
+    _, dst = _sine_transform(n_modes)
+    vals = np.asarray(rhs, dtype=float)
     if vals.shape[0] != n_modes:
         raise ValueError("rhs samples must match the quadrature nodes")
     n1 = np.arange(1, n_modes + 1)

@@ -12,12 +12,13 @@ Four subcommands share one JSON config format:
 Config sections and keys, with their types, shapes, defaults, bounds and
 the keys each kind takes, are the _SCHEMA table; load_config checks every
 value against it and the command, and the readers only build objects.
-Unknown keys anywhere, and keys foreign to the given kind, are rejected: a
-typo in a sweep config should fail loudly, not run the wrong experiment.
-Angles enter in degrees and are converted at this boundary.  On the mesh,
-before the solver exists, cracks must pass BoundaryMesh.require_clearance;
-td-map skips grid points nearer the wall than its margin, floored at the
-mesh's minimum interior distance, and refuses a grid that keeps no point.
+Unknown or repeated keys anywhere, and keys foreign to the given kind, are
+rejected: a typo in a sweep config should fail loudly, not run the wrong
+experiment.  Angles enter in degrees and are converted at this boundary.
+On the mesh, before the solver exists, cracks must pass
+BoundaryMesh.require_clearance; td-map skips grid points nearer the wall
+than its margin, floored at the mesh's minimum interior distance, and
+refuses a grid that keeps no point.
 
 All CSV output uses '.' decimals and a fixed column order, floats printed
 with %.17g so reruns are byte-identical.  Every number is computed before the
@@ -148,17 +149,34 @@ def _checked(name: str, key: str, value, type_, low, high):
     return int(value) if type_ is int else value
 
 
+def _objects(value, section=None):
+    """JSON parsed with each object as a tuple of (key, value) pairs, with
+    every object made a dict; a key given twice raises ConfigError naming it
+    and its section, the dotted path of the keys above it."""
+    if isinstance(value, list):
+        return [_objects(item, section) for item in value]
+    if not isinstance(value, tuple):
+        return value
+    out = {}
+    for key, item in value:
+        if key in out:
+            where = f"key '{key}' in section '{section}'" if section else f"section '{key}'"
+            raise ConfigError(f"duplicate {where}")
+        out[key] = _objects(item, key if section is None else f"{section}.{key}")
+    return out
+
+
 def load_config(path: str, command: str) -> dict:
     """Read and validate a JSON config for a command against _SCHEMA, filling
     in defaults.
 
     JSON null counts as an absent key.  Raises ConfigError naming the
-    section or key for unknown names, missing sections and keys, kinds
-    outside their table, keys foreign to the kind, wrong types and shapes,
-    non-finite numbers, non-integral counts and values outside their bounds,
-    a non-symmetric sigma, and for the commands but td-map a missing crack
-    section or lengths, fewer than three for convergence and, for solve, two
-    lengths sharing an output tag.
+    section or key for unknown or repeated names, missing sections and
+    keys, kinds outside their table, keys foreign to the kind, wrong types
+    and shapes, non-finite numbers, non-integral counts and values outside
+    their bounds, a non-symmetric sigma, and for the commands but td-map a
+    missing crack section or lengths, fewer than three for convergence and,
+    for solve, two lengths sharing an output tag.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -167,8 +185,8 @@ def load_config(path: str, command: str) -> dict:
     try:
         # integers parse as floats too, so 1e400 and a 400-digit integer
         # both become infinity and fail the finiteness check
-        raw = json.loads(text, parse_int=float)
-    except json.JSONDecodeError as exc:
+        raw = _objects(json.loads(text, parse_int=float, object_pairs_hook=tuple))
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

@@ -1,5 +1,5 @@
 """Boundary-integral forward solver: layer operators, background solve, and
-domain Green-function rows.
+the conormal rows of the domain Green function.
 
 Discretization
 --------------
@@ -47,28 +47,9 @@ whose constraint rows enforce the rigid-motion orthogonality of w and whose
 extra columns absorb the compatibility defect of the right-hand side (the
 multipliers mu are returned by no solve; only the background residual
 check reads them).  One LU factorization serves every right-hand side
-(background solves, Green function columns, crack feedback updates), and
+(background solves, conormal rows, crack feedback updates), and
 every solve goes through lu_solve, which is LAPACK getrs on that factor
 with no wrapper between.
-
-Green-function rows
--------------------
-N(x, y) is the traction (Neumann) domain Green function: a point force at y
-balanced by the boundary traction -psi(x) G^-1 psi(y)^T, with
-rigid-orthogonal trace.  Here psi is the (2, 3) matrix of rigid-motion
-generators and G = Int psi^T psi dsigma their Gram matrix, the same moments
-C^T W C that the bordered constraint rows apply; the rigid part of nodal
-data f is C G^-1 (C^T W f).  Only this projector datum is force- AND
-torque-compatible for every source position, and it is what makes
-N(x, y) = N(y, x)^T hold exactly.  The trace is computed by solving the
-crack-free problem for the regular part R = N + Phi(. - z) and subtracting
-the Kelvin trace; interior values follow from the representation formula
-plus a rigid correction.
-
-The trace of the crack-directional conormal x -> dN/dnu_y (x, z) solves the
-boundary system with the double-layer traction kernel as data directly: the
-projector datum drops out of that equation because rigid fields are
-stress-free.
 """
 
 from __future__ import annotations
@@ -88,7 +69,7 @@ from .kernels import (
     kelvin_matrix,
     rigid_motion_basis,
 )
-from .mesh import BoundaryField, BoundaryMesh, rigid_gram
+from .mesh import BoundaryField, BoundaryMesh
 
 __all__ = [
     "apply_single_layer",
@@ -268,16 +249,15 @@ def apply_single_layer(mesh: BoundaryMesh, mat: LameParams, density) -> np.ndarr
 def _layer_sum(mesh: BoundaryMesh, kernel: np.ndarray, density: np.ndarray) -> np.ndarray:
     """Trapezoidal layer sum at interior points: kernel values (p, n, 2, 2, ...)
     between the points and the nodes, contracted over (node, density component)
-    with a nodal density (n, 2, ...); one of the two `...` is empty, and the
-    result is (p, 2, ...).
+    with a nodal vector density (n, 2); the result is (p, 2, ...).
 
-    The sum is two strided matmuls over the node axis of the kernel viewed as
+    The sum is two strided matvecs over the node axis of the kernel viewed as
     (2, 2, ..., p, n), which is a copy-free view of the component-major
     storage the kernels module returns."""
-    weighted = mesh.weights.reshape((-1,) + (1,) * (density.ndim - 1)) * density
+    weighted = mesh.weights[:, None] * density
     k = kernel.transpose(*range(2, kernel.ndim), 0, 1)  # (2, 2, ..., p, n)
     out = k[:, 0] @ weighted[:, 0] + k[:, 1] @ weighted[:, 1]
-    return np.moveaxis(out, kernel.ndim - 3, 0)
+    return np.moveaxis(out, -1, 0)
 
 
 def _points_per_panel(n: int) -> int:
@@ -377,10 +357,9 @@ class BoundarySolver:
     Assembles the double-layer Nystrom matrix in place as -I/2 + K inside
     the matrix bordered by the rigid-motion columns and constraint rows,
     factorizes it once in its own buffer, keeping only the factor, and
-    exposes the solves needed by the background problem, the crack
-    coupling, and the Green-function evaluators; the single layer is
-    applied to their data (apply_single_layer), not stored.
-    The factorization is immutable.
+    exposes the solves needed by the background problem and the crack
+    coupling; the single layer is applied to their data
+    (apply_single_layer), not stored.  The factorization is immutable.
     """
 
     def __init__(self, mesh: BoundaryMesh, mat: LameParams):
@@ -389,15 +368,13 @@ class BoundarySolver:
         n2 = 2 * mesh.n
 
         basis = rigid_motion_basis(mesh.points)  # (n, 2, 3)
-        self._columns = basis.reshape(n2, 3)  # C
-        self._rows = (mesh.weights[:, None, None] * basis).reshape(n2, 3).T  # C^T W
         # column-major, so getrf factors it in place, with no copy
         bordered = np.zeros((n2 + 3, n2 + 3), order="F")
         # -I/2 + K, assembled in place: a view into the bordered matrix
         operator = assemble_double_layer(mesh, mat, out=bordered[:n2, :n2])
         operator[np.diag_indices(n2)] -= 0.5
-        bordered[:n2, n2:] = self._columns
-        bordered[n2:, :n2] = self._rows
+        bordered[:n2, n2:] = basis.reshape(n2, 3)  # C
+        bordered[n2:, :n2] = (mesh.weights[:, None, None] * basis).reshape(n2, 3).T  # C^T W
         # the factor overwrites the bordered matrix: it is the one n^2 array
         self._neumann_lu = lu_factor(bordered, overwrite_a=True, check_finite=False)
         # getrf only adds, multiplies and divides by entries, so a non-finite
@@ -407,10 +384,6 @@ class BoundarySolver:
         lu = self._neumann_lu[0]
         if not (np.isfinite(lu.min()) and np.isfinite(lu.max())):
             raise ValueError("array must not contain infs or NaNs")
-        # the rigid part of nodal data f is C G^-1 (C^T W f)
-        self._gram = rigid_gram(mesh)
-
-    # -- core solves ------------------------------------------------------
 
     def solve_neumann(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (-I/2 + K) w = rhs with rigid-motion orthogonality.
@@ -461,62 +434,14 @@ class BoundarySolver:
             raise SolveFailed(f"background solve residual {residual:.3g}")
         return BackgroundField(self, BoundaryField.from_flat(self.mesh, x[: 2 * self.mesh.n]), g)
 
-    # -- Green-function rows ----------------------------------------------
-
-    def _regular_part(self, z):
-        """Solve for the regular part R = N(., z) + Phi(. - z).
-
-        Returns the traction datum of R, the trace of R, and the trace
-        R - Phi(. - z) of N(., z) before its rigid part is removed, each flat
-        (2n, 2).  Column k of the datum is the conormal of the Kelvin column
-        Phi(. - z) e_k plus the projector datum -psi(x) G^-1 psi(z)^T e_k.
-        """
-        self.mesh.require_clearance(z)
-        m, n2 = self.mesh, 2 * self.mesh.n
-        kelvin_traction = dlp_traction_kernel(z, m.points, m.normals, self.mat)
-        datum = -self._columns @ np.linalg.solve(self._gram, rigid_motion_basis(z).T)
-        # [i, j, k] = traction component j of column k
-        data = kelvin_traction.transpose(0, 2, 1).reshape(n2, 2) + datum
-        regular = self.solve_neumann(apply_single_layer(m, self.mat, data))
-        raw_trace = regular - kelvin_matrix(m.points - z, self.mat).reshape(n2, 2)
-        return data, regular, raw_trace
-
-    def neumann_trace(self, z) -> np.ndarray:
-        """Boundary trace of the Neumann function N(., z), shape (n, 2, 2).
-
-        Entry [i, :, k] is the trace at node i of the field generated by a
-        unit source e_k at z; the result is rigid-motion orthogonal.
-        """
-        trace = self._regular_part(z)[2]
-        trace = trace - self._columns @ np.linalg.solve(self._gram, self._rows @ trace)
-        return trace.reshape(self.mesh.n, 2, 2)
-
-    def neumann_interior(self, z, points) -> np.ndarray:
-        """Neumann function N(x, z) at interior points x, shape (p, 2, 2).
-
-        Representation: N(., z) = D[R] - S[g_N] - Phi(. - z) minus the rigid
-        component read off the trace, where R is the regular-part trace and
-        g_N its traction datum.
-        """
-        data, regular, trace = self._regular_part(z)
-        m = self.mesh
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        x = points[:, None, :]
-        double = dlp_traction_kernel(x, m.points, m.normals, self.mat)
-        single = kelvin_matrix(x - m.points, self.mat)
-        out = _layer_sum(m, double, regular.reshape(m.n, 2, 2))
-        out -= _layer_sum(m, single, data.reshape(m.n, 2, 2))
-        out -= kelvin_matrix(points - z, self.mat)
-        # subtract the rigid component so the trace is Psi-orthogonal
-        return out - rigid_motion_basis(points) @ np.linalg.solve(self._gram, self._rows @ trace)
-
     def neumann_conormal_row(self, z, e_perp, t) -> np.ndarray:
-        """Trace of x -> dN/dnu_y (x, z) t for crack normal e_perp and a
-        traction vector t, (n, 2).
+        """Trace of x -> dN/dnu_y (x, z) t, N the traction Green function of
+        the domain, for crack normal e_perp and a traction vector t, (n, 2).
 
         One solve of the boundary equation with the double-layer traction
-        kernel contracted with t as data; the solve is linear, so this is
-        the two-column row (one column per unit source) contracted with t.
+        kernel contracted with t as data (no rigid-motion datum: rigid
+        fields are stress-free); the solve is linear, so this is the
+        two-column row (one column per unit source) contracted with t.
         The result is rigid-motion orthogonal.
         """
         self.mesh.require_clearance(z)

@@ -74,12 +74,10 @@ import numpy as np
 
 __all__ = [
     "LameParams",
-    "rot90",
     "kelvin_matrix",
     "kelvin_gradient",
     "dlp_traction_kernel",
     "dlp_traction_gradient",
-    "double_conormal_kernel",
     "rigid_motion_basis",
 ]
 
@@ -138,12 +136,6 @@ class LameParams:
         object.__setattr__(self, "a", -mu / (2.0 * np.pi * denom))
         object.__setattr__(self, "b", -(lam + mu) / (np.pi * denom))
         object.__setattr__(self, "E", 4.0 * mu * (lam + mu) / denom)
-
-
-def rot90(v: np.ndarray) -> np.ndarray:
-    """Rotate 2-vectors by +90 degrees: (v1, v2) -> (-v2, v1)."""
-    v = np.asarray(v, dtype=float)
-    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
 def _offset(x, y=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -337,35 +329,6 @@ def dlp_traction_gradient(
     return _harmonic_gradient(coef, harmonics, pairs)
 
 
-def double_conormal_kernel(
-    x: np.ndarray,
-    y: np.ndarray,
-    normal_x: np.ndarray,
-    normal_y: np.ndarray,
-    mat: LameParams,
-) -> np.ndarray:
-    """Hypersingular kernel: conormal derivative in x of the double-layer
-    traction kernel, shape (..., 2, 2).
-
-    Column j of the result is the traction, in direction normal_x, of the
-    vector field x -> K(x, y; normal_y) e_j, whose gradient is g[k, j, l] =
-    d_l K_kj:  lam (g[0, j, 0] + g[1, j, 1]) m_i + mu (g[i, j, l] + g[l, j, i]) m_l.
-    On a straight crack with normal_x = normal_y perpendicular to x - y this
-    reduces to the canonical -E/(4 pi |x-y|^2) I form.
-    """
-    g = dlp_traction_gradient(x, y, normal_y, mat)
-    g = g.transpose(-3, -2, -1, *range(g.ndim - 3))  # [k, j, l, ...], its storage
-    m = np.asarray(normal_x, dtype=float)
-    m = (m[..., 0], m[..., 1])
-    div = [g[0, j, 0] + g[1, j, 1] for j in (0, 1)]
-    return _tensor({
-        (i, j): mat.lam * m[i] * div[j]
-        + mat.mu * (m[0] * (g[i, j, 0] + g[0, j, i]) + m[1] * (g[i, j, 1] + g[1, j, i]))
-        for i in (0, 1)
-        for j in (0, 1)
-    })
-
-
 def _crack_frame_kernels(
     s: np.ndarray,
     center: np.ndarray,
@@ -376,24 +339,25 @@ def _crack_frame_kernels(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two pair matrices of a crack solve, from one pass over the pairs of
     crack nodes x_q = center + s_q t and boundary points y_p with unit
-    normals n_p, in the crack frame (t, m = rot90(t)).
+    normals n_p, in the crack frame (t, m) with m = (-t1, t0).
 
     Returns F and G, each (2 len(s), 2 len(points)) and component-major, with
     rows (i, q) and columns (k, p):
 
-        F[(i, q), (k, p)] = (Q^T H Q)_ik,  H = double_conormal_kernel(x_q, y_p, m, n_p),
+        F[(i, q), (k, p)] = (Q^T H Q)_ik,  H = double_conormal_kernel_ref(x_q, y_p, m, n_p),
         G[(i, q), (k, p)] = (Q^T K Q)_ki,  K = dlp_traction_kernel(y_p, x_q, m),
 
-    where Q = [t m] and i, k are crack-frame components (0 along t, 1 along
-    m), so each matrix acts on vectors laid out as all t components, then
-    all m components.  Each of the four component blocks is written once,
-    in place.  Zero separation raises ValueError.
+    where H, the hypersingular kernel, is the einsum reference in
+    tests/oracles.py, Q = [t m] and i, k are crack-frame components (0 along
+    t, 1 along m), so each matrix acts on vectors laid out as all t
+    components, then all m components.  Each of the four component blocks
+    is written once, in place.  Zero separation raises ValueError.
 
     In the crack frame write r = x_q - y_p = (r_t, r_m) = rho (cos th, sin th).
     r_m does not depend on q, and r_t = s_q + (center - y_p) . t is an outer
-    sum.  Substituting r and m = (0, 1) into double_conormal_kernel and
-    reducing the products of cos th and sin th to C2 + i S2 = e^{2 i th} and
-    C4 + i S4 = e^{4 i th}, the lam and mu terms combine into the one
+    sum.  Substituting r and m = (0, 1) into H and reducing the products of
+    cos th and sin th to C2 + i S2 = e^{2 i th} and C4 + i S4 = e^{4 i th},
+    the lam and mu terms combine into the one
     constant kappa = E/(4 pi) = -2 a (lam + mu) = -b mu: with n = (n_t, n_m),
     row i of rho^2 Q^T H Q / kappa is (Sigma_i n)^T for the symmetric
 

@@ -1,16 +1,20 @@
 """Slow, independent references the package is checked against.
 
-Four kinds live here, none of which the solver pipeline calls:
+Five kinds live here, none of which the solver pipeline calls:
 
 - finite differences: central differences with one Richardson step for first
   derivatives and second-order stencils for the Navier operator; tolerances
   in the tests account for their O(h^4) / O(h^2) truncation;
-- closed forms: the conormal derivative of a displacement gradient and the
-  canonical straight-crack hypersingular kernel;
-- quadratures: einsum forms of the pairwise kernels and of the interior
-  layer sums, identity-FFT forms of the boundary assembly, the brute-force
-  Hadamard finite part, the crack trace recomputed through
-  Neumann-function rows, and the two-column Neumann conormal row;
+- closed forms: the conormal derivative of a displacement gradient, the
+  canonical straight-crack hypersingular kernel, and the spectral action
+  of the finite-part operator and the polynomial part of a weighted
+  Chebyshev expansion;
+- quadratures: einsum forms of the pairwise kernels (the hypersingular
+  kernel among them) and of the interior layer sums, identity-FFT forms of
+  the boundary assembly, the brute-force Hadamard finite part, the crack
+  trace recomputed through Neumann-function rows, the two-column Neumann
+  conormal row, and the Neumann function's boundary trace and interior
+  values;
 - the crack solve as a plain Picard loop: background stress at the nodes,
   then the finite-part inversion and its polynomial part in every sweep;
 - geometry: the all-edges crossing-number and the winding-number forms of
@@ -23,11 +27,16 @@ from crackbem import (
     BoundaryField,
     CrackedSolution,
     LameParams,
+    apply_single_layer,
+    chebyshev_u_values,
+    dlp_traction_kernel,
     gauss_chebyshev_u,
     invert_finite_part_operator,
+    kelvin_matrix,
+    rigid_gram,
+    rigid_motion_basis,
 )
 from crackbem.errors import SolveFailed
-from crackbem.kernels import dlp_traction_kernel, double_conormal_kernel
 
 
 def fd_jacobian(fn, x, h=None):
@@ -378,7 +387,7 @@ def trace_from_neumann_representation(solution, n_quad: int = 48) -> np.ndarray:
     """
     solver, crack = solution.solver, solution.crack
     eta, weights = gauss_chebyshev_u(n_quad)
-    poly = solution.psi.polynomial_part(eta)  # (q, 2)
+    poly = polynomial_part_ref(solution.psi, eta)  # (q, 2)
     scale = crack.half_length**2
     out = np.zeros((solver.mesh.n, 2))
     for q in range(n_quad):
@@ -407,7 +416,7 @@ def solve_cracked_ref(background, crack, n_modes=32, tol=1e-11, max_iterations=5
     nodes = crack.points(eta)
     f0 = background.stress(nodes) @ crack.normal  # (m, 2)
     feedback = _blocks_to_matrix_ref(
-        double_conormal_kernel(
+        double_conormal_kernel_ref(
             nodes[:, None, :], mesh.points[None, :, :], crack.normal, mesh.normals[None], mat
         )
     ) * np.repeat(mesh.weights, 2)
@@ -420,7 +429,7 @@ def solve_cracked_ref(background, crack, n_modes=32, tol=1e-11, max_iterations=5
     for iteration in range(1, max_iterations + 1):
         f = f0 + (feedback @ w.reshape(-1)).reshape(-1, 2)
         psi = invert_finite_part_operator(-(4.0 / mat.E) * f, n_modes)
-        poly = psi.polynomial_part(eta)  # (m, 2)
+        poly = polynomial_part_ref(psi, eta)  # (m, 2)
         rhs = (transfer @ poly.reshape(-1)).reshape(-1, 2)
         w_new = solver.solve_neumann(rhs)
         update = float(np.max(np.abs(w_new - w)))
@@ -439,7 +448,89 @@ def solve_cracked_ref(background, crack, n_modes=32, tol=1e-11, max_iterations=5
     raise SolveFailed(f"reference crack loop did not contract to {tol:g}")
 
 
+# -- the traction Green function N(x, z) --
+#
+# N(x, z) is the field of a point force at z balanced by the boundary
+# traction -psi(x) G^-1 psi(z)^T, with a rigid-motion orthogonal trace.
+# Here psi is the (2, 3) matrix of rigid-motion generators and G =
+# Int psi^T psi dsigma their Gram matrix (rigid_gram), the moments C^T W C
+# of the solver's constraint rows; the rigid part of nodal data f is
+# C G^-1 (C^T W f).  Only this projector datum is force- and
+# torque-compatible for every source position, and it is what makes
+# N(x, z) = N(z, x)^T hold exactly.  The trace solves the crack-free problem
+# for the regular part R = N + Phi(. - z) and subtracts the Kelvin trace;
+# interior values follow from the representation formula plus a rigid
+# correction.
+
+
+def _rigid_part_ref(mesh, points, data):
+    """psi(points) G^-1 (C^T W data): the rigid motion whose moments are
+    those of flat nodal data (2n, k), evaluated at points (..., 2)."""
+    basis = rigid_motion_basis(mesh.points)
+    rows = (mesh.weights[:, None, None] * basis).reshape(-1, 3).T  # C^T W
+    return rigid_motion_basis(points) @ np.linalg.solve(rigid_gram(mesh), rows @ data)
+
+
+def _neumann_regular_part_ref(solver, z):
+    """The traction datum of R = N(., z) + Phi(. - z), the trace of R, and
+    the trace R - Phi(. - z) of N(., z) before its rigid part is removed,
+    each flat (2n, 2).  Column k of the datum is the conormal of the Kelvin
+    column Phi(. - z) e_k plus the projector datum -psi(x) G^-1 psi(z)^T e_k."""
+    mesh, mat = solver.mesh, solver.mat
+    mesh.require_clearance(z)
+    n2 = 2 * mesh.n
+    columns = rigid_motion_basis(mesh.points).reshape(n2, 3)  # C
+    datum = -columns @ np.linalg.solve(rigid_gram(mesh), rigid_motion_basis(z).T)
+    kelvin_traction = dlp_traction_kernel(z, mesh.points, mesh.normals, mat)
+    # [i, j, k] = traction component j of column k
+    data = kelvin_traction.transpose(0, 2, 1).reshape(n2, 2) + datum
+    regular = solver.solve_neumann(apply_single_layer(mesh, mat, data))
+    raw_trace = regular - kelvin_matrix(mesh.points - z, mat).reshape(n2, 2)
+    return data, regular, raw_trace
+
+
+def neumann_trace_ref(solver, z):
+    """Boundary trace of N(., z), (n, 2, 2): entry [i, :, k] is the trace at
+    node i of the field of a unit source e_k at z; rigid-motion orthogonal."""
+    mesh = solver.mesh
+    trace = _neumann_regular_part_ref(solver, z)[2]
+    trace = trace - _rigid_part_ref(mesh, mesh.points, trace).reshape(-1, 2)
+    return trace.reshape(mesh.n, 2, 2)
+
+
+def neumann_interior_ref(solver, z, points):
+    """N(x, z) at interior points x (p, 2), (p, 2, 2): D[R] - S[g_N] -
+    Phi(. - z) by einsum layer sums, minus the rigid component read off the
+    trace, where R is the regular-part trace and g_N its traction datum."""
+    data, regular, trace = _neumann_regular_part_ref(solver, z)
+    mesh, mat = solver.mesh, solver.mat
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    x = points[:, None, :]
+    double = dlp_traction_kernel(x, mesh.points, mesh.normals, mat)
+    single = kelvin_matrix(x - mesh.points, mat)
+    out = layer_sum_ref(mesh, double, regular.reshape(mesh.n, 2, 2))
+    out -= layer_sum_ref(mesh, single, data.reshape(mesh.n, 2, 2))
+    out -= kelvin_matrix(points - z, mat)
+    return out - _rigid_part_ref(mesh, points, trace)
+
+
 # -- closed-form and quadrature references for the crack equation --
+
+
+def polynomial_part_ref(expansion, x):
+    """sum_n c_n U_n(x) of a ChebyshevUExpansion: the factor multiplying
+    its sqrt(1 - x^2) weight."""
+    u = chebyshev_u_values(np.asarray(x, dtype=float), expansion.n_modes)
+    return np.tensordot(u, expansion.coeffs, axes=([-1], [0]))
+
+
+def apply_finite_part_ref(expansion, x):
+    """Spectral action of the finite-part operator on a ChebyshevUExpansion:
+    sum_n -(n+1) c_n U_n(x)."""
+    u = chebyshev_u_values(np.asarray(x, dtype=float), expansion.n_modes)
+    n1 = np.arange(1, expansion.n_modes + 1, dtype=float)
+    scaled = -(expansion.coeffs.T * n1).T
+    return np.tensordot(u, scaled, axes=([-1], [0]))
 
 
 def hypersingular_kernel_canonical(x1, y1, mat: LameParams):

@@ -554,3 +554,14 @@ def test_fit_log_slope_noise_floor():
 def test_fit_log_slope_validation():
     with pytest.raises(ValueError):
         fit_log_slope(np.array([0.1, 0.05]), np.array([1.0]))
+    eps = np.array([0.1, 0.05, 0.025])
+    for bad in (0.0, -0.05, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive finite eps"):
+            fit_log_slope(np.array([0.1, bad, 0.025]), np.ones(3))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite values"):
+            fit_log_slope(eps, np.array([1.0, bad, 0.1]))
+    # zero values stay legal: the noise floor drops them
+    fit = fit_log_slope(eps, np.array([1e-2, 1e-3, 0.0]))
+    assert fit.n_points == 2
+    assert fit.slope == pytest.approx(np.log(10) / np.log(2), rel=1e-12)

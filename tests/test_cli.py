@@ -403,6 +403,39 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     assert "unknown key 'quad_points' in section 'discretization'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('"material": {"lambda": 1.0, "mu": 1.0, "mu": -5.0}',
+         "duplicate key 'mu' in section 'material'"),
+        ('"material": {"lambda": 1.0, "mu": 1.0}, "geometry": {"kind": "disk"}',
+         "duplicate section 'geometry'"),
+        ('"material": {"lambda": 1.0, "mu": {"a": 1, "a": 2}}',
+         "duplicate key 'a' in section 'material.mu'"),
+        ('"material": {"lambda": 1.0, "mu": [{"a": 1, "a": 2}]}',
+         "duplicate key 'a' in section 'material.mu'"),
+    ],
+    ids=["key", "section", "nested-object", "object-in-list"],
+)
+def test_duplicate_keys_refused(tmp_path, capsys, text, message):
+    # json.loads keeps the last of two equal keys; the config refuses them
+    cfg = write_config(tmp_path, material=None)
+    given = cfg.read_text(encoding="utf-8").replace("{", "{" + text + ", ", 1)
+    cfg.write_text(given, encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("depth", [900, 5000])
+def test_deeply_nested_config_refused(tmp_path, capsys, depth):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text('{"material": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
 
