@@ -100,20 +100,22 @@ def test_inversion_round_trip():
     assert np.allclose(back.coeffs, coeffs, atol=1e-12)
 
 
+def test_inversion_identities():
+    # A^-1 1 = -sqrt(1 - x^2) and A^-1 x = -x sqrt(1 - x^2)/2
+    nodes, _ = gauss_chebyshev_u(33)
+    psi = invert_finite_part_operator(np.ones_like(nodes), 33)
+    assert np.allclose(psi(nodes), -np.sqrt(1 - nodes**2), atol=1e-13)
+    psi = invert_finite_part_operator(nodes, 33)
+    assert np.allclose(psi(nodes), -0.5 * nodes * np.sqrt(1 - nodes**2), atol=1e-13)
+
+
 def test_inversion_accepts_samples_and_vectors():
-    # A^-1 1 = -sqrt(1 - x^2) and A^-1 x = -x sqrt(1 - x^2)/2, from one stack
-    # of both samples, and at 33 modes from each alone
     nodes, _ = gauss_chebyshev_u(16)
     rhs = np.stack([np.ones_like(nodes), nodes], axis=-1)
     psi = invert_finite_part_operator(rhs, 16)
     vals = psi(nodes)
     assert np.allclose(vals[:, 0], -np.sqrt(1 - nodes**2), atol=1e-13)
     assert np.allclose(vals[:, 1], -0.5 * nodes * np.sqrt(1 - nodes**2), atol=1e-13)
-    nodes, _ = gauss_chebyshev_u(33)
-    psi = invert_finite_part_operator(np.ones_like(nodes), 33)
-    assert np.allclose(psi(nodes), -np.sqrt(1 - nodes**2), atol=1e-13)
-    psi = invert_finite_part_operator(nodes, 33)
-    assert np.allclose(psi(nodes), -0.5 * nodes * np.sqrt(1 - nodes**2), atol=1e-13)
 
 
 def test_hadamard_finite_part_reference_values():
