@@ -104,29 +104,21 @@ class ChebyshevUExpansion:
 
 
 @functools.lru_cache(maxsize=8)
-def _sine_transform(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Chebyshev nodes x_k and the discrete sine transform with
-    d_n = (2/(M+1)) sum_k sin(theta_k) sin((n+1) theta_k) f(x_k), where
-    x_k = cos(theta_k); built once per n_modes, so both are read-only."""
+def _finite_part_maps(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (M, M) tables of the inversion on the M = n_modes
+    Gauss-Chebyshev nodes x_k = cos(theta_k), built once per M: the discrete
+    sine transform DST, d_n = (2/(M+1)) sum_k sin(theta_k) sin((n+1) theta_k)
+    f(x_k), and R = U diag(-1/(n+1)) DST, with U[k, n] = U_n(x_k), so R @
+    samples is the polynomial part sum_n c_n U_n(x_k) of
+    invert_finite_part_operator(samples, M) at the nodes."""
     nodes, _ = gauss_chebyshev_u(n_modes)
     theta = np.arccos(nodes)
     n1 = np.arange(1, n_modes + 1)
     dst = 2.0 / (n_modes + 1) * np.sin(np.outer(n1, theta)) * np.sin(theta)
+    R = (chebyshev_u_values(nodes, n_modes) / -np.arange(1.0, n_modes + 1)) @ dst
     dst.flags.writeable = False
-    return nodes, dst
-
-
-@functools.lru_cache(maxsize=8)
-def _polynomial_part_map(n_modes: int) -> np.ndarray:
-    """The read-only (M, M) matrix R = U diag(-1/(n+1)) DST, with U[k, n] =
-    U_n(x_k): R @ samples is the polynomial part sum_n c_n U_n(x_k) of
-    invert_finite_part_operator(samples, M) at the nodes x_k, one fixed
-    linear map built once per n_modes."""
-    nodes, dst = _sine_transform(n_modes)
-    u = chebyshev_u_values(nodes, n_modes)
-    out = (u / -np.arange(1.0, n_modes + 1)) @ dst
-    out.flags.writeable = False
-    return out
+    R.flags.writeable = False
+    return dst, R
 
 
 def invert_finite_part_operator(rhs, n_modes: int) -> ChebyshevUExpansion:
@@ -140,10 +132,10 @@ def invert_finite_part_operator(rhs, n_modes: int) -> ChebyshevUExpansion:
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    _, dst = _sine_transform(n_modes)
     vals = np.asarray(rhs, dtype=float)
-    if vals.shape[0] != n_modes:
+    if vals.ndim not in (1, 2) or vals.shape[0] != n_modes:
         raise ValueError("rhs samples must match the quadrature nodes")
+    dst, _ = _finite_part_maps(n_modes)
     n1 = np.arange(1, n_modes + 1)
     d = np.tensordot(dst, vals, axes=([1], [0]))
     coeffs = -(d.T / n1).T

@@ -297,11 +297,11 @@ def _crack_sweep(config: dict, mesh) -> dict:
     }
 
 
-def _td_grid(config: dict, mesh) -> list:
-    """The td-map grid points kept, (k, 2) per grid row: those inside the
-    curve and no nearer its nodes than the margin, floored at the mesh's
-    minimum interior distance.  Skipped points are logged; a grid that keeps
-    no point is refused."""
+def _td_grid(config: dict, mesh) -> np.ndarray:
+    """The td-map grid points kept, one (k, 2) array in grid-row order: those
+    inside the curve and no nearer its nodes than the margin, floored at the
+    mesh's minimum interior distance.  Skipped points are logged; a grid that
+    keeps no point is refused."""
     section = config["td_map"]
     margin = max(section["margin"], mesh.minimum_interior_distance)
     extent = float(np.max(np.abs(mesh.points)))
@@ -316,12 +316,13 @@ def _td_grid(config: dict, mesh) -> list:
             f"closer than margin {margin:g} to the boundary\n"
             for px, py in row[~keep].tolist()
         ))
-    if not any(len(points) for points in kept):
+    points = np.concatenate(kept)
+    if not len(points):
         raise ConfigError(
             f"td_map keeps no grid point: every point of the {len(coords)}x{len(coords)} "
             f"grid is outside the boundary or closer than margin {margin:g} to it"
         )
-    return kept
+    return points
 
 
 def _csv(header: list, rows: list, precision: int) -> str:
@@ -395,29 +396,25 @@ def cmd_convergence(background, config: dict, sweep: dict, warnings: list) -> di
     }
 
 
-def cmd_td_map(background, config: dict, grid: list, warnings: list) -> dict:
+def cmd_td_map(background, config: dict, points: np.ndarray, warnings: list) -> dict:
     n_angles = config["td_map"]["n_angles"]
     angles = np.arange(n_angles) * (180.0 / n_angles)
     # each row is "x,y," + angle + ",K1,K2,td," + best angle: the values that
     # repeat over a point's angles, or over the points, are formatted once
     g = f"%.{config['output']['precision']}g"
     angle_fields = [g % a + f",{g},{g},{g}," for a in angles.tolist()]
-    # one scan over the kept grid; the text is built row by row from slices,
-    # so the Python float lists stay row-sized
-    sif, td, best = orientation_scan(background, np.concatenate(grid), np.deg2rad(angles))
+    sif, td, best = orientation_scan(background, points, np.deg2rad(angles))
     values = np.stack([sif.k1, sif.k2, td], axis=-1)  # (p, n_angles, 3)
     values = values.reshape(len(td), 3 * len(angles))
-    bounds = np.cumsum([len(points) for points in grid])[:-1]
 
     def blocks():
         # the numbers are all computed above; only their text is made here,
-        # one point's block at a time, as main writes it
+        # one point's block at a time, as main writes it, so each point's
+        # values become Python floats only for its own block
         yield "x,y,angle_deg,K1,K2,td,min_angle_deg\n"
-        rows = zip(grid, np.split(angles[best], bounds), np.split(values, bounds))
-        for points, b_row, v_row in rows:
-            for (px, py), b, v in zip(points.tolist(), b_row.tolist(), v_row.tolist()):
-                prefix, suffix = g % px + "," + g % py + ",", g % b + "\n"
-                yield prefix + (suffix + prefix).join(angle_fields) % tuple(v) + suffix
+        for (px, py), b, v in zip(points.tolist(), angles[best].tolist(), values):
+            prefix, suffix = g % px + "," + g % py + ",", g % b + "\n"
+            yield prefix + (suffix + prefix).join(angle_fields) % tuple(v.tolist()) + suffix
 
     return {"td_map.csv": blocks()}
 

@@ -50,7 +50,7 @@ leading term and the stress intensities K_I = t0 . m, K_II = t0 . t.
 
 The nodal values of u0, g and each sweep's w enter the frame through one
 2 x 2 rotation, Q = [t m].  The inversion of A followed by the polynomial
-part at the nodes is a fixed linear map R (chebyshev._polynomial_part_map),
+part at the nodes is a fixed linear map R (chebyshev._finite_part_maps),
 which acts on both components alike, so it multiplies the (2, m) crack
 traction from the right.  With D = diag(half^2 weights) (-4/E), a Picard sweep is
 
@@ -70,7 +70,7 @@ import numpy as np
 
 from .chebyshev import (
     ChebyshevUExpansion,
-    _polynomial_part_map,
+    _finite_part_maps,
     gauss_chebyshev_u,
     invert_finite_part_operator,
 )
@@ -237,10 +237,6 @@ class CrackedSolution:
         self.w = w
         self.diagnostics = diagnostics
 
-    @property
-    def solver(self):
-        return self.background.solver
-
     def opening(self, s) -> np.ndarray:
         """Displacement jump across the crack at arc positions s in [-L/2, L/2]."""
         s = np.asarray(s, dtype=float)
@@ -290,7 +286,7 @@ def solve_cracked(
     # on the same nodes, G^T diag(half^2 weights).  The diagonal and -4/E
     # scale the (m, m) map R once, so no sweep forms a (2n, 2m) matrix
     scale = crack.half_length**2 * gc_weights * (-4.0 / mat.E)
-    to_transfer = (scale[:, None] * _polynomial_part_map(n_modes)).T
+    to_transfer = (scale[:, None] * _finite_part_maps(n_modes)[1]).T
 
     w = np.zeros((mesh.n, 2))
     weighted_w = np.zeros(2 * mesh.n)

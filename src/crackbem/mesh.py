@@ -5,7 +5,8 @@ counterclockwise so that the normal n = (x2', -x1')/|x'| points outward.
 Meshes sample the curve at an even number of equispaced parameter values;
 with the trapezoidal weights h |x'(t_j)| this gives spectrally accurate
 quadrature for smooth integrands, which the layer-potential assembly relies
-on.
+on.  A curve is any object whose samples(t) returns x, x' and x'' at the
+parameters t, each of shape t.shape + (2,), in one call.
 """
 
 from __future__ import annotations
@@ -41,18 +42,11 @@ class Disk:
         if self.radius <= 0.0:
             raise MeshError("disk radius must be positive")
 
-    def point(self, t):
+    def samples(self, t):
         c, s = np.cos(t), np.sin(t)
-        return np.stack(
-            [self.center[0] + self.radius * c, self.center[1] + self.radius * s],
-            axis=-1,
-        )
-
-    def derivative(self, t):
-        return self.radius * np.stack([-np.sin(t), np.cos(t)], axis=-1)
-
-    def second_derivative(self, t):
-        return -self.radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
+        r = self.radius
+        x = np.stack([self.center[0] + r * c, self.center[1] + r * s], axis=-1)
+        return x, np.stack([-r * s, r * c], axis=-1), np.stack([-r * c, -r * s], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -66,14 +60,11 @@ class Ellipse:
         if self.a <= 0.0 or self.b <= 0.0:
             raise MeshError("ellipse semi-axes must be positive")
 
-    def point(self, t):
-        return np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
-
-    def derivative(self, t):
-        return np.stack([-self.a * np.sin(t), self.b * np.cos(t)], axis=-1)
-
-    def second_derivative(self, t):
-        return np.stack([-self.a * np.cos(t), -self.b * np.sin(t)], axis=-1)
+    def samples(self, t):
+        c, s = np.cos(t), np.sin(t)
+        a, b = self.a, self.b
+        x = np.stack([a * c, b * s], axis=-1)
+        return x, np.stack([-a * s, b * c], axis=-1), np.stack([-a * c, -b * s], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -112,20 +103,13 @@ class FourierStar:
         yield -s @ (k * a) + c @ (k * b)
         yield -c @ (k * k * a) - s @ (k * k * b)
 
-    def point(self, t):
-        r = next(self._radius(t))
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-
-    def derivative(self, t):
-        r, r1, _ = self._radius(t)
-        c, s = np.cos(t), np.sin(t)
-        return np.stack([r1 * c - r * s, r1 * s + r * c], axis=-1)
-
-    def second_derivative(self, t):
+    def samples(self, t):
         r, r1, r2 = self._radius(t)
         c, s = np.cos(t), np.sin(t)
-        return np.stack(
-            [(r2 - r) * c - 2.0 * r1 * s, (r2 - r) * s + 2.0 * r1 * c], axis=-1
+        return (
+            np.stack([r * c, r * s], axis=-1),
+            np.stack([r1 * c - r * s, r1 * s + r * c], axis=-1),
+            np.stack([(r2 - r) * c - 2.0 * r1 * s, (r2 - r) * s + 2.0 * r1 * c], axis=-1),
         )
 
 
@@ -139,7 +123,7 @@ class BoundaryMesh:
 
     Attributes
     ----------
-    shape : curve object with point/derivative/second_derivative methods
+    shape : curve object whose samples(t) returns x, x', x'' at t, each (n, 2)
     params : (n,) parameter values t_j = 2 pi j / n
     points, first_deriv, second_deriv : (n, 2) samples of x, x', x''
     speed : (n,) arc element |x'|
@@ -157,9 +141,7 @@ class BoundaryMesh:
         t = 2.0 * np.pi * np.arange(n) / n
         # NaN passes the positivity checks below, so non-finite samples are refused here
         with np.errstate(invalid="ignore", over="ignore"):
-            pts = np.asarray(self.shape.point(t), dtype=float)
-            d1 = np.asarray(self.shape.derivative(t), dtype=float)
-            d2 = np.asarray(self.shape.second_derivative(t), dtype=float)
+            pts, d1, d2 = (np.asarray(a, dtype=float) for a in self.shape.samples(t))
         if not np.all(np.isfinite([pts, d1, d2])):
             raise MeshError("curve samples must be finite")
         speed = np.linalg.norm(d1, axis=-1)

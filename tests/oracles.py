@@ -385,7 +385,7 @@ def trace_from_neumann_representation(solution, n_quad: int = 48) -> np.ndarray:
     opening with an independent quadrature order; agreement with the
     coupled solve validates both Green-function paths.
     """
-    solver, crack = solution.solver, solution.crack
+    solver, crack = solution.background.solver, solution.crack
     eta, weights = gauss_chebyshev_u(n_quad)
     poly = polynomial_part_ref(solution.psi, eta)  # (q, 2)
     scale = crack.half_length**2

@@ -10,7 +10,7 @@ from crackbem import (
     gauss_chebyshev_u,
     invert_finite_part_operator,
 )
-from crackbem.chebyshev import _polynomial_part_map, _sine_transform
+from crackbem.chebyshev import _finite_part_maps
 from oracles import apply_finite_part_ref, hadamard_finite_part, polynomial_part_ref
 
 
@@ -141,14 +141,14 @@ def test_singular_quadratures_reject_exterior_points():
 
 
 def test_sine_transform_is_built_once_and_read_only():
-    nodes, dst = _sine_transform(9)
-    assert _sine_transform(9)[0] is nodes and _sine_transform(9)[1] is dst
-    assert not nodes.flags.writeable and not dst.flags.writeable
+    dst, R = _finite_part_maps(9)
+    assert _finite_part_maps(9)[0] is dst and _finite_part_maps(9)[1] is R
+    assert not dst.flags.writeable
     # the inversion equals the formula built afresh, to the bit
-    ref_nodes, _ = gauss_chebyshev_u(9)
-    theta, n1 = np.arccos(ref_nodes), np.arange(1, 10)
+    nodes, _ = gauss_chebyshev_u(9)
+    theta, n1 = np.arccos(nodes), np.arange(1, 10)
     ref_dst = 2.0 / 10 * np.sin(np.outer(n1, theta)) * np.sin(theta)
-    assert np.array_equal(nodes, ref_nodes) and np.array_equal(dst, ref_dst)
+    assert np.array_equal(dst, ref_dst)
     vals = np.random.default_rng(2).standard_normal((9, 2))
     expected = -(np.tensordot(ref_dst, vals, axes=([1], [0])).T / n1).T
     assert np.array_equal(invert_finite_part_operator(vals, 9).coeffs, expected)
@@ -157,9 +157,20 @@ def test_sine_transform_is_built_once_and_read_only():
 @pytest.mark.parametrize("m", [1, 2, 12, 32])
 def test_polynomial_part_map_is_built_once_and_read_only(m):
     # R maps samples at the nodes to the polynomial part of A^-1 at the nodes
-    R = _polynomial_part_map(m)
-    assert _polynomial_part_map(m) is R and not R.flags.writeable
-    nodes, _ = _sine_transform(m)
+    dst, R = _finite_part_maps(m)
+    assert _finite_part_maps(m)[0] is dst and _finite_part_maps(m)[1] is R
+    assert not R.flags.writeable
+    nodes, _ = gauss_chebyshev_u(m)
     samples = np.random.default_rng(m).standard_normal((m, 2))
     expected = polynomial_part_ref(invert_finite_part_operator(samples, m), nodes)
     assert np.max(np.abs(R @ samples - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "rhs, n_modes",
+    [(np.array(1.0), 1), (1.0, 1), (np.ones(3), 4), (np.ones((4, 2, 2)), 4)],
+    ids=["0-d", "scalar", "wrong-length", "3-d"],
+)
+def test_inversion_refuses_rhs_off_the_nodes(rhs, n_modes):
+    with pytest.raises(ValueError, match="rhs samples must match the quadrature nodes"):
+        invert_finite_part_operator(rhs, n_modes)

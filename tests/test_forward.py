@@ -591,7 +591,7 @@ def test_exterior_points_refused(cos, sin, theta, factor):
     # beyond the curve along it lies outside
     star = FourierStar(r0=1.0, cos_coeffs=tuple(cos), sin_coeffs=tuple(sin))
     solver = BoundarySolver(build_mesh(star, 64), LameParams(1.0, 1.0))
-    point = factor * star.point(theta)
+    point = factor * star.samples(theta)[0]
     g = BoundaryField(solver.mesh, solver.mesh.normals @ np.diag([1.0, 0.5]).T)
     crack = CrackSegment(center=tuple(point), direction=(1.0, 0.0), length=0.05)
     with pytest.raises(CrackTooCloseToBoundary, match="outside the boundary"):
@@ -612,7 +612,7 @@ def test_neumann_reciprocity_on_stars(cos, sin, angles, fractions):
     # projector and the rigid correction all enter both sides
     star = FourierStar(r0=1.0, cos_coeffs=tuple(cos), sin_coeffs=tuple(sin))
     solver = BoundarySolver(build_mesh(star, 128), LameParams(1.0, 1.0))
-    x, z = (f * star.point(t) for f, t in zip(fractions, angles))
+    x, z = (f * star.samples(t)[0] for f, t in zip(fractions, angles))
     assume(np.linalg.norm(x - z) > 0.05)
     assume(np.min(solver.mesh.distance_to([x, z])) > 2.0 * solver.mesh.minimum_interior_distance)
     n_xz = neumann_interior_ref(solver, z, x[None, :])[0]

@@ -81,6 +81,21 @@ def test_mesh_takes_only_shape_and_node_count():
     assert a != build_mesh(Disk(radius=2.0), 32)
 
 
+class ShiftedUnitCircle:
+    """A curve with nothing but samples(t): the unit circle about (1, 2)."""
+
+    def samples(self, t):
+        c, s = np.cos(t), np.sin(t)
+        return np.stack([1.0 + c, 2.0 + s], -1), np.stack([-s, c], -1), np.stack([-c, -s], -1)
+
+
+def test_any_curve_with_samples_meshes_like_the_package_curves():
+    mesh, disk = build_mesh(ShiftedUnitCircle(), 64), build_mesh(Disk(center=(1.0, 2.0)), 64)
+    for name in ("params", "points", "first_deriv", "second_deriv", "speed", "normals", "weights"):
+        assert np.array_equal(getattr(mesh, name), getattr(disk, name)), name
+    assert mesh.h == disk.h
+
+
 @pytest.mark.parametrize(
     "shape",
     [
