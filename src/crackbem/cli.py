@@ -22,12 +22,12 @@ refuses a grid that keeps no point.
 
 All CSV output uses '.' decimals and a fixed column order, floats printed
 with %.17g so reruns are byte-identical.  Every number is computed before the
-output directory is made; a file's text is then written chunk by chunk, and
-td-map formats its map one grid point at a time as it writes, so it never
-holds the whole CSV.  Exit codes: 0 success, 2 config or geometry
-violations, all found before a solver is built, 3 solver failure, including
-a failed background residual check and running out of memory (also while a
-file is written).
+output directory is made; td-map formats its map one grid point at a time as
+it writes, so it never holds the whole CSV.  Output is all or nothing: every
+file is written under a temporary name and renamed once all are written.
+Exit codes: 0 success, 2 config or geometry violations, all found before a
+solver is built, 3 solver failure, including a failed background residual
+check and running out of memory (also while a file is written).
 """
 
 from __future__ import annotations
@@ -456,7 +456,7 @@ def main(argv=None) -> int:
     check, handler = _COMMANDS[args.command]
     try:
         config = load_config(args.config, args.command)
-        out = config["output"]["directory"] if args.out is None else args.out
+        out = Path(config["output"]["directory"] if args.out is None else args.out)
         n = config["discretization"]["n_boundary"]
         try:
             # every refusal is made before the solver, the one n^2 build, exists
@@ -466,12 +466,23 @@ def main(argv=None) -> int:
             mat = LameParams(lam=config["material"]["lambda"], mu=config["material"]["mu"])
             background = BoundarySolver(mesh, mat).solve_background(g)
             files = handler(background, config, checked, warnings)
-            Path(out).mkdir(parents=True, exist_ok=True)
-            # UTF-8, '\n' line ends; a file is written chunk by chunk as its
-            # text is made, so td-map never holds its whole CSV
-            for name, chunks in files.items():
-                with open(Path(out) / name, "w", encoding="utf-8", newline="\n") as f:
-                    f.writelines(chunks)
+            made = [path for path in (out, *out.parents) if not path.exists()]
+            out.mkdir(parents=True, exist_ok=True)
+            # each file is written chunk by chunk (UTF-8, '\n' ends) under a temporary
+            # name and renamed once all are; a failure removes them and new directories
+            parts = {name: out / f".{name}.partial" for name in files}
+            try:
+                for name, chunks in files.items():
+                    with open(parts[name], "w", encoding="utf-8", newline="\n") as f:
+                        f.writelines(chunks)
+                for name, part in parts.items():
+                    part.replace(out / name)
+            except BaseException:
+                for part in parts.values():
+                    part.unlink(missing_ok=True)
+                for path in made:
+                    path.rmdir()
+                raise
         except MemoryError:
             # input the schema accepts but that this machine cannot hold
             raise SolveFailed(f"out of memory with n_boundary {n}; lower n_boundary") from None

@@ -48,8 +48,8 @@ extra columns absorb the compatibility defect of the right-hand side (the
 multipliers mu are returned by no solve; only the background residual
 check reads them).  One LU factorization serves every right-hand side
 (background solves, conormal rows, crack feedback updates), and
-every solve goes through lu_solve, which is LAPACK getrs on that factor
-with no wrapper between.
+every solve goes through lu_solve, a thin wrapper that calls LAPACK getrs
+on that factor and turns a nonzero info into scipy's ValueError.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Smooth closed boundary curves, their discretization, and nodal fields.
 
-A boundary is a periodic parametrization x(t), t in [0, 2 pi), traversed
-counterclockwise so that the normal n = (x2', -x1')/|x'| points outward.
-Meshes sample the curve at an even number of equispaced parameter values;
-with the trapezoidal weights h |x'(t_j)| this gives spectrally accurate
-quadrature for smooth integrands, which the layer-potential assembly relies
-on.  A curve is any object whose samples(t) returns x, x' and x'' at the
-parameters t, each of shape t.shape + (2,), in one call.
+A curve is any object whose samples(t) returns x, x' and x'' of a 2 pi-periodic
+parametrization at the parameters t, each of shape t.shape + (2,), in one
+call; Disk(r) is Ellipse(r, r).  A mesh samples it at an even number of
+equispaced parameters and accepts it when the node polygon turns once
+counterclockwise, so the normal n = (x2', -x1')/|x'| points outward.  The
+trapezoidal weights h |x'(t_j)| give spectrally accurate quadrature for
+smooth integrands, which the layer-potential assembly relies on.
 """
 
 from __future__ import annotations
@@ -32,24 +32,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Disk:
-    """Circle of given radius and center."""
-
-    radius: float = 1.0
-    center: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0.0:
-            raise MeshError("disk radius must be positive")
-
-    def samples(self, t):
-        c, s = np.cos(t), np.sin(t)
-        r = self.radius
-        x = np.stack([self.center[0] + r * c, self.center[1] + r * s], axis=-1)
-        return x, np.stack([-r * s, r * c], axis=-1), np.stack([-r * c, -r * s], axis=-1)
-
-
-@dataclass(frozen=True)
 class Ellipse:
     """Axis-aligned ellipse (a cos t, b sin t)."""
 
@@ -58,13 +40,18 @@ class Ellipse:
 
     def __post_init__(self) -> None:
         if self.a <= 0.0 or self.b <= 0.0:
-            raise MeshError("ellipse semi-axes must be positive")
+            raise MeshError("ellipse semi-axes (a disk's radius) must be positive")
 
     def samples(self, t):
         c, s = np.cos(t), np.sin(t)
         a, b = self.a, self.b
         x = np.stack([a * c, b * s], axis=-1)
         return x, np.stack([-a * s, b * c], axis=-1), np.stack([-a * c, -b * s], axis=-1)
+
+
+def Disk(radius: float = 1.0) -> Ellipse:
+    """Circle of the given radius about the origin, Ellipse(radius, radius)."""
+    return Ellipse(radius, radius)
 
 
 @dataclass(frozen=True)
@@ -117,9 +104,9 @@ class FourierStar:
 class BoundaryMesh:
     """Equispaced-parameter discretization of a closed boundary curve.
 
-    The constructor takes the curve and the node count only, and meshes
-    compare and hash by (shape, n); the other attributes are computed from
-    them.
+    Built from the curve and the node count only, and compared and hashed by
+    (shape, n).  Refuses samples that are not finite (n, 2) arrays, a
+    vanishing speed, and a node polygon not turning once counterclockwise.
 
     Attributes
     ----------
@@ -139,9 +126,11 @@ class BoundaryMesh:
         if n < 16 or n % 2 != 0:
             raise MeshError("node count must be even and at least 16")
         t = 2.0 * np.pi * np.arange(n) / n
-        # NaN passes the positivity checks below, so non-finite samples are refused here
+        # NaN passes the speed check below, so non-finite samples are refused here
         with np.errstate(invalid="ignore", over="ignore"):
             pts, d1, d2 = (np.asarray(a, dtype=float) for a in self.shape.samples(t))
+        if any(a.shape != (n, 2) for a in (pts, d1, d2)):
+            raise MeshError(f"curve samples must each have shape t.shape + (2,) = ({n}, 2)")
         if not np.all(np.isfinite([pts, d1, d2])):
             raise MeshError("curve samples must be finite")
         speed = np.linalg.norm(d1, axis=-1)
@@ -149,13 +138,13 @@ class BoundaryMesh:
             raise MeshError("parametrization is degenerate (vanishing speed)")
         normals = np.stack([d1[:, 1], -d1[:, 0]], axis=-1) / speed[:, None]
         h = 2.0 * np.pi / n
-        # signed area 1/2 Int (x1 x2' - x2 x1') dt > 0 for counterclockwise
-        area = 0.5 * h * np.sum(pts[:, 0] * d1[:, 1] - pts[:, 1] * d1[:, 0])
-        if area <= 0.0:
-            raise MeshError("curve must be traversed counterclockwise")
-        centroid = pts.mean(axis=0)
-        if np.min(np.einsum("ij,ij->i", pts - centroid, normals)) <= 0.0:
-            raise MeshError("normals do not point outward; curve is invalid")
+        # the node polygon's turning number: its exterior angles summed over 2 pi
+        e = np.diff(pts, axis=0, append=pts[:1])
+        f = np.roll(e, -1, axis=0)
+        turns = np.arctan2(e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0], np.sum(e * f, axis=-1))
+        turning = round(np.sum(turns) / (2.0 * np.pi))
+        if turning != 1:
+            raise MeshError(f"curve turns {turning} times; it must turn once counterclockwise")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "params", t)
         object.__setattr__(self, "points", pts)

@@ -18,7 +18,7 @@ Five kinds live here, none of which the solver pipeline calls:
 - the crack solve as a plain Picard loop: background stress at the nodes,
   then the finite-part inversion and its polynomial part in every sweep;
 - geometry: the all-edges crossing-number and the winding-number forms of
-  the signed node distance.
+  the signed node distance, and a curve moved through the samples protocol.
 """
 
 import numpy as np
@@ -115,11 +115,6 @@ def linear_field(grad):
         return np.asarray(points, dtype=float) @ grad.T
 
     return fn
-
-
-def constant_stress_traction(mesh, sigma):
-    """Nodal traction sigma . n of a constant stress field, shape (n, 2)."""
-    return mesh.normals @ np.asarray(sigma, dtype=float).T
 
 
 # -- einsum references for the explicit-component kernels in crackbem.kernels --
@@ -328,6 +323,17 @@ def layer_sum_ref(mesh, kernel, density):
     d_rest = "c" * (np.ndim(density) - 2)  # the column index of a matrix density
     spec = f"j,pjki{k_rest},ji{d_rest}->pk{k_rest}{d_rest}"
     return np.einsum(spec, mesh.weights, kernel, density)
+
+
+class Shifted:
+    """A curve moved by a constant offset, through its samples(t) alone."""
+
+    def __init__(self, curve, offset):
+        self.curve, self.offset = curve, np.asarray(offset, dtype=float)
+
+    def samples(self, t):
+        x, d1, d2 = self.curve.samples(t)
+        return x + self.offset, d1, d2
 
 
 def distance_to_ref(mesh, points):

@@ -293,6 +293,31 @@ def test_out_of_memory_while_writing_is_a_solver_failure(tmp_path, capsys, monke
     assert main(["energy", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
     assert err == "error: out of memory with n_boundary 64; lower n_boundary\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("failure", [MemoryError, OSError("disk full")], ids=["memory", "os"])
+def test_failed_write_leaves_an_existing_output_unchanged(tmp_path, capsys, monkeypatch, failure):
+    # every file is written under a temporary name and renamed only once all
+    # are written, so a failure in the second file keeps the old first one and
+    # leaves no temporary behind
+    def chunks():
+        yield "eps\n"
+        raise failure
+
+    def streaming(*args):
+        return {"energy.csv": ["new\n"], "slopes.json": chunks()}
+
+    monkeypatch.setitem(cli._COMMANDS, "energy", (cli._crack_sweep, streaming))
+    cfg = write_config(tmp_path)
+    out = tmp_path / "x"
+    out.mkdir()
+    (out / "energy.csv").write_text("old\n", encoding="utf-8")
+    code = 3 if failure is MemoryError else 2
+    assert main(["energy", "--config", str(cfg), "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in out.iterdir()) == ["energy.csv"]
+    assert (out / "energy.csv").read_text(encoding="utf-8") == "old\n"
 
 
 def test_td_map_scan_failure_leaves_no_output(tmp_path, capsys, monkeypatch):

@@ -11,20 +11,28 @@ from scipy.special import ellipe
 from crackbem import (
     BoundaryField,
     BoundaryMesh,
+    BoundarySolver,
     Disk,
     Ellipse,
     FourierStar,
+    LameParams,
     build_mesh,
     project_off_rigid_motions,
     rigid_gram,
     rigid_motion_basis,
 )
 from crackbem.errors import CrackTooCloseToBoundary, MeshError
-from oracles import distance_to_ref, distance_to_rolled_ref, distance_to_winding_ref
+from oracles import (
+    Shifted,
+    distance_to_ref,
+    distance_to_rolled_ref,
+    distance_to_winding_ref,
+    linear_field,
+)
 
 
 def test_disk_mesh_geometry():
-    mesh = build_mesh(Disk(radius=2.0, center=(1.0, -0.5)), 32)
+    mesh = build_mesh(Shifted(Disk(radius=2.0), (1.0, -0.5)), 32)
     radii = np.linalg.norm(mesh.points - [1.0, -0.5], axis=-1)
     assert np.allclose(radii, 2.0, atol=1e-14)
     assert np.allclose(mesh.speed, 2.0, atol=1e-14)
@@ -90,10 +98,107 @@ class ShiftedUnitCircle:
 
 
 def test_any_curve_with_samples_meshes_like_the_package_curves():
-    mesh, disk = build_mesh(ShiftedUnitCircle(), 64), build_mesh(Disk(center=(1.0, 2.0)), 64)
+    mesh, disk = build_mesh(ShiftedUnitCircle(), 64), build_mesh(Shifted(Disk(), (1.0, 2.0)), 64)
     for name in ("params", "points", "first_deriv", "second_deriv", "speed", "normals", "weights"):
         assert np.array_equal(getattr(mesh, name), getattr(disk, name)), name
     assert mesh.h == disk.h
+
+
+def test_disk_is_an_ellipse():
+    # Disk(r) is Ellipse(r, r), so the two curves' meshes compare equal
+    assert Disk(2.0) == Ellipse(2.0, 2.0)
+    assert build_mesh(Disk(2.0), 32) == build_mesh(Ellipse(2.0, 2.0), 32)
+
+
+class Curve:
+    """A curve given by a function t -> (x, x', x'') and nothing else."""
+
+    def __init__(self, samples):
+        self.samples = samples
+
+
+def bean(a, b):
+    # x = (cos t, b sin t + a cos^2 t): simple for all a, b > 0; the beans
+    # below are not star-shaped about their node centroid
+    def samples(t):
+        c, s = np.cos(t), np.sin(t)
+        return (
+            np.stack([c, b * s + a * c * c], -1),
+            np.stack([-s, b * c - 2 * a * c * s], -1),
+            np.stack([-c, -b * s - 2 * a * np.cos(2 * t)], -1),
+        )
+
+    return Curve(samples)
+
+
+def limacon(c):
+    # r = c + cos t, which for c < 1 loops inside itself
+    def samples(t):
+        r, r1, r2 = c + np.cos(t), -np.sin(t), -np.cos(t)
+        u, v = np.cos(t), np.sin(t)
+        return (
+            np.stack([r * u, r * v], -1),
+            np.stack([r1 * u - r * v, r1 * v + r * u], -1),
+            np.stack([(r2 - r) * u - 2 * r1 * v, (r2 - r) * v + 2 * r1 * u], -1),
+        )
+
+    return Curve(samples)
+
+
+def clockwise(curve):
+    def samples(t):
+        x, d1, d2 = curve.samples(-t)
+        return x, -d1, d2
+
+    return Curve(samples)
+
+
+def figure_eight(t):
+    s, c = np.sin(t), np.cos(t)
+    return (
+        np.stack([s, s * c], -1),
+        np.stack([c, np.cos(2 * t)], -1),
+        np.stack([-s, -2 * np.sin(2 * t)], -1),
+    )
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.6), (1.0, 0.5), (0.5, 0.3), (1.5, 1.0)])
+def test_simple_non_star_curves_mesh_and_solve(a, b):
+    # the turning-number rule accepts beans at every node count, and at 256
+    # nodes a constant stress solves to the exact linear trace (measured at
+    # most 5.8e-14)
+    for n in (16, 32, 64, 128, 256):
+        mesh = build_mesh(bean(a, b), n)
+    mat, grad = LameParams(1.0, 1.0), np.array([[0.3, 1.0], [0.2, -0.5]])
+    sigma = mat.lam * np.trace(grad) * np.eye(2) + mat.mu * (grad + grad.T)
+    background = BoundarySolver(mesh, mat).solve_background(
+        BoundaryField(mesh, mesh.normals @ sigma.T)
+    )
+    exact = project_off_rigid_motions(BoundaryField(mesh, linear_field(grad)(mesh.points)))
+    assert (background.trace - exact).sup_norm() < 2e-13
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize(
+    "curve, turns",
+    [
+        (clockwise(Ellipse(1.3, 0.7)), -1),
+        (Curve(figure_eight), 0),
+        (limacon(0.2), 2),
+        (limacon(0.5), 2),
+        (limacon(0.8), 2),
+    ],
+    ids=["clockwise-ellipse", "figure-eight", "limacon-0.2", "limacon-0.5", "limacon-0.8"],
+)
+def test_mesh_refuses_curves_that_do_not_turn_once(curve, turns, n):
+    with pytest.raises(MeshError, match=f"curve turns {turns} times; it must turn once"):
+        build_mesh(curve, n)
+
+
+def test_mesh_refuses_transposed_samples():
+    transposed = Curve(lambda t: tuple(a.T for a in Disk().samples(t)))
+    with pytest.raises(MeshError, match=r"must each have shape t.shape \+ \(2,\) = \(32, 2\)"):
+        build_mesh(transposed, 32)
 
 
 @pytest.mark.parametrize(
@@ -101,7 +206,7 @@ def test_any_curve_with_samples_meshes_like_the_package_curves():
     [
         lambda: Disk(radius=np.nan),
         lambda: Disk(radius=np.inf),
-        lambda: Disk(center=(np.nan, 0.0)),
+        lambda: Shifted(Disk(), (np.nan, 0.0)),
         lambda: Ellipse(np.nan, 1.0),
         lambda: FourierStar(r0=np.nan),
     ],
