@@ -16,15 +16,18 @@ Unknown or repeated keys anywhere, and keys foreign to the given kind, are
 rejected: a typo in a sweep config should fail loudly, not run the wrong
 experiment.  Angles enter in degrees and are converted at this boundary.
 On the mesh, before the solver exists, cracks must pass
-BoundaryMesh.require_clearance; td-map skips grid points nearer the wall
-than its margin, floored at the mesh's minimum interior distance, and
+BoundaryMesh.require_clearance; td-map classifies its grid with one
+BoundaryMesh.distance_on_grid call, which tests each grid row against only
+the boundary polygon's edges that straddle it, skips grid points nearer the
+wall than its margin, floored at the mesh's minimum interior distance, and
 refuses a grid that keeps no point.
 
 All CSV output uses '.' decimals and a fixed column order, floats printed
 with %.17g so reruns are byte-identical.  Every number is computed before the
 output directory is made; td-map formats its map one grid point at a time as
-it writes, so it never holds the whole CSV.  Output is all or nothing: every
-file is written under a temporary name and renamed once all are written.
+it writes, so it never holds the whole CSV, and formats each grid coordinate
+and angle once.  Output is all or nothing: every file is written under a
+temporary name and renamed once all are written.
 Exit codes: 0 success, 2 config or geometry violations, all found before a
 solver is built, 3 solver failure, including a failed background residual
 check and running out of memory (also while a file is written).
@@ -107,6 +110,11 @@ _SCHEMA = {
     },
 }
 
+# (section, key, mode of the list's first entry) of the Fourier coefficient lists
+_FOURIER_MODES = (
+    ("geometry", "cos", 1), ("geometry", "sin", 1), ("load", "cos", 0), ("load", "sin", 1),
+)
+
 # type -> name.  JSON numbers arrive as floats (load_config parses integers
 # as floats too), so booleans, strings and objects are not numbers.
 _TYPES = {
@@ -174,7 +182,8 @@ def load_config(path: str, command: str) -> dict:
     section or key for unknown or repeated names, missing sections and
     keys, kinds outside their table, keys foreign to the kind, wrong types
     and shapes, non-finite numbers, non-integral counts and values outside
-    their bounds, a non-symmetric sigma, and for the commands but td-map a
+    their bounds, a Fourier geometry or load mode at or above n_boundary/2,
+    a non-symmetric sigma, and for the commands but td-map a
     missing crack section or lengths, fewer than three for convergence and,
     for solve, two lengths sharing an output tag.
     """
@@ -227,6 +236,16 @@ def load_config(path: str, command: str) -> dict:
     for required in ("material", "geometry", "load"):
         if required not in config:
             raise ConfigError(f"missing config section '{required}'")
+    # on n nodes a mode m >= n/2 aliases to a lower one (mode m reads as
+    # m - n), so it is refused
+    n = config["discretization"]["n_boundary"]
+    for name, key, first in _FOURIER_MODES:
+        mode = first + len(config[name].get(key, ())) - 1
+        if 2 * mode >= n:
+            raise ConfigError(
+                f"key '{key}' in section '{name}' gives mode {mode}, which n_boundary {n} "
+                f"cannot represent: modes must be below n_boundary/2"
+            )
     if config["load"]["kind"] == "constant-stress":
         sigma = np.asarray(config["load"]["sigma"])
         if abs(sigma[0, 1] - sigma[1, 0]) > 1e-12 * max(1.0, np.abs(sigma).max()):
@@ -297,32 +316,34 @@ def _crack_sweep(config: dict, mesh) -> dict:
     }
 
 
-def _td_grid(config: dict, mesh) -> np.ndarray:
-    """The td-map grid points kept, one (k, 2) array in grid-row order: those
-    inside the curve and no nearer its nodes than the margin, floored at the
-    mesh's minimum interior distance.  Skipped points are logged; a grid that
-    keeps no point is refused."""
+def _td_grid(config: dict, mesh) -> tuple:
+    """The td-map grid: its coordinates (m,), the same along x and y, and
+    the mask (m, m) of the points kept, indexed [y, x]: those inside the
+    curve and no nearer its nodes than the margin, floored at the mesh's
+    minimum interior distance.  Skipped points are logged in grid-row order;
+    a grid that keeps no point is refused."""
     section = config["td_map"]
     margin = max(section["margin"], mesh.minimum_interior_distance)
     extent = float(np.max(np.abs(mesh.points)))
     coords = np.linspace(-extent, extent, section["n_grid"])
-    kept = []
-    for y in coords:  # one row per call: the whole grid at once costs memory
-        row = np.stack([coords, np.full_like(coords, y)], axis=-1)
-        keep = mesh.distance_to(row) >= margin
-        kept.append(row[keep])
+    # one call classifies every row, testing only the edges that straddle it
+    keep = mesh.distance_on_grid(coords, coords) >= margin
+    # each coordinate and the margin are formatted once for the whole log,
+    # which is written a row at a time: a 4096 x 4096 grid's whole log would
+    # take gigabytes
+    text = [f"{c:g}" for c in coords.tolist()]
+    suffix = f"): closer than margin {margin:g} to the boundary\n"
+    for y, row in zip(text, keep):
         sys.stderr.write("".join(
-            f"log: skipped grid point ({px:g}, {py:g}): "
-            f"closer than margin {margin:g} to the boundary\n"
-            for px, py in row[~keep].tolist()
+            f"log: skipped grid point ({x}, {y}{suffix}"
+            for x, kept in zip(text, row.tolist()) if not kept
         ))
-    points = np.concatenate(kept)
-    if not len(points):
+    if not keep.any():
         raise ConfigError(
             f"td_map keeps no grid point: every point of the {len(coords)}x{len(coords)} "
             f"grid is outside the boundary or closer than margin {margin:g} to it"
         )
-    return points
+    return coords, keep
 
 
 def _csv(header: list, rows: list, precision: int) -> str:
@@ -396,13 +417,19 @@ def cmd_convergence(background, config: dict, sweep: dict, warnings: list) -> di
     }
 
 
-def cmd_td_map(background, config: dict, points: np.ndarray, warnings: list) -> dict:
+def cmd_td_map(background, config: dict, grid: tuple, warnings: list) -> dict:
+    coords, keep = grid
+    ys, xs = np.nonzero(keep)  # the kept points in grid-row order
     n_angles = config["td_map"]["n_angles"]
     angles = np.arange(n_angles) * (180.0 / n_angles)
-    # each row is "x,y," + angle + ",K1,K2,td," + best angle: the values that
-    # repeat over a point's angles, or over the points, are formatted once
+    # each row is "x,y," + angle + ",K1,K2,td," + best angle: the grid
+    # coordinates and the angles are formatted once, so only K1, K2 and td
+    # are per row
     g = f"%.{config['output']['precision']}g"
-    angle_fields = [g % a + f",{g},{g},{g}," for a in angles.tolist()]
+    coord_text = [g % c for c in coords.tolist()]
+    angle_text = [g % a for a in angles.tolist()]
+    angle_fields = [a + f",{g},{g},{g}," for a in angle_text]
+    points = np.column_stack([coords[xs], coords[ys]])
     sif, td, best = orientation_scan(background, points, np.deg2rad(angles))
     values = np.stack([sif.k1, sif.k2, td], axis=-1)  # (p, n_angles, 3)
     values = values.reshape(len(td), 3 * len(angles))
@@ -412,8 +439,9 @@ def cmd_td_map(background, config: dict, points: np.ndarray, warnings: list) -> 
         # one point's block at a time, as main writes it, so each point's
         # values become Python floats only for its own block
         yield "x,y,angle_deg,K1,K2,td,min_angle_deg\n"
-        for (px, py), b, v in zip(points.tolist(), angles[best].tolist(), values):
-            prefix, suffix = g % px + "," + g % py + ",", g % b + "\n"
+        for x, y, b, v in zip(xs.tolist(), ys.tolist(), best.tolist(), values):
+            prefix = coord_text[x] + "," + coord_text[y] + ","
+            suffix = angle_text[b] + "\n"
             yield prefix + (suffix + prefix).join(angle_fields) % tuple(v.tolist()) + suffix
 
     return {"td_map.csv": blocks()}
@@ -484,8 +512,13 @@ def main(argv=None) -> int:
                     path.rmdir()
                 raise
         except MemoryError:
-            # input the schema accepts but that this machine cannot hold
-            raise SolveFailed(f"out of memory with n_boundary {n}; lower n_boundary") from None
+            # input the schema accepts but that this machine cannot hold; td-map's
+            # values also grow with n_grid^2 x n_angles
+            sizes = {"n_boundary": n}
+            if args.command == "td-map":
+                sizes.update((key, config["td_map"][key]) for key in ("n_grid", "n_angles"))
+            given = ", ".join(f"{key} {value}" for key, value in sizes.items())
+            raise SolveFailed(f"out of memory with {given}; lower {' or '.join(sizes)}") from None
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
         return 0

@@ -175,22 +175,32 @@ class BoundaryMesh:
         d0 = self.points[:, 0] - flat[:, :1]  # offsets to each node, (points, n)
         d1 = self.points[:, 1] - flat[:, 1:]
         distance = np.sqrt(np.min(d0 * d0 + d1 * d1, axis=-1))
-        # only an edge from node j to node k = j + 1 that straddles the ray's
-        # line can cross the ray, where (d0_j d1_k - d1_j d0_k) / (d1_k - d1_j)
-        # > 0; a non-finite point makes it NaN
-        above = d1 > 0.0
-        straddles = np.empty_like(above)
-        np.not_equal(above[:, :-1], above[:, 1:], out=straddles[:, :-1])
-        np.not_equal(above[:, -1], above[:, 0], out=straddles[:, -1])
-        row, j = np.nonzero(straddles)
+        row, j = np.nonzero(_straddles(d1))
         k = (j + 1) % self.n
-        with np.errstate(invalid="ignore"):
-            right = (d0[row, j] * d1[row, k] - d1[row, j] * d0[row, k] > 0.0) == (
-                d1[row, k] > d1[row, j]
-            )
+        right = _crosses(d0[row, j], d1[row, j], d0[row, k], d1[row, k])
         crossings = np.bincount(row[right], minlength=len(flat))
         signed = np.where(crossings % 2 == 1, distance, -distance).reshape(q.shape[:-1])
         return float(signed) if signed.ndim == 0 else signed
+
+    def distance_on_grid(self, xs, ys) -> np.ndarray:
+        """distance_to of every grid point (x, y), x in xs and y in ys, shape
+        (len(ys), len(xs)), equal to it bit for bit.
+
+        The offsets x_j - x are formed once for the grid; each row y tests
+        only the polygon edges that straddle its line."""
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        d0 = self.points[:, 0] - xs[:, None]  # (len(xs), n)
+        square0 = d0 * d0
+        d1 = self.points[:, 1] - ys[:, None]  # (len(ys), n)
+        signed = np.empty((len(ys), len(xs)))
+        for out, d1_row, straddles_row in zip(signed, d1, _straddles(d1)):
+            distance = np.sqrt(np.min(square0 + d1_row * d1_row, axis=-1))
+            j = np.flatnonzero(straddles_row)
+            k = (j + 1) % self.n
+            right = _crosses(d0[:, j], d1_row[j], d0[:, k], d1_row[k])
+            inside = np.count_nonzero(right, axis=-1) % 2 == 1
+            out[:] = np.where(inside, distance, -distance)
+        return signed
 
     @property
     def minimum_interior_distance(self) -> float:
@@ -220,6 +230,28 @@ class BoundaryMesh:
                     f"required clearance {need:.3g} is not smaller than the distance "
                     f"{d:.3g} from ({x:.3g}, {y:.3g}) to the boundary"
                 )
+
+
+def _straddles(d1):
+    """Mask (rows, n) of the polygon edges, from node j to node k = j + 1,
+    that straddle each row's ray line, given the heights d1 (rows, n) of the
+    nodes above that row's point; only those edges can cross the ray
+    (_crosses)."""
+    above = d1 > 0.0
+    straddles = np.empty_like(above)
+    np.not_equal(above[:, :-1], above[:, 1:], out=straddles[:, :-1])
+    np.not_equal(above[:, -1], above[:, 0], out=straddles[:, -1])
+    return straddles
+
+
+def _crosses(d0j, d1j, d0k, d1k):
+    """Whether the +x ray from a point crosses the polygon edge from node j
+    to node k = j + 1, given the node offsets (d0, d1) from the point and
+    an edge that straddles the ray's line: where
+    (d0_j d1_k - d1_j d0_k) / (d1_k - d1_j) > 0.  A NaN offset gives False
+    or True quietly; its distance is NaN either way."""
+    with np.errstate(invalid="ignore"):
+        return (d0j * d1k - d1j * d0k > 0.0) == (d1k > d1j)
 
 
 def build_mesh(shape, n_nodes: int) -> BoundaryMesh:

@@ -173,6 +173,62 @@ def test_td_map_rows_match_per_value_format(tmp_path, precision):
     assert rebuilt.encode("utf-8") == written
 
 
+@pytest.mark.parametrize("margin", [0.0, 0.2], ids=["floor", "margin"])
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_td_map_grid_points_are_kept_or_logged_once(tmp_path, capsys, path, margin):
+    # walking the grid row by row (y, then x), every point is the next
+    # block of td_map.csv or the next "skipped grid point" line, never both
+    config = json.loads(path.read_text(encoding="utf-8"))
+    config["td_map"] = {"n_grid": 11, "n_angles": 3, "margin": margin}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "td"
+    assert main(["td-map", "--config", str(cfg), "--out", str(out)]) == 0
+    skipped = [
+        line.removeprefix("log: skipped grid point (").split("): ")[0]
+        for line in capsys.readouterr().err.splitlines()
+        if line.startswith("log: ")  # not the star load's projection warning
+    ]
+    rows = np.array(read_csv(out / "td_map.csv")[1:], dtype=float)
+    blocks = rows.reshape(-1, 3, 7)
+    assert np.all(blocks[:, :, :2] == blocks[:, :1, :2])
+    checked = load_config(str(cfg), "td-map")
+    mesh = cli.build_mesh(cli._shape(checked), checked["discretization"]["n_boundary"])
+    extent = float(np.max(np.abs(mesh.points)))
+    coords = np.linspace(-extent, extent, 11).tolist()
+    kept, logged = iter(blocks[:, 0, :2].tolist()), iter(skipped)
+    next_kept, next_logged = next(kept, None), next(logged, None)
+    for y in coords:
+        for x in coords:
+            if next_kept == [x, y]:
+                next_kept = next(kept, None)
+            else:
+                assert next_logged == f"{x:g}, {y:g}"
+                next_logged = next(logged, None)
+    assert next_kept is None and next_logged is None
+    assert 0 < len(blocks) < len(coords) ** 2
+
+
+def test_solve_files_match_per_value_format(tmp_path):
+    # the trace writer formats its node columns once per mesh and the
+    # opening through _csv; every value must read as its own format call
+    for precision in (17, 6, 1):
+        cfg = write_config(tmp_path, output={"precision": precision})
+        out = tmp_path / f"p{precision}"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert len(names) == 5
+        for name in names:
+            written = (out / name).read_bytes()
+            header, *lines = written.decode("utf-8").splitlines()
+            assert len(header.split(",")) == len(lines[0].split(",")) in (3, 5)
+            rebuilt = header + "\n" + "".join(
+                ",".join(format(float(v), f".{precision}g") for v in line.split(",")) + "\n"
+                for line in lines
+            )
+            assert rebuilt.encode("utf-8") == written, name
+
+
 def test_energy_outputs(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "en"
@@ -264,6 +320,39 @@ def test_counts_bounded_above(tmp_path, capsys, monkeypatch, section, key, limit
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "section, kind, key, first, mode",
+    [
+        # a mode-62 load at 64 nodes would solve as mode -2 with exit 0
+        ("load", {"kind": "fourier-traction", "sigma": None}, "cos", 0, 62),
+        ("load", {"kind": "fourier-traction", "sigma": None}, "sin", 1, 32),
+        # a star whose only mode is 33 would be refused as not equilibrated
+        ("geometry", {"kind": "fourier", "radius": None, "r0": 1.0}, "cos", 1, 33),
+        ("geometry", {"kind": "fourier", "radius": None, "r0": 1.0}, "sin", 1, 32),
+    ],
+    ids=["load-cos", "load-sin", "geometry-cos", "geometry-sin"],
+)
+def test_fourier_modes_the_mesh_cannot_represent_refused(
+    tmp_path, capsys, monkeypatch, section, kind, key, first, mode
+):
+    # mode n_boundary/2 and above alias to lower modes on the nodes, so they
+    # are refused with the key, before any solver is built
+    def only(m):  # the coefficient list whose one nonzero entry is mode m
+        zero, one = ([0.0, 0.0], [1.0, 0.0]) if section == "load" else (0.0, 0.01)
+        return [zero] * (m - first) + [one]
+
+    monkeypatch.setattr(cli, "BoundarySolver", lambda *args: pytest.fail("a solver was built"))
+    cfg = write_config(tmp_path, **{section: {**kind, key: only(mode)}})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: key '{key}' in section '{section}' gives mode {mode}, which n_boundary 64 "
+        f"cannot represent: modes must be below n_boundary/2\n"
+    )
+    # mode 31 is the highest that 64 nodes represent
+    cfg = write_config(tmp_path, **{section: {**kind, key: only(31)}})
+    assert load_config(str(cfg), "solve")[section][key] == only(31)
+
+
 def test_out_of_memory_is_a_solver_failure(tmp_path, capsys, monkeypatch):
     # input the schema accepts but the machine cannot hold exits 3 with a
     # message, not a traceback; no memory is allocated to show it
@@ -293,6 +382,23 @@ def test_out_of_memory_while_writing_is_a_solver_failure(tmp_path, capsys, monke
     assert main(["energy", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
     assert err == "error: out of memory with n_boundary 64; lower n_boundary\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_td_map_out_of_memory_names_its_size_keys(tmp_path, capsys, monkeypatch):
+    # td-map's values grow with the kept points times n_angles, so its
+    # message also names n_grid and n_angles
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "orientation_scan", out_of_memory)
+    cfg = write_config(tmp_path, td_map={"n_grid": 3, "n_angles": 4, "margin": 0.45})
+    assert main(["td-map", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == (
+        "error: out of memory with n_boundary 64, n_grid 3, n_angles 4; "
+        "lower n_boundary or n_grid or n_angles"
+    )
     assert not (tmp_path / "x").exists()
 
 

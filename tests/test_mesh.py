@@ -301,6 +301,34 @@ def test_distance_to_straddles_by_slices_as_by_roll(shape):
     assert np.count_nonzero(signed == 0.0) == mesh.n
 
 
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        Disk(),
+        Ellipse(a=1.3, b=0.7),
+        FourierStar(r0=1.0, cos_coeffs=(0.0, 0.0, 0.0, 0.0, 0.3)),  # non-convex
+        bean(1.0, 0.5),  # not star-shaped
+    ],
+    ids=["disk", "ellipse", "star", "bean"],
+)
+def test_distance_on_grid_matches_distance_to(shape, n):
+    # the tensor grid gives distance_to of its meshgrid points to the bit,
+    # on a grid spanning the curve and past it, on grid lines through every
+    # node's x and y (where edge ends lie on a row's line), and with a
+    # non-finite line on each axis
+    mesh = build_mesh(shape, n)
+    low, high = 1.2 * mesh.points.min(axis=0), 1.2 * mesh.points.max(axis=0)
+    spanning = (np.linspace(low[0], high[0], 40), np.linspace(low[1], high[1], 33))
+    nodes = np.concatenate([mesh.points, [[np.nan, np.inf]]]).T
+    for xs, ys in (spanning, nodes):
+        on_grid = mesh.distance_on_grid(xs, ys)
+        assert on_grid.shape == (len(ys), len(xs))
+        points = np.stack(np.meshgrid(xs, ys), axis=-1)
+        assert np.array_equal(on_grid, mesh.distance_to(points), equal_nan=True)
+        assert np.any(on_grid > 0.0) and np.any(on_grid < 0.0)
+
+
 def test_distance_to_non_finite_point_is_quiet():
     # the crossing test meets inf - inf here, which must not warn
     mesh = build_mesh(Disk(), 128)
