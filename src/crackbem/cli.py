@@ -24,10 +24,15 @@ refuses a grid that keeps no point.
 
 All CSV output uses '.' decimals and a fixed column order, floats printed
 with %.17g so reruns are byte-identical.  Every number is computed before the
-output directory is made; td-map formats its map one grid point at a time as
-it writes, so it never holds the whole CSV, and formats each grid coordinate
-and angle once.  Output is all or nothing: every file is written under a
-temporary name and renamed once all are written.
+output directory is made; td-map makes its map's text a chunk of grid points
+at a time as it writes, so it never holds the whole CSV.  It formats each
+grid coordinate and angle once; K1, K2 and td go through _format_g, which
+lays out the exact '%.{p}g' text of a whole chunk in zero-padded byte slots
+with numpy, making no Python object per value of magnitude 10^(p-22) to
+2^63.  A chunk whose values mostly lie outside that range is formatted by
+Python's '%', one call per grid point.  Output is all or nothing:
+every file is written under a temporary name and renamed once all are
+written.
 Exit codes: 0 success, 2 config or geometry violations, all found before a
 solver is built, 3 solver failure, including a failed background residual
 check and running out of memory (also while a file is written).
@@ -248,7 +253,8 @@ def load_config(path: str, command: str) -> dict:
             )
     if config["load"]["kind"] == "constant-stress":
         sigma = np.asarray(config["load"]["sigma"])
-        if abs(sigma[0, 1] - sigma[1, 0]) > 1e-12 * max(1.0, np.abs(sigma).max()):
+        # relative to sigma's own size, which may be any: a zero sigma is legal
+        if abs(sigma[0, 1] - sigma[1, 0]) > 1e-12 * np.abs(sigma).max():
             raise ConfigError("load.sigma must be symmetric")
     if command == "td-map":
         return config
@@ -292,7 +298,7 @@ def _load_field(config: dict, mesh) -> tuple[BoundaryField, list]:
     field = BoundaryField(mesh, values)
     projected = project_off_rigid_motions(field)
     change = float(np.max(np.abs(projected.values - values)))
-    if change > 1e-12 * max(1.0, field.sup_norm()):
+    if change > 1e-12 * field.sup_norm():  # relative: a zero load stays silent
         return projected, [
             f"fourier traction was not equilibrated; rigid components "
             f"removed (max adjustment {change:.3g})"
@@ -344,6 +350,136 @@ def _td_grid(config: dict, mesh) -> tuple:
             f"grid is outside the boundary or closer than margin {margin:g} to it"
         )
     return coords, keep
+
+
+# Exact '%.{p}g' digits in numpy, for td-map's map.  With X = floor(log10|x|)
+# and s = p - 1 - X, the digits are D = round-half-even(|x| 10^s).  For
+# 10^(p-22) <= |x| < 10^p, 0 <= s <= 22 and 10^s is an exact double, so a
+# Dekker product gives |x| 10^s exactly as hi + lo, and its floor and half-way
+# test need exact comparisons only.  For 10^p <= |x| < 2^63, s < 0 and |x|
+# has an exact int64 floor, so integer division by 10^-s gives D.  Python's
+# '%' formats zero, non-finite values and the magnitudes outside both ranges.
+_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10^0 .. 10^22, each exact
+_INT10 = 10 ** np.arange(19, dtype=np.int64)
+# the ASCII of 0000 .. 9999, each 4 bytes read as one uint32, and the masks
+# that keep the first k of 20 bytes (5 uint32), k = 0 .. 20
+_QUADS = np.moveaxis(np.indices((10,) * 4, np.uint8), 0, -1) + ord("0")
+_QUADS = np.ascontiguousarray(_QUADS).view(np.uint32).ravel()
+_KEEP = np.where(np.arange(20) < np.arange(21)[:, None], 255, 0).astype(np.uint8)
+_KEEP = _KEEP.view(np.uint32)
+_VELTKAMP = 2.0**27 + 1.0
+
+
+def _split(v):
+    """v as hi + lo, each with at most 26 significant bits."""
+    c = _VELTKAMP * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _scaled_floor(a, s):
+    """(F, up) for -18 <= s <= 22 and a < 2^63: F = floor(a 10^s) as int64,
+    exactly, and whether a 10^s rounds half even to F + 1 rather than F,
+    exact once a 10^s >= 1."""
+    divided = s < 0
+    if divided.any():
+        floor, up = np.empty(len(a), np.int64), np.empty(len(a), bool)
+        floor[divided], up[divided] = _divided_floor(a[divided], -s[divided])
+        floor[~divided], up[~divided] = _scaled_floor(a[~divided], s[~divided])
+        return floor, up
+    b = _POW10[s]
+    hi = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl  # a b = hi + lo exactly
+    f = np.floor(hi)
+    frac = hi - f
+    # a fractional hi outweighs |lo| <= ulp(hi)/2, so lo moves the floor of an
+    # integral hi only; both sides of each comparison are exact
+    g = np.where(frac == 0.0, np.floor(lo), 0.0)
+    floor = f.astype(np.int64) + g.astype(np.int64)
+    half = (g + 0.5) - frac  # the lo at which a 10^s sits halfway up from floor
+    return floor, (lo > half) | ((lo == half) & (floor & 1 == 1))
+
+
+def _divided_floor(a, k):
+    """_scaled_floor for s = -k, 1 <= k <= 18: a = n + f with n its int64
+    floor, so a / 10^k = q + (r + f) / 10^k for q, r = divmod(n, 10^k), and
+    it is halfway to q + 1 when r = 10^k / 2 and f = 0."""
+    whole = np.floor(a)
+    q, r = np.divmod(whole.astype(np.int64), _INT10[k])
+    half = _INT10[k] // 2
+    return q, (r > half) | ((r == half) & ((whole != a) | (q & 1 == 1)))
+
+
+def _exact_range(x, precision: int):
+    """Where _format_g's digits come from numpy, not Python's '%':
+    10^(p-22) <= |x| < 2^63, so no zero, infinity or nan."""
+    a = np.abs(x)
+    return (a >= 10.0 ** (precision - 22)) & (a < 2.0**63)
+
+
+def _format_g(x, precision: int):
+    """'%.{precision}g' % v of each value of x, byte for byte, as the rows of
+    a (x.size, precision + 7) uint8 array: each text starts at its row's
+    first byte, or later, with zero bytes filling every gap.  Dropping a
+    row's zero bytes gives its text."""
+    p = precision
+    x = np.ravel(x)
+    slots = np.zeros((len(x), p + 7), np.uint8)
+    inside = _exact_range(x, p)
+    exact, rest = np.flatnonzero(inside), np.flatnonzero(~inside)
+    if len(rest):
+        # one '%' for all of them, each left-justified in its slot by spaces
+        text = (f"%-{p + 7}.{p}g" * len(rest) % tuple(x[rest].tolist())).encode("ascii")
+        text = np.frombuffer(text, np.uint8).reshape(len(rest), p + 7)
+        slots[rest] = np.where(text == ord(" "), 0, text)
+    a = np.abs(x[exact])
+    exponent = np.floor(np.log10(a)).astype(np.int64)
+    # log10 may be off by one next to a power of ten: the exact floor shows it
+    np.clip(exponent, p - 23, 18, out=exponent)
+    floor, up = _scaled_floor(a, p - 1 - exponent)
+    off = (floor >= _INT10[p]).astype(np.int64) - (floor < _INT10[p - 1])
+    if off.any():
+        exponent += off
+        floor, up = _scaled_floor(a, p - 1 - exponent)
+    digits = floor + up
+    carry = digits == _INT10[p]  # rounded up to 10^p
+    digits[carry] = _INT10[p - 1]
+    exponent += carry
+    # sorted by exponent, each exponent's values are one slice of rows whose
+    # digits, point and exponent text sit in the same columns
+    order = np.argsort(exponent.astype(np.int8), kind="stable")  # a radix sort
+    exponent, digits, rows = exponent[order], digits[order], exact[order]
+    quads = np.empty((len(rows), 5), np.uint32)  # 20 digits, D's the last p
+    for q in range(4, -1, -1):
+        digits, quad = np.divmod(digits, 10000)
+        quads[:, q] = _QUADS.take(quad)
+    text = quads.view(np.uint8)[:, 20 - p:]
+    # the digits kept: up to the last nonzero one, but all before the point;
+    # a point with no digit after it goes too
+    fixed = (exponent >= -4) & (exponent < p)
+    first_fraction = np.where(fixed, np.maximum(exponent + 1, 0), 1)
+    end = np.maximum(p - np.argmax(text[:, ::-1] != ord("0"), axis=1), first_fraction)
+    quads &= _KEEP.take(20 - p + end, axis=0)
+    point = np.where(end > first_fraction, ord("."), 0).astype(np.uint8)
+    out = np.zeros((len(rows), p + 7), np.uint8)
+    out[:, 0] = np.where(x[rows] < 0, ord("-"), 0)
+    starts = np.flatnonzero(np.diff(exponent, prepend=-99))  # below any exponent
+    for i, j, k in zip(starts.tolist(), [*starts[1:].tolist(), len(rows)], exponent[starts].tolist()):
+        if k < -4 or k >= p:  # d.ddde+XX
+            out[i:j, 1] = text[i:j, 0]
+            out[i:j, 2] = point[i:j]
+            out[i:j, 3:p + 2] = text[i:j, 1:]
+            out[i:j, p + 2:p + 6] = np.frombuffer(b"e%+03d" % k, np.uint8)
+        elif k >= 0:  # ddd.ddd
+            out[i:j, 1:k + 2] = text[i:j, :k + 1]
+            out[i:j, k + 2] = point[i:j]
+            out[i:j, k + 3:p + 2] = text[i:j, k + 1:]
+        else:  # 0.000ddd
+            out[i:j, 1:2 - k] = np.frombuffer(b"0." + b"0" * (-k - 1), np.uint8)
+            out[i:j, 2 - k:2 - k + p] = text[i:j]
+    slots[rows] = out
+    return slots
 
 
 def _csv(header: list, rows: list, precision: int) -> str:
@@ -417,32 +553,72 @@ def cmd_convergence(background, config: dict, sweep: dict, warnings: list) -> di
     }
 
 
+# td-map makes the text of this many map rows (kept points x angles), or of
+# one point if it has more, at a time
+_MAP_ROWS = 1024
+
+
+def _text_slots(texts: list, end: str):
+    """Each text followed by end, as the rows of a zero-padded uint8 array."""
+    data = np.array([(text + end).encode("ascii") for text in texts])
+    return data.view(np.uint8).reshape(len(texts), -1)
+
+
 def cmd_td_map(background, config: dict, grid: tuple, warnings: list) -> dict:
     coords, keep = grid
     ys, xs = np.nonzero(keep)  # the kept points in grid-row order
     n_angles = config["td_map"]["n_angles"]
     angles = np.arange(n_angles) * (180.0 / n_angles)
-    # each row is "x,y," + angle + ",K1,K2,td," + best angle: the grid
-    # coordinates and the angles are formatted once, so only K1, K2 and td
-    # are per row
-    g = f"%.{config['output']['precision']}g"
-    coord_text = [g % c for c in coords.tolist()]
-    angle_text = [g % a for a in angles.tolist()]
-    angle_fields = [a + f",{g},{g},{g}," for a in angle_text]
+    precision = config["output"]["precision"]
     points = np.column_stack([coords[xs], coords[ys]])
     sif, td, best = orientation_scan(background, points, np.deg2rad(angles))
     values = np.stack([sif.k1, sif.k2, td], axis=-1)  # (p, n_angles, 3)
-    values = values.reshape(len(td), 3 * len(angles))
+    # each row is "x,y,angle," + "K1,K2,td," + best angle: the grid
+    # coordinates and the angles are formatted once, here
+    g = f"%.{precision}g"
+    coord_text = [g % c for c in coords.tolist()]
+    angle_text = [g % a for a in angles.tolist()]
+    coord = _text_slots(coord_text, ",")
+    angle, best_angle = _text_slots(angle_text, ","), _text_slots(angle_text, "\n")
+    angle_fields = [a + f",{g},{g},{g}," for a in angle_text]
+    width = precision + 7  # of a _format_g slot
+    lead = 2 * coord.shape[1] + angle.shape[1]
+    tail = lead + 3 * (width + 1)
+
+    def slot_rows(part):
+        # the chunk's rows as one uint8 array of zero-padded byte slots
+        n = len(td[part])
+        rows = np.zeros((n, n_angles, tail + best_angle.shape[1]), np.uint8)
+        rows[..., :coord.shape[1]] = coord[xs[part], None]
+        rows[..., coord.shape[1]:2 * coord.shape[1]] = coord[ys[part], None]
+        rows[..., 2 * coord.shape[1]:lead] = angle
+        cells = rows[..., lead:tail].reshape(n, n_angles, 3, width + 1)  # a view
+        cells[..., :width] = _format_g(values[part], precision).reshape(n, n_angles, 3, width)
+        cells[..., width] = ord(",")
+        rows[..., tail:] = best_angle[best[part], None]
+        return rows[rows != 0].tobytes().decode("ascii")
+
+    def percent_rows(part):
+        # one '%' per point, each value a Python float
+        text = []
+        for x, y, b, v in zip(xs[part].tolist(), ys[part].tolist(), best[part].tolist(), values[part]):
+            prefix = coord_text[x] + "," + coord_text[y] + ","
+            suffix = angle_text[b] + "\n"
+            text.append(prefix + (suffix + prefix).join(angle_fields) % tuple(v.ravel().tolist()) + suffix)
+        return "".join(text)
 
     def blocks():
         # the numbers are all computed above; only their text is made here,
-        # one point's block at a time, as main writes it, so each point's
-        # values become Python floats only for its own block
+        # a chunk of whole points at a time, as main writes it.  A chunk
+        # whose values mostly lie outside _format_g's exact range (as in
+        # units where |K| >= 2^63, or |td| < 1e-5 at precision 17) would
+        # pay for Python's '%' and the byte slots both, so it takes '%' alone
         yield "x,y,angle_deg,K1,K2,td,min_angle_deg\n"
-        for x, y, b, v in zip(xs.tolist(), ys.tolist(), best.tolist(), values):
-            prefix = coord_text[x] + "," + coord_text[y] + ","
-            suffix = angle_text[b] + "\n"
-            yield prefix + (suffix + prefix).join(angle_fields) % tuple(v.tolist()) + suffix
+        step = max(1, _MAP_ROWS // n_angles)
+        for start in range(0, len(td), step):
+            part = slice(start, start + step)
+            exact = np.count_nonzero(_exact_range(values[part], precision))
+            yield slot_rows(part) if 2 * exact >= values[part].size else percent_rows(part)
 
     return {"td_map.csv": blocks()}
 

@@ -9,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crackbem import cli
+from crackbem.asymptotics import orientation_scan
 from crackbem.cli import _csv, load_config, main
 from crackbem.errors import SolveFailed
 from crackbem.mesh import BoundaryMesh
@@ -150,27 +153,99 @@ def test_csv_rows_match_per_value_format(tmp_path):
         assert _csv(header, values.tolist(), precision) == expected
 
 
-@pytest.mark.parametrize("precision", [17, 6])
-def test_td_map_rows_match_per_value_format(tmp_path, precision):
-    # uniaxial load: the best angle of every kept point is one of the two
-    # next to 90 degrees, so the fields td-map formats once per point or once
-    # per command repeat across rows, and none of the angles is an integer
-    cfg = write_config(
-        tmp_path,
-        output={"precision": precision},
-        td_map={"n_grid": 5, "n_angles": 7, "margin": 0.2},
-    )
+def slot_text(slots) -> list:
+    """The texts of cli._format_g's slots: each row without its zero bytes."""
+    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in slots]
+
+
+# every binary64 value: subnormals, +-0, +-inf and nan included
+float64s = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True, width=64)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(values=st.lists(float64s, min_size=1, max_size=40), precision=st.integers(1, 17))
+def test_format_g_matches_percent_format(values, precision):
+    # one call formats values of many exponents at once, as td-map's chunks do
+    expected = ["%.*g" % (precision, v) for v in values]
+    assert slot_text(cli._format_g(np.array(values), precision)) == expected
+
+
+def test_format_g_edge_values():
+    powers = np.array([float(f"1e{k}") for k in range(-30, 26)])  # around 10^(p-22) and 10^p
+    ties = np.array([0.5, 1.5, 2.5, 9.5, 0.125, 0.375, 1e15 + 0.5, 2.0**52 + 0.5, 2.0**53 - 0.5])
+    ties = np.r_[ties, np.arange(1, 200) * 0.5, (np.arange(1, 200) + 0.5) * 2.0**-10]
+    values = np.r_[
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        ties, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**53 + 1,  # 2^53 + 1 rounds to 2^53
+        # above 10^p the digits come from integer division: ties, fractions
+        # and both sides of 2^63, where the exact range ends
+        (np.arange(1, 200) + 0.5) * 1e6, np.arange(1, 200) * 2.5e15 + 0.5,
+        2.0**63, np.nextafter(2.0**63, 0.0), np.nextafter(2.0**63, np.inf),
+        5e-324, np.finfo(float).max, np.finfo(float).tiny, 0.0, np.inf, np.nan,
+    ]
+    values = np.r_[values, -values]
+    for precision in range(1, 18):
+        expected = ["%.*g" % (precision, v) for v in values.tolist()]
+        assert slot_text(cli._format_g(values, precision)) == expected
+
+
+TD_MAP_CASES = [
+    pytest.param(None, 17, 1.0, id="17"),
+    pytest.param(None, 6, 1.0, id="6"),
+    # |K| and |td| of 1e6 to 1e14: digits by integer division
+    pytest.param(None, 6, 1e8, id="6-sigma1e8"),
+    # every value below 1e-5, formatted by Python's '%' one point at a time
+    pytest.param(None, 17, 1e-30, id="17-sigma1e-30"),
+    *(
+        pytest.param(path, precision, None, id=f"{path.stem}-{precision}")
+        for path in DEMO_CONFIGS for precision in (1, 6, 17)
+    ),
+]
+
+
+@pytest.mark.parametrize("demo, precision, scale", TD_MAP_CASES)
+def test_td_map_rows_match_per_value_format(tmp_path, monkeypatch, demo, precision, scale):
+    # every row is x, y, angle, K1, K2, td and best angle, each the
+    # '%.{precision}g' of the value the scan gave: the map's text is made in
+    # byte slots, so the file is rebuilt here one Python conversion a value
+    if demo is None:
+        # uniaxial load on a small grid whose angles are not integers
+        cfg = write_config(
+            tmp_path,
+            output={"precision": precision},
+            td_map={"n_grid": 5, "n_angles": 7, "margin": 0.2},
+            load={"sigma": [[scale, 0.0], [0.0, 0.0]]},
+        )
+    else:
+        config = json.loads(demo.read_text(encoding="utf-8"))
+        config.setdefault("td_map", {}).update(n_grid=40, n_angles=36)
+        config.setdefault("output", {})["precision"] = precision
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+    scans = []
+
+    def scan(background, points, thetas):
+        scans.append((points, thetas.size, orientation_scan(background, points, thetas)))
+        return scans[-1][2]
+
+    monkeypatch.setattr(cli, "orientation_scan", scan)
     out = tmp_path / "td"
     assert main(["td-map", "--config", str(cfg), "--out", str(out)]) == 0
-    written = (out / "td_map.csv").read_bytes()
-    header, *lines = written.decode("utf-8").splitlines()
-    assert len(lines) == 9 * 7
-    assert len({line.split(",")[6] for line in lines}) < 9  # points share best angles
-    rebuilt = header + "\n" + "".join(
-        ",".join(format(float(v), f".{precision}g") for v in line.split(",")) + "\n"
-        for line in lines
+    [(points, n_angles, (sif, td, best))] = scans
+    angles = np.arange(n_angles) * (180.0 / n_angles)
+    fmt = ",".join([f"%.{precision}g"] * 7) + "\n"
+    expected = "x,y,angle_deg,K1,K2,td,min_angle_deg\n" + "".join(
+        fmt % (x, y, angles[j], sif.k1[i, j], sif.k2[i, j], td[i, j], angles[best[i]])
+        for i, (x, y) in enumerate(points.tolist()) for j in range(n_angles)
     )
-    assert rebuilt.encode("utf-8") == written
+    written = (out / "td_map.csv").read_bytes()
+    assert written == expected.encode("ascii")
+    if demo is None:
+        # 9 kept points at 7 angles, and the best angle of each is one of the
+        # two next to 90 degrees, so the fields td-map formats once per point
+        # or once per command repeat across rows
+        assert written.count(b"\n") == 1 + 9 * 7
+        assert len(set(best.tolist())) < 9
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.2], ids=["floor", "margin"])
@@ -441,7 +516,7 @@ def test_td_map_scan_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
 
 
 def test_td_map_holds_less_than_its_csv(tmp_path):
-    # the map's text is written one grid point's block at a time, so the
+    # the map's text is written a chunk of grid points at a time, so the
     # command's traced peak (solver, scan and all) stays below the file's size
     cfg = write_config(
         tmp_path,
@@ -676,6 +751,35 @@ def test_invalid_loads_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, load={"sigma": [[1.0, 0.5], [0.0, 0.0]]})
     assert main(["solve", "--config", str(cfg)]) == 2
     assert "symmetric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_sigma_symmetry_is_relative(tmp_path, capsys, scale):
+    # sigma's asymmetry is judged against its own size, in any units
+    skew = write_config(tmp_path, "skew.json", load={"sigma": [[scale, scale], [0.0, 0.0]]})
+    assert main(["energy", "--config", str(skew), "--out", str(tmp_path / "skew")]) == 2
+    assert "symmetric" in capsys.readouterr().err
+    sigma = [[scale, scale], [scale * (1.0 + 1e-13), 0.0]]
+    near = write_config(tmp_path, "near.json", load={"sigma": sigma})
+    assert main(["energy", "--config", str(near), "--out", str(tmp_path / "near")]) == 0
+
+
+@pytest.mark.parametrize(
+    "cos, warned",
+    [([[s, 0.0], [0.0, 0.0], [s, 0.0]], True) for s in (1e-20, 1.0, 1e20)]
+    + [([[0.0, 0.0]], False)],
+    ids=["1e-20", "1", "1e20", "zero"],
+)
+def test_projection_warning_is_relative(tmp_path, capsys, cos, warned):
+    # a rigid mode-0 term beside a mode-2 load is removed with a warning in
+    # any units; a zero load has nothing to remove
+    cfg = write_config(
+        tmp_path,
+        load={"kind": "fourier-traction", "cos": cos, "sigma": None},
+        crack={"lengths": [0.2]},
+    )
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert ("rigid components removed" in capsys.readouterr().err) == warned
 
 
 def test_non_contracting_solve_exit_code(tmp_path, capsys):
