@@ -34,7 +34,7 @@ import numpy as np
 
 from .cracks import CrackSegment, _admit, crack_traction_samples, solve_cracked
 from .forward import BackgroundField
-from .kernels import LameParams
+from .kernels import LameParams, dlp_traction_kernel
 from .mesh import BoundaryField, BoundaryMesh
 
 __all__ = [
@@ -122,10 +122,14 @@ def _conormal_profile(
     background: BackgroundField, crack: CrackSegment, t0: np.ndarray
 ) -> np.ndarray:
     """dN/dnu_y(x_i, z) t0 at every boundary node, (n, 2), for the background
-    traction t0 across the crack line at its center: the leading perturbation
-    without its length factor, so it depends only on the crack's center and
-    direction."""
-    return background.solver.neumann_conormal_row(np.asarray(crack.center), crack.normal, t0)
+    traction t0 across the crack line at its center z: the leading
+    perturbation without its length factor, so it depends only on the
+    crack's center and direction.  Its callers have admitted the crack, so
+    z is not tested again: the row is one Neumann solve on the double-layer
+    traction kernel at z contracted with t0."""
+    mesh, mat = background.mesh, background.mat
+    data = dlp_traction_kernel(mesh.points, crack.center, crack.normal, mat)
+    return background.solver.solve_neumann(data @ t0)
 
 
 def _leading_factor(crack: CrackSegment, mat: LameParams) -> float:

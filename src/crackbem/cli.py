@@ -77,9 +77,10 @@ _REQUIRED = object()
 # the numbers of a list, must exceed the lower bound and may not exceed the
 # upper bound.  The upper bounds keep a run within minutes and memory: a
 # solver retains one (2 n_boundary + 3)^2 matrix, 2.15 GB at 8192, a crack
-# whose updates stall above a tiny tol stops after 1000 sweeps, and 17
-# digits already round-trip a double.  A section with a _REQUIRED key stays
-# absent when not given; one whose keys all have defaults is filled in.
+# whose updates stall above a tiny tol (relative to sup|u0|, as
+# cracks.solve_cracked stops) stops after 1000 sweeps, and 17 digits already
+# round-trip a double.  A section with a _REQUIRED key stays absent when not
+# given; one whose keys all have defaults is filled in.
 _SCHEMA = {
     "material": {"lambda": (float, _REQUIRED, None, None), "mu": (float, _REQUIRED, None, None)},
     "geometry": {
@@ -541,10 +542,14 @@ def cmd_solve(background, config: dict, sweep: dict, warnings: list) -> dict:
 def cmd_convergence(background, config: dict, sweep: dict, warnings: list) -> dict:
     records = length_sweep(background, **sweep)
     eps = np.array([r["eps"] for r in records])
-    floor = 10.0 * config["discretization"]["tol"]
+    # ten times the Picard stop tol * sup|u0|; an energy -1/2 Int w.g moves by
+    # at most that times 1/2 Int |g|, so each floor scales with its column
+    floor = 10.0 * config["discretization"]["tol"] * background.trace.sup_norm()
+    g = background.g
+    half_load = 0.5 * float(g.mesh.weights @ np.hypot(*g.values.T))
     slopes = {}
-    for key in ("sup_w", "sup_mismatch", "energy_mismatch"):
-        fit = fit_log_slope(eps, np.array([r[key] for r in records]), noise_floor=floor)
+    for key, scale in (("sup_w", 1.0), ("sup_mismatch", 1.0), ("energy_mismatch", half_load)):
+        fit = fit_log_slope(eps, np.array([r[key] for r in records]), noise_floor=floor * scale)
         slopes[key] = {"slope": fit.slope, "n_points_used": fit.n_points, "note": fit.note}
     columns = ["eps", "sup_w", "sup_mismatch", "energy_diff", "energy_formula", "energy_mismatch"]
     return {

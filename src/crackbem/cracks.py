@@ -256,16 +256,18 @@ def solve_cracked(
 ) -> CrackedSolution:
     """Solve the coupled crack/boundary system by Picard iteration on w.
 
-    Raises ValueError unless max_iterations >= 1 and tol > 0, admits the
-    crack through the background's record (BoundaryMesh.require_clearance
-    refuses its center and tips with its length, unless the record already
-    holds that crack), and raises SolveFailed if the trace update has not
-    dropped below tol in sup norm within max_iterations sweeps.
+    Raises ValueError unless max_iterations >= 1 and tol is positive and
+    finite, admits the crack through the background's record
+    (BoundaryMesh.require_clearance refuses its center and tips with its
+    length, unless the record already holds that crack), and raises
+    SolveFailed unless a sweep's trace update drops to tol * sup|u0| in sup
+    norm within max_iterations sweeps.  The stop is relative, so the same
+    problem in any units takes the same sweeps, and a zero load stops after one.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     solver = background.solver
     mesh = solver.mesh
     mat = solver.mat
@@ -290,6 +292,7 @@ def solve_cracked(
 
     w = np.zeros((mesh.n, 2))
     weighted_w = np.zeros(2 * mesh.n)
+    threshold = tol * background.trace.sup_norm()
     history = []
     for iteration in range(1, max_iterations + 1):
         f = f0 + feedback @ weighted_w
@@ -299,7 +302,7 @@ def solve_cracked(
         update = float(np.max(np.abs(w_new - w)))
         history.append(update)
         w = w_new
-        if update < tol:
+        if update <= threshold:
             psi = invert_finite_part_operator(
                 -(4.0 / mat.E) * f.reshape(2, -1).T @ frame.T, n_modes
             )
@@ -312,6 +315,6 @@ def solve_cracked(
             return CrackedSolution(background, crack, psi, BoundaryField(mesh, w), diagnostics)
         weighted_w = _weighted_in_frame(frame, mesh.weights, w)
     raise SolveFailed(
-        f"crack coupling did not contract to {tol:g} within {max_iterations} "
-        f"sweeps; last trace update {history[-1]:.3g}"
+        f"crack coupling did not contract to {threshold:.3g} ({tol:g} of sup|u0|) "
+        f"within {max_iterations} sweeps; last trace update {history[-1]:.3g}"
     )

@@ -1,5 +1,5 @@
-"""Boundary-integral forward solver: layer operators, background solve, and
-the conormal rows of the domain Green function.
+"""Boundary-integral forward solver: layer operators, the background solve
+and Neumann solves on one factor; it knows no crack.
 
 Discretization
 --------------
@@ -47,9 +47,9 @@ whose constraint rows enforce the rigid-motion orthogonality of w and whose
 extra columns absorb the compatibility defect of the right-hand side (the
 multipliers mu are returned by no solve; only the background residual
 check reads them).  One LU factorization serves every right-hand side
-(background solves, conormal rows, crack feedback updates), and
-every solve goes through lu_solve, a thin wrapper that calls LAPACK getrs
-on that factor and turns a nonzero info into scipy's ValueError.
+(background solves, the leading term's conormal row, crack feedback
+updates), and every solve goes through lu_solve, a thin wrapper that calls
+LAPACK getrs on that factor and turns a nonzero info into scipy's ValueError.
 """
 
 from __future__ import annotations
@@ -433,20 +433,6 @@ class BoundarySolver:
         if not residual <= 1e-6 * np.max(np.abs(rhs)):
             raise SolveFailed(f"background solve residual {residual:.3g}")
         return BackgroundField(self, BoundaryField.from_flat(self.mesh, x[: 2 * self.mesh.n]), g)
-
-    def neumann_conormal_row(self, z, e_perp, t) -> np.ndarray:
-        """Trace of x -> dN/dnu_y (x, z) t, N the traction Green function of
-        the domain, for crack normal e_perp and a traction vector t, (n, 2).
-
-        One solve of the boundary equation with the double-layer traction
-        kernel contracted with t as data (no rigid-motion datum: rigid
-        fields are stress-free); the solve is linear, so this is the
-        two-column row (one column per unit source) contracted with t.
-        The result is rigid-motion orthogonal.
-        """
-        self.mesh.require_clearance(z)
-        data = dlp_traction_kernel(self.mesh.points, z, e_perp, self.mat)
-        return self.solve_neumann(data @ np.asarray(t, dtype=float))
 
 
 def solve_background(mesh: BoundaryMesh, mat: LameParams, g: BoundaryField) -> BackgroundField:

@@ -397,8 +397,8 @@ def trace_from_neumann_representation(solution, n_quad: int = 48) -> np.ndarray:
     scale = crack.half_length**2
     out = np.zeros((solver.mesh.n, 2))
     for q in range(n_quad):
-        row = solver.neumann_conormal_row(crack.points(eta[q]), crack.normal, poly[q])
-        out += scale * weights[q] * row
+        row = neumann_conormal_row_ref(solver, crack.points(eta[q]), crack.normal)
+        out += scale * weights[q] * (row @ poly[q])
     return out
 
 
@@ -441,7 +441,7 @@ def solve_cracked_ref(background, crack, n_modes=32, tol=1e-11, max_iterations=5
         update = float(np.max(np.abs(w_new - w)))
         history.append(update)
         w = w_new
-        if update < tol:
+        if update <= tol * background.trace.sup_norm():
             diagnostics = {
                 "iterations": iteration,
                 "last_update": update,

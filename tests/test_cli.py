@@ -102,6 +102,32 @@ def test_convergence_outputs(tmp_path):
     assert slopes["sup_mismatch"]["slope"] > 3.0
 
 
+def test_si_scaled_disk_converges_as_the_unit_disk(tmp_path):
+    # lambda = mu = 8e10 divides every displacement by 8e10; the Picard stop
+    # and the noise floors are relative, so the sweeps, the slopes and the
+    # points they use stay those of the shipped unit-scale disk
+    demo = DEMO_CONFIGS[0].parent / "disk_uniaxial.json"
+    config = json.loads(demo.read_text(encoding="utf-8"))
+    config["material"] = {"lambda": 8e10, "mu": 8e10}
+    scaled = tmp_path / "si.json"
+    scaled.write_text(json.dumps(config), encoding="utf-8")
+    runs = {}
+    for name, path in (("unit", demo), ("si", scaled)):
+        for command in ("convergence", "solve"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        diagnostics = json.loads((tmp_path / name / "diagnostics.json").read_text())
+        slopes = json.loads((tmp_path / name / "slopes.json").read_text())
+        iterations = [d["iterations"] for d in diagnostics["per_length"].values()]
+        runs[name] = slopes, iterations
+    (unit, unit_iterations), (si, si_iterations) = runs["unit"], runs["si"]
+    assert si_iterations == unit_iterations
+    assert min(unit_iterations) > 1
+    for key, fit in unit.items():
+        assert si[key]["n_points_used"] == fit["n_points_used"] == 4
+        assert si[key]["note"] == fit["note"] == "ok"
+        assert abs(si[key]["slope"] - fit["slope"]) <= 1e-6
+
+
 def test_convergence_needs_three_lengths(tmp_path, capsys):
     cfg = write_config(tmp_path, crack={"lengths": [0.2, 0.1]})
     assert main(["convergence", "--config", str(cfg)]) == 2
@@ -562,11 +588,11 @@ def test_demo_configs_load(path):
 
 @pytest.mark.parametrize("command", ["solve", "convergence", "energy"])
 @pytest.mark.parametrize(
-    "name, calls", [("disk_uniaxial.json", 5), ("star_fourier_load.json", 4)]
+    "name, calls", [("disk_uniaxial.json", 4), ("star_fourier_load.json", 3)]
 )
 def test_one_clearance_test_per_crack(tmp_path, monkeypatch, command, name, calls):
     # the CLI tests each crack once, before the solver exists, and the sweep
-    # admits them as tested; only the Neumann row tests the center again
+    # admits them as tested, so nothing tests one again
     tests = []
     require = BoundaryMesh.require_clearance
 
@@ -578,8 +604,8 @@ def test_one_clearance_test_per_crack(tmp_path, monkeypatch, command, name, call
     path = DEMO_CONFIGS[0].parent / name
     lengths = json.loads(path.read_text(encoding="utf-8"))["crack"]["lengths"]
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    assert len(tests) == calls == len(lengths) + 1
-    assert tests == [*lengths, 0.0]
+    assert len(tests) == calls == len(lengths)
+    assert tests == lengths
 
 
 def test_exterior_crack_rejected(tmp_path, capsys):

@@ -22,15 +22,19 @@ from crackbem import (
     FourierStar,
     LameParams,
     build_mesh,
+    crack_traction_samples,
     dlp_traction_kernel,
     dlp_traction_gradient,
     kelvin_gradient,
     kelvin_matrix,
+    neumann_perturbation,
     project_off_rigid_motions,
     rigid_motion_basis,
     solve_cracked,
 )
 from crackbem import forward
+from crackbem.asymptotics import _conormal_profile
+from crackbem.cracks import _admit
 from crackbem.errors import CrackTooCloseToBoundary, EquilibriumViolated, SolveFailed
 from crackbem.forward import (
     _PANEL_ENTRIES,
@@ -541,39 +545,59 @@ def test_neumann_trace_is_rigid_orthogonal(solver_128):
         assert np.max(np.abs(f.rigid_moments())) < 1e-10
 
 
+def conormal_row(background, z, e_perp, t):
+    """The leading term's Neumann row (asymptotics._conormal_profile) at z
+    for crack normal e_perp, contracted with t, on a crack there that the
+    background has admitted first, as the row's callers do."""
+    crack = CrackSegment(center=tuple(z), direction=(e_perp[1], -e_perp[0]), length=0.05)
+    _admit(background, crack)
+    return _conormal_profile(background, crack, np.asarray(t, dtype=float))
+
+
 def test_neumann_row_equivariance(solver_128):
     # rotating source and direction by k node spacings permutes the row
     mesh = solver_128.mesh
+    background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
     k = 11
     angle = k * mesh.h
     rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     z = np.array([0.4, 0.15])
     e_perp = np.array([0.6, 0.8])
     for t in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-0.3, 0.7])):
-        row = solver_128.neumann_conormal_row(z, e_perp, t)
-        row_rot = solver_128.neumann_conormal_row(rot @ z, rot @ e_perp, rot @ t)
+        row = conormal_row(background, z, e_perp, t)
+        row_rot = conormal_row(background, rot @ z, rot @ e_perp, rot @ t)
         assert np.allclose(np.roll(row_rot, -k, axis=0), row @ rot.T, atol=1e-11)
 
 
 def test_neumann_conormal_row_is_the_two_column_row_contracted(solver_128):
     # one solve on the kernel contracted with t equals the two-column solve
-    # contracted with t: the solve is linear
+    # contracted with t: the solve is linear; this holds for the leading
+    # term's row at any t, and for neumann_perturbation at its own t0
+    background = constant_stress_background(solver_128, [[1.0, 0.3], [0.3, -0.5]])
     rng = np.random.default_rng(18)
     for _ in range(4):
         z = rng.uniform(-0.5, 0.5, size=2)
         angle, t = rng.uniform(0.0, 2.0 * np.pi), rng.standard_normal(2)
         e_perp = np.array([np.cos(angle), np.sin(angle)])
-        row = solver_128.neumann_conormal_row(z, e_perp, t)
+        row = conormal_row(background, z, e_perp, t)
         reference = neumann_conormal_row_ref(solver_128, z, e_perp) @ t
         assert row.shape == (solver_128.mesh.n, 2)
         assert np.max(np.abs(row - reference)) <= 1e-13 * np.max(np.abs(reference))
 
+        crack = CrackSegment(center=tuple(z), direction=(np.cos(angle), np.sin(angle)), length=0.1)
+        t0 = crack_traction_samples(background, crack, 0.0)[0]
+        leading = neumann_perturbation(background, crack)
+        reference = np.pi * 0.1**2 / (2.0 * background.mat.E) * (
+            neumann_conormal_row_ref(solver_128, z, crack.normal) @ t0
+        )
+        assert np.max(np.abs(leading - reference)) <= 1e-13 * np.max(np.abs(reference))
+
 
 def test_interior_guard(solver_128):
+    background = constant_stress_background(solver_128, np.diag([1.0, 0.3]))
+    crack = CrackSegment(center=(0.0, 0.999), direction=(1.0, 0.0), length=0.05)
     with pytest.raises(CrackTooCloseToBoundary):
-        solver_128.neumann_conormal_row(
-            np.array([0.0, 0.999]), np.array([1.0, 0.0]), np.array([1.0, 0.0])
-        )
+        neumann_perturbation(background, crack)
 
 
 coefficients = st.lists(st.floats(-0.15, 0.15), max_size=2)
@@ -593,11 +617,12 @@ def test_exterior_points_refused(cos, sin, theta, factor):
     solver = BoundarySolver(build_mesh(star, 64), LameParams(1.0, 1.0))
     point = factor * star.samples(theta)[0]
     g = BoundaryField(solver.mesh, solver.mesh.normals @ np.diag([1.0, 0.5]).T)
+    background = solver.solve_background(g)
     crack = CrackSegment(center=tuple(point), direction=(1.0, 0.0), length=0.05)
     with pytest.raises(CrackTooCloseToBoundary, match="outside the boundary"):
-        solve_cracked(solver.solve_background(g), crack)
+        solve_cracked(background, crack)
     with pytest.raises(CrackTooCloseToBoundary, match="outside the boundary"):
-        solver.neumann_conormal_row(point, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        neumann_perturbation(background, crack)
 
 
 @settings(max_examples=20, deadline=None, database=None)
