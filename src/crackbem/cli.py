@@ -191,7 +191,7 @@ def load_config(path: str, command: str) -> dict:
     their bounds, a Fourier geometry or load mode at or above n_boundary/2,
     a non-symmetric sigma, and for the commands but td-map a
     missing crack section or lengths, fewer than three for convergence and,
-    for solve, two lengths sharing an output tag.
+    for solve and convergence, two lengths sharing a '%g' tag.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -266,12 +266,17 @@ def load_config(path: str, command: str) -> dict:
         raise ConfigError("crack.lengths must be a nonempty list of positive numbers")
     if command == "convergence" and len(lengths) < 3:
         raise ConfigError("convergence requires at least 3 crack lengths")
-    if command == "solve":
-        # output files are named by tag, so two lengths with one tag would overwrite
+    if command in ("solve", "convergence"):
+        # solve names its output files by tag, so two lengths with one tag
+        # would overwrite; two equal lengths can leave convergence's slope
+        # fit undetermined
         tags = [f"{eps:g}" for eps in lengths]
         for i, tag in enumerate(tags):
             if tag in tags[:i]:
-                raise ConfigError(f"crack.lengths share the output tag '{tag}'")
+                raise ConfigError(
+                    f"crack.lengths share the output tag '{tag}'" if command == "solve"
+                    else f"crack.lengths repeat the length {tag}: convergence needs them distinct"
+                )
     return config
 
 
@@ -299,7 +304,17 @@ def _load_field(config: dict, mesh) -> tuple[BoundaryField, list]:
     field = BoundaryField(mesh, values)
     projected = project_off_rigid_motions(field)
     change = float(np.max(np.abs(projected.values - values)))
-    if change > 1e-12 * field.sup_norm():  # relative: a zero load stays silent
+    # a rigid load leaves zero or rounding, whose moments are of its own
+    # size, and a load all but about 1e-8 rigid leaves the projection's
+    # rounding: both are refused here, before the solver, by the rule of
+    # solve_background; a zero load passes
+    size, rest = field.sup_norm(), projected.sup_norm()
+    if size > 0.0 and not (rest > 1e-12 * size and projected.is_equilibrated()):
+        raise ConfigError(
+            f"fourier traction load is a rigid motion to rounding: without its rigid "
+            f"components, max |traction| is {rest:.3g} of {size:.3g}, too little to equilibrate"
+        )
+    if change > 1e-12 * size:  # relative: a zero load stays silent
         return projected, [
             f"fourier traction was not equilibrated; rigid components "
             f"removed (max adjustment {change:.3g})"

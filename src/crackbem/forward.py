@@ -48,7 +48,9 @@ extra columns absorb the compatibility defect of the right-hand side (the
 multipliers mu are returned by no solve; only the background residual
 check reads them).  One LU factorization serves every right-hand side
 (background solves, the leading term's conormal row, crack feedback
-updates), and every solve goes through lu_solve, a thin wrapper that calls
+updates), each one nodal (n, 2) array, which the matrices read as 2n
+node-major rows: solve_neumann and apply_single_layer take and return that
+layout only.  Every solve goes through lu_solve, a thin wrapper that calls
 LAPACK getrs on that factor and turns a nonzero info into scipy's ValueError.
 """
 
@@ -202,14 +204,19 @@ def assemble_double_layer(
     return out
 
 
+def _nodal(n: int, data) -> np.ndarray:
+    """data as a float (n, 2) array of nodal values; other shapes raise ValueError."""
+    data = np.asarray(data, dtype=float)
+    if data.shape != (n, 2):
+        raise ValueError(f"nodal data must have shape ({n}, 2), got {data.shape}")
+    return data
+
+
 def apply_single_layer(mesh: BoundaryMesh, mat: LameParams, density) -> np.ndarray:
-    """The single-layer (Kelvin) Nystrom matrix applied to a density of 2n
-    rows, (2n,) or (2n, k), without forming the 2n x 2n matrix; the result
-    has the density's shape."""
+    """The single-layer (Kelvin) Nystrom matrix applied to a nodal density
+    (n, 2), without forming the 2n x 2n matrix; the result is (n, 2)."""
     n, h, speed = mesh.n, mesh.h, mesh.speed
-    density = np.asarray(density, dtype=float)
-    phi = speed[:, None, None] * density.reshape(n, 2, -1)  # (n, 2, k)
-    flat = phi.reshape(n, -1)
+    phi = speed[:, None] * _nodal(n, density)
 
     # log|x - y| = log|2 sin((t-s)/2)| + (1/2) log(rho^2 / 4 sin^2): the log
     # circulant (multipliers -pi/|k|, 0 for the mean) minus h/2 log(4 sin^2)
@@ -221,29 +228,26 @@ def apply_single_layer(mesh: BoundaryMesh, mat: LameParams, density) -> np.ndarr
     column = np.real(np.fft.ifft(mult))
     column[1:] -= 0.5 * h * np.log(4.0 * np.sin(0.5 * h * k[1:]) ** 2)
     log_part = np.fft.irfft(
-        np.fft.rfft(column)[:, None] * np.fft.rfft(flat, axis=0), n, axis=0
+        np.fft.rfft(column)[:, None] * np.fft.rfft(phi, axis=0), n, axis=0
     )
     smooth_limit = h * np.log(speed)
 
     # rhat rhat^T term  r (r . phi)/rho^2, with the diagonal limit tau tau^T
     tau = mesh.first_deriv / speed[:, None]
-    rr = tau[:, :, None] * np.einsum("ik,ikc->ic", tau, phi)[:, None, :]
+    rr = tau * np.einsum("ik,ik->i", tau, phi)[:, None]
 
     for rows, r0, r1, rho2, diag in _row_panels(mesh.points):
-        q = np.empty_like(rho2)
-        for c in range(phi.shape[2]):
-            np.multiply(r0, phi[:, 0, c], out=q)
-            q += r1 * phi[:, 1, c]
-            q /= rho2
-            rr[rows, 0, c] += np.einsum("ij,ij->i", r0, q)
-            rr[rows, 1, c] += np.einsum("ij,ij->i", r1, q)
+        q = np.multiply(r0, phi[:, 0])
+        q += r1 * phi[:, 1]
+        q /= rho2
+        rr[rows, 0] += np.einsum("ij,ij->i", r0, q)
+        rr[rows, 1] += np.einsum("ij,ij->i", r1, q)
         smooth = np.log(rho2, out=rho2)
         smooth *= 0.5 * h
         smooth[diag] = smooth_limit[rows]
-        log_part[rows] += smooth @ flat
+        log_part[rows] += smooth @ phi
 
-    out = mat.lam_prime * log_part.reshape(phi.shape) - (mat.mu_prime * h) * rr
-    return out.reshape(density.shape)
+    return mat.lam_prime * log_part - (mat.mu_prime * h) * rr
 
 
 def _layer_sum(mesh: BoundaryMesh, kernel: np.ndarray, density: np.ndarray) -> np.ndarray:
@@ -385,25 +389,23 @@ class BoundarySolver:
         if not (np.isfinite(lu.min()) and np.isfinite(lu.max())):
             raise ValueError("array must not contain infs or NaNs")
 
-    def solve_neumann(self, rhs: np.ndarray) -> np.ndarray:
+    def solve_neumann(self, rhs) -> np.ndarray:
         """Solve (-I/2 + K) w = rhs with rigid-motion orthogonality.
 
-        rhs holds 2n rows per right-hand side: (n, 2) nodal values, a flat
-        (2n,) vector, or a stack (2n, k) or (n, 2, k); the solution has the
-        input's shape.  The border columns absorb the off-range part of rhs;
-        their multipliers are not returned.  A non-finite rhs raises
-        ValueError.
+        rhs and the solution w are nodal (n, 2) arrays; any other shape
+        raises ValueError naming (n, 2), and so does a non-finite rhs.  The
+        border columns absorb the off-range part of rhs; their multipliers
+        are not returned.
         """
-        return self._solve_bordered(rhs)[: 2 * self.mesh.n].reshape(np.shape(rhs))
+        return self._solve_bordered(rhs)[: 2 * self.mesh.n].reshape(self.mesh.n, 2)
 
     def _solve_bordered(self, rhs) -> np.ndarray:
-        """The bordered solution [w; mu], (2n + 3, k), of right-hand sides
-        of 2n rows, refusing a non-finite rhs with ValueError."""
-        rhs = np.asarray_chkfinite(rhs, dtype=float)
-        n2 = 2 * self.mesh.n
-        bordered = np.zeros((n2 + 3, rhs.size // n2))
-        bordered[:n2] = rhs.reshape(n2, -1)
-        return lu_solve(self._neumann_lu, bordered)
+        """The bordered solution [w; mu], (2n + 3,), of nodal data rhs
+        (n, 2), refusing any other shape and a non-finite rhs with ValueError."""
+        rhs = _nodal(self.mesh.n, np.asarray_chkfinite(rhs, dtype=float))
+        bordered = np.zeros((rhs.size + 3, 1))
+        bordered[:-3, 0] = rhs.reshape(-1)
+        return lu_solve(self._neumann_lu, bordered)[:, 0]
 
     def _bordered_product(self, x: np.ndarray) -> np.ndarray:
         """B x for the bordered matrix B = P L U, (2n + 3,), through its
@@ -415,26 +417,27 @@ class BoundarySolver:
         return dlaswp(y[:, None], piv, inc=-1, overwrite_a=1)[:, 0]
 
     def solve_background(self, g: BoundaryField) -> BackgroundField:
-        """Solve the crack-free traction problem for data g equilibrated to 1e-8.
+        """Solve the crack-free traction problem for nodal traction data g,
+        equilibrated relative to its own size (g.is_equilibrated()).
 
         The bordered solution [w; mu] must satisfy its system to 1e-6 of
         max|rhs|, or SolveFailed is raised: a relative bound, which holds in
         any units.  The data's compatibility defect, which mu absorbs, is
         bounded by the equilibrium check instead."""
-        if not g.is_equilibrated(1e-8):
+        if not g.is_equilibrated():
             raise EquilibriumViolated(
                 f"traction data has rigid-motion moments {g.rigid_moments()}; "
                 "the problem is unsolvable"
             )
-        rhs = apply_single_layer(self.mesh, self.mat, g.flat())
-        x = self._solve_bordered(rhs)[:, 0]
-        residual = np.max(np.abs(self._bordered_product(x) - np.pad(rhs, (0, 3))))
+        rhs = apply_single_layer(self.mesh, self.mat, g.values)
+        x = self._solve_bordered(rhs)
+        residual = np.max(np.abs(self._bordered_product(x) - np.pad(rhs.reshape(-1), (0, 3))))
         # written so that a NaN residual fails too
         if not residual <= 1e-6 * np.max(np.abs(rhs)):
             raise SolveFailed(f"background solve residual {residual:.3g}")
-        return BackgroundField(self, BoundaryField.from_flat(self.mesh, x[: 2 * self.mesh.n]), g)
+        return BackgroundField(self, BoundaryField(self.mesh, x[:-3].reshape(-1, 2)), g)
 
 
 def solve_background(mesh: BoundaryMesh, mat: LameParams, g: BoundaryField) -> BackgroundField:
-    """Convenience wrapper: build a solver and solve the crack-free problem."""
+    """Convenience wrapper: BoundarySolver(mesh, mat).solve_background(g)."""
     return BoundarySolver(mesh, mat).solve_background(g)

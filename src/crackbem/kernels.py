@@ -127,15 +127,21 @@ class LameParams:
                 f"got lam={lam}, mu={mu}"
             )
         denom = lam + 2.0 * mu
+        kelvin = 2.0 * mu * denom or math.nan  # if it underflows, nan, not ZeroDivisionError
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "A", (lam + 3.0 * mu) / (2.0 * mu * denom))
-        object.__setattr__(self, "B", (lam + mu) / (2.0 * mu * denom))
+        object.__setattr__(self, "A", (lam + 3.0 * mu) / kelvin)
+        object.__setattr__(self, "B", (lam + mu) / kelvin)
         object.__setattr__(self, "lam_prime", self.A / (2.0 * np.pi))
         object.__setattr__(self, "mu_prime", self.B / (2.0 * np.pi))
         object.__setattr__(self, "a", -mu / (2.0 * np.pi * denom))
         object.__setattr__(self, "b", -(lam + mu) / (np.pi * denom))
         object.__setattr__(self, "E", 4.0 * mu * (lam + mu) / denom)
+        # moduli near the ends of the float range (mu = 1e-170 or 1e170)
+        if not all(0.0 < abs(v) < math.inf for v in (self.A, self.B, self.a, self.b, self.E)):
+            raise ValueError(
+                f"material out of range: lam={lam}, mu={mu} over- or underflow A, B, a, b or E"
+            )
 
 
 def _offset(x, y=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -261,7 +261,8 @@ def build_mesh(shape, n_nodes: int) -> BoundaryMesh:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryField:
-    """Vector-valued nodal function on a boundary mesh, values (n, 2).
+    """Vector-valued nodal function on a boundary mesh, values (n, 2), a
+    read-only copy of the given values.
 
     Fields compare and hash by identity: equal values on one mesh are two
     fields, not one.
@@ -271,19 +272,13 @@ class BoundaryField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != (self.mesh.n, 2):
             raise MeshError(
                 f"field shape {v.shape} incompatible with mesh of {self.mesh.n} nodes"
             )
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_flat(cls, mesh: BoundaryMesh, flat: np.ndarray) -> "BoundaryField":
-        return cls(mesh, np.asarray(flat, dtype=float).reshape(mesh.n, 2))
-
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -307,9 +302,11 @@ class BoundaryField:
         basis = rigid_motion_basis(self.mesh.points)
         return np.einsum("i,ija,ij->a", self.mesh.weights, basis, self.values)
 
-    def is_equilibrated(self, tol: float = 1e-10) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.values))))
-        return bool(np.all(np.abs(self.rigid_moments()) <= tol * scale * self.mesh.perimeter))
+    def is_equilibrated(self) -> bool:
+        """Whether every rigid-motion moment is at most 1e-8 max|f| times the
+        perimeter, a bound in any units; a zero field is, a non-finite not."""
+        scale = 1e-8 * self.sup_norm() * self.mesh.perimeter
+        return bool(np.all(np.abs(self.rigid_moments()) <= scale))
 
     def __add__(self, other: "BoundaryField") -> "BoundaryField":
         self._check_same_mesh(other)

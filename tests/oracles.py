@@ -405,9 +405,10 @@ def trace_from_neumann_representation(solution, n_quad: int = 48) -> np.ndarray:
 def neumann_conormal_row_ref(solver, z, e_perp):
     """Trace of x -> dN/dnu_y (x, z) for crack normal e_perp as two columns,
     (n, 2, 2): column k solves the boundary equation with column k of the
-    double-layer traction kernel as data."""
+    double-layer traction kernel as data, one nodal solve per column."""
     solver.mesh.require_clearance(z)
-    return solver.solve_neumann(dlp_traction_kernel(solver.mesh.points, z, e_perp, solver.mat))
+    kernel = dlp_traction_kernel(solver.mesh.points, z, e_perp, solver.mat)
+    return np.stack([solver.solve_neumann(kernel[..., k]) for k in range(2)], axis=-1)
 
 
 def solve_cracked_ref(background, crack, n_modes=32, tol=1e-11, max_iterations=50):
@@ -490,7 +491,11 @@ def _neumann_regular_part_ref(solver, z):
     kelvin_traction = dlp_traction_kernel(z, mesh.points, mesh.normals, mat)
     # [i, j, k] = traction component j of column k
     data = kelvin_traction.transpose(0, 2, 1).reshape(n2, 2) + datum
-    regular = solver.solve_neumann(apply_single_layer(mesh, mat, data))
+    # one nodal (n, 2) single layer and solve per column
+    regular = np.stack([
+        solver.solve_neumann(apply_single_layer(mesh, mat, column.reshape(-1, 2))).reshape(-1)
+        for column in data.T
+    ], axis=-1)
     raw_trace = regular - kelvin_matrix(mesh.points - z, mat).reshape(n2, 2)
     return data, regular, raw_trace
 

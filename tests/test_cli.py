@@ -4,6 +4,7 @@ exit codes, all run in-process through main()."""
 import csv
 import filecmp
 import json
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crackbem import cli
+from crackbem import BoundarySolver, LameParams, build_mesh, cli, neumann_perturbation
 from crackbem.asymptotics import orientation_scan
 from crackbem.cli import _csv, load_config, main
 from crackbem.errors import SolveFailed
@@ -737,13 +738,19 @@ def test_foreign_keys_and_partial_sections_refused(tmp_path, capsys, command, ov
         ("energy", {"crack": {"lengths": []}}, "crack.lengths must be a nonempty list"),
         ("convergence", {}, "convergence requires at least 3 crack lengths"),
         ("solve", {"crack": {"lengths": [0.1, 0.1]}}, "share the output tag '0.1'"),
+        ("convergence", {"crack": {"lengths": [0.1, 0.05, 0.1]}}, "repeat the length 0.1"),
+        (
+            "convergence", {"crack": {"lengths": [0.1, 0.05, 0.1000001]}},
+            "repeat the length 0.1: convergence needs them distinct",
+        ),
         ("td-map", {"load": {"sigma": [[1.0, 0.5], [0.0, 0.0]]}}, "load.sigma must be symmetric"),
         ("energy", {"crack": {"center": [5.0, 0.0]}}, "point (5, 0) is outside the boundary"),
         ("solve", {"crack": {"lengths": [0.2, 0.9]}}, "not smaller than the distance"),
         ("td-map", {"td_map": {"margin": 5.0}}, "td_map keeps no grid point"),
     ],
     ids=[
-        "no-crack", "no-lengths", "two-lengths", "shared-tag", "non-symmetric-sigma",
+        "no-crack", "no-lengths", "two-lengths", "shared-tag", "repeated-length",
+        "repeated-tag", "non-symmetric-sigma",
         "exterior-crack", "oversized-crack", "empty-td-map",
     ],
 )
@@ -821,18 +828,41 @@ def test_oversized_crack_rejected(tmp_path, capsys):
 
 
 def test_fourier_traction_projection_warning(tmp_path, capsys):
-    # constant traction is not equilibrated; the loader removes the rigid
-    # part, warns, and carries on
+    # a constant traction is all rigid motion: removing its rigid part
+    # leaves only rounding, so it is refused, not solved with a warning
     cfg = write_config(
         tmp_path,
         load={"kind": "fourier-traction", "cos": [[1.0, 0.0]], "sigma": None},
         crack={"lengths": [0.2]},
     )
     out = tmp_path / "warned"
-    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-    assert "rigid components removed" in capsys.readouterr().err
-    diag = json.loads((out / "diagnostics.json").read_text())
-    assert len(diag["warnings"]) == 1
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "fourier traction load is a rigid motion" in err
+    assert "rigid components removed" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cos, sin",
+    [([[s, 0.0]], []) for s in (1e-20, 1.0, 1e20)]
+    + [([[0.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0]]), ([[1.0, 0.0], [0.0, 0.0], [1e-10, 0.0]], [])],
+    ids=["1e-20", "1", "1e20", "rotation", "nearly-rigid"],
+)
+def test_rigid_only_fourier_load_refused_before_the_solver(tmp_path, capsys, monkeypatch, cos, sin):
+    # a constant traction, or the unit disk's rotation (-sin t, cos t), in
+    # any units: its projected remainder is rounding whose moments are of
+    # its own size, so solve_background's equilibrium rule refuses it with
+    # exit 2 before any solver; so it does a mode-2 load 1e-10 of a rigid
+    # one, whose rest keeps the projection's rounding, moments 1e-6 of it
+    monkeypatch.setattr(cli, "BoundarySolver", lambda *args: pytest.fail("a solver was built"))
+    cfg = write_config(
+        tmp_path, load={"kind": "fourier-traction", "cos": cos, "sin": sin, "sigma": None}
+    )
+    out = tmp_path / "x"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "fourier traction load is a rigid motion" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_output_directory_from_config(tmp_path):
@@ -855,3 +885,133 @@ def test_ellipse_geometry_runs(tmp_path):
         crack={"center": [0.0, 0.0], "lengths": [0.15]},
     )
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "ell")]) == 0
+
+
+def _numbers_finite(value) -> bool:
+    """Whether every number in parsed JSON is finite; null and text pass."""
+    if isinstance(value, dict):
+        return all(_numbers_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_numbers_finite(v) for v in value)
+    return not isinstance(value, float) or np.isfinite(value)
+
+
+def _measurable_lengths(path) -> int:
+    """How many cracks of a convergence config have a leading term
+    (neumann_perturbation) above ten times the sup_w noise floor
+    10 tol sup|u0| of cmd_convergence: zero when the crack-line traction
+    vanishes, as it does for a zero load."""
+    config = load_config(path, "convergence")
+    mesh = build_mesh(cli._shape(config), config["discretization"]["n_boundary"])
+    g, _ = cli._load_field(config, mesh)
+    mat = LameParams(config["material"]["lambda"], config["material"]["mu"])
+    background = BoundarySolver(mesh, mat).solve_background(g)
+    floor = 10.0 * config["discretization"]["tol"] * background.trace.sup_norm()
+    cracks = cli._crack_sweep(config, mesh)["cracks"]
+    return sum(np.max(np.abs(neumann_perturbation(background, c))) > 10.0 * floor for c in cracks)
+
+
+@st.composite
+def whole_configs(draw):
+    """A config over _SCHEMA's sections, kinds and bounds, drawn so that
+    many configs solve.  Lengths, the crack center and the td-map margin
+    are in units of the curve's size (10^-3 to 10^3), the moduli in units
+    of 10^k (|k| <= 12) and the load in units of 10^k (|k| <= 20).
+    Hypothesis also draws the ends of each range, so mu reaches 0 and
+    subnormal values.  One draw in ten of each of these makes a refusal: a
+    negative curve size, a crack center up to 1.5 sizes out, one or two
+    lengths, a repeated length, a non-symmetric sigma and an odd
+    n_boundary; lam + mu <= 0 and cracks too near the wall come unbidden.
+    Counts are capped at what runs in milliseconds: n_boundary 16-64, at
+    most 64 Chebyshev modes and a 10 x 10 x 12 td-map."""
+    def number(low, high):
+        return draw(st.floats(low, high))
+
+    def rarely() -> bool:
+        return draw(st.integers(0, 9)) == 0
+
+    def vectors(scale):
+        count = draw(st.integers(0, 3))
+        return [[number(-2.0, 2.0) * scale, number(-2.0, 2.0) * scale] for _ in range(count)]
+
+    size = 10.0 ** number(-3.0, 3.0)
+    sign = -1.0 if rarely() else 1.0
+    kind = draw(st.sampled_from(["disk", "ellipse", "fourier"]))
+    if kind == "disk":
+        geometry = {"kind": kind, "radius": sign * number(0.5, 1.0) * size}
+    elif kind == "ellipse":
+        a, b = sign * number(0.5, 1.0) * size, number(0.5, 1.0) * size
+        geometry = {"kind": kind, "a": a, "b": b}
+    else:
+        coefficients = st.lists(st.floats(-0.15, 0.15), max_size=2)
+        geometry = {
+            "kind": kind, "r0": sign * number(0.5, 1.0) * size,
+            "cos": [c * size for c in draw(coefficients)],
+            "sin": [c * size for c in draw(coefficients)],
+        }
+    scale = 10.0 ** draw(st.integers(-20, 20))
+    if draw(st.booleans()):
+        s11, s12, s22 = (number(-2.0, 2.0) * scale for _ in range(3))
+        s21 = number(-2.0, 2.0) * scale if rarely() else s12
+        load = {"kind": "constant-stress", "sigma": [[s11, s12], [s21, s22]]}
+    else:
+        load = {"kind": "fourier-traction", "cos": vectors(scale), "sin": vectors(scale)}
+    mu = number(0.0, 5.0) * 10.0 ** draw(st.integers(-12, 12))
+    reach = 1.5 if rarely() else 0.2
+    # distinct powers of two apart, so that no two share an output tag
+    count = 1 if rarely() else 3
+    powers = draw(st.lists(st.integers(1, 10), min_size=count, max_size=5, unique=True))
+    longest = number(0.005, 0.2) * size
+    lengths = [longest * 0.5 ** k for k in powers]
+    if rarely():
+        lengths.append(lengths[0])
+    n_boundary = draw(st.integers(16, 64))
+    n_boundary += 0 if rarely() else n_boundary % 2
+    return {
+        "material": {"lambda": number(-1.2, 4.0) * mu, "mu": mu},
+        "geometry": geometry,
+        "load": load,
+        "crack": {
+            "center": [number(-reach, reach) * size, number(-reach, reach) * size],
+            "angle_degrees": number(-360.0, 360.0),
+            "lengths": lengths,
+        },
+        "discretization": {
+            "n_boundary": n_boundary, "n_cheb_modes": draw(st.integers(1, 64)),
+            "tol": 10.0 ** number(-15.0, 1.0), "max_iterations": draw(st.integers(1, 1000)),
+        },
+        "output": {"precision": draw(st.integers(1, 17))},
+        "td_map": {
+            "n_grid": draw(st.integers(1, 10)), "n_angles": draw(st.integers(1, 12)),
+            "margin": number(0.0, 0.3) * size,
+        },
+    }
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(config=whole_configs())
+def test_whole_configs_exit_cleanly(config):
+    # every command exits 0, 2 or 3 with no exception, writes only finite
+    # numbers, and writes nothing unless it exits 0; a convergence run to a
+    # tight tol measures a sup_w slope unless the crack-line traction
+    # vanishes below its noise floor
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        for command in ("solve", "convergence", "td-map", "energy"):
+            out = Path(tmp) / command
+            code = main([command, "--config", str(path), "--out", str(out)])
+            assert code in (0, 2, 3)
+            if code != 0:
+                assert not out.exists()
+                continue
+            for file in out.iterdir():
+                if file.suffix == ".csv":
+                    values = [float(v) for row in read_csv(file)[1:] for v in row]
+                    assert np.all(np.isfinite(values)), file.name
+                else:
+                    assert _numbers_finite(json.loads(file.read_text())), file.name
+            if command == "convergence" and config["discretization"]["tol"] <= 1e-9:
+                slopes = json.loads((out / "slopes.json").read_text())
+                if slopes["sup_w"]["slope"] is None:
+                    assert _measurable_lengths(path) < 2

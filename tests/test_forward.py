@@ -1,6 +1,7 @@
 """Boundary-integral forward machinery: layer operators, the rank-completed
 Neumann solve, interior evaluation, and the Green-function rows."""
 
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -111,11 +112,11 @@ def test_assembly_matches_identity_fft_oracles(shape, n):
             scale = np.max(np.abs(reference))
             assert np.max(np.abs(value - reference)) <= 1e-13 * scale
         single = assemble_single_layer_ref(mesh, mat)
-        for columns in ((), (2,)):
-            density = rng.standard_normal((2 * n, *columns))
-            reference = single @ density
+        for _ in range(2):
+            density = rng.standard_normal((n, 2))
+            reference = (single @ density.reshape(-1)).reshape(n, 2)
             value = apply_single_layer(mesh, mat, density)
-            assert value.shape == reference.shape
+            assert value.shape == (n, 2)
             scale = np.max(np.abs(reference))
             assert np.max(np.abs(value - reference)) <= 1e-13 * scale
 
@@ -172,7 +173,7 @@ def test_layers_keep_no_n_by_n_temporary():
     square = 8 * n * n
     block = np.empty((2 * n, 2 * n))
     assert _traced_peak(lambda: assemble_double_layer(mesh, mat, out=block)) < square
-    density = np.random.default_rng(0).standard_normal((2 * n, 2))
+    density = np.random.default_rng(0).standard_normal((n, 2))
     assert _traced_peak(lambda: apply_single_layer(mesh, mat, density)) < square
     g = BoundaryField(mesh, mesh.normals @ np.diag([1.0, 0.3]))
     bordered = 8 * (2 * n + 3) ** 2
@@ -262,8 +263,8 @@ def test_operator_has_exactly_three_null_directions(operator_128):
 
 def test_single_layer_of_constant_density(solver_128):
     # unit disk, lam = mu = 1: S[e1] = -e1/6 (the log term integrates to zero)
-    const = np.tile([1.0, 0.0], (solver_128.mesh.n, 1)).reshape(-1)
-    out = apply_single_layer(solver_128.mesh, solver_128.mat, const).reshape(-1, 2)
+    const = np.tile([1.0, 0.0], (solver_128.mesh.n, 1))
+    out = apply_single_layer(solver_128.mesh, solver_128.mat, const)
     assert np.allclose(out, [-1.0 / 6.0, 0.0], atol=1e-12)
 
 
@@ -271,8 +272,8 @@ def test_jump_relation_for_regular_field(solver_128, operator_128, mat):
     # (-I/2 + K) u| = S[du/dnu] for a field with no singularity inside
     mesh = solver_128.mesh
     trace, g = exterior_kelvin_field(mesh, mat, np.array([2.5, 0.4]), np.array([1.0, -0.5]))
-    lhs = operator_128 @ trace.reshape(-1)
-    rhs = apply_single_layer(mesh, mat, g.reshape(-1))
+    lhs = (operator_128 @ trace.reshape(-1)).reshape(-1, 2)
+    rhs = apply_single_layer(mesh, mat, g)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -423,6 +424,31 @@ def test_unbalanced_traction_rejected(solver_128):
         solver_128.solve_background(g)
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_equilibrium_check_is_relative(scale):
+    # the rigid moments are measured against the data's own size: a constant
+    # traction is refused and an equilibrated one solves, in any units
+    solver = BoundarySolver(build_mesh(Disk(), 64), LameParams(1.0, 1.0))
+    mesh = solver.mesh
+    constant = BoundaryField(mesh, np.tile([scale, 0.0], (mesh.n, 1)))
+    with pytest.raises(EquilibriumViolated, match="rigid-motion moments"):
+        solver.solve_background(constant)
+    background = solver.solve_background(BoundaryField(mesh, scale * mesh.normals))
+    assert np.isfinite(background.trace.sup_norm())
+
+
+def test_fields_are_read_only(solver_128):
+    # a background's trace and data cannot change behind its admission
+    # record: each field holds a read-only copy of the values it was given
+    values = solver_128.mesh.normals @ np.diag([1.0, 0.3])
+    background = solver_128.solve_background(BoundaryField(solver_128.mesh, values))
+    for field in (background.trace, background.g):
+        with pytest.raises(ValueError, match="read-only"):
+            field.values[0, 0] = 1.0
+    values[0, 0] = 7.0
+    assert background.g.values[0, 0] != 7.0
+
+
 def test_non_finite_traction_rejected(solver_128):
     values = solver_128.mesh.normals.copy()
     values[3, 0] = np.nan
@@ -445,8 +471,11 @@ def test_lu_solve_is_scipys_lu_solve(solver_128, columns):
     assert np.array_equal(forward.lu_solve(solver_128._neumann_lu, rhs.copy()), expected)
 
 
-@pytest.mark.parametrize("shape", [(128, 2), (256,), (128, 2, 3)])
+@pytest.mark.parametrize("shape", [(128, 2), (256,), (2, 128), (128, 2, 3)])
 def test_solve_neumann_calls_lu_solve_once(solver_128, monkeypatch, shape):
+    # nodal (n, 2) data is one lu_solve call on one column; a flat, a
+    # component-major or a stacked array holds the same 2n numbers per
+    # column but is refused, by the single layer too, naming (n, 2)
     calls = []
     solve = forward.lu_solve
 
@@ -455,9 +484,19 @@ def test_solve_neumann_calls_lu_solve_once(solver_128, monkeypatch, shape):
         return solve(factor, rhs)
 
     monkeypatch.setattr(forward, "lu_solve", counting)
+    mesh = solver_128.mesh
     rhs = np.random.default_rng(6).standard_normal(shape)
-    assert solver_128.solve_neumann(rhs).shape == shape
-    assert calls == [(2 * solver_128.mesh.n + 3, rhs.size // (2 * solver_128.mesh.n))]
+    if shape == (mesh.n, 2):
+        assert solver_128.solve_neumann(rhs).shape == shape
+        assert apply_single_layer(mesh, solver_128.mat, rhs).shape == shape
+        assert calls == [(2 * mesh.n + 3, 1)]
+        return
+    expected = re.escape(f"must have shape ({mesh.n}, 2), got {shape}")
+    with pytest.raises(ValueError, match=expected):
+        solver_128.solve_neumann(rhs)
+    with pytest.raises(ValueError, match=expected):
+        apply_single_layer(mesh, solver_128.mat, rhs)
+    assert calls == []
 
 
 def test_non_finite_factor_is_refused(mat, monkeypatch):
@@ -489,21 +528,16 @@ def test_non_finite_matrix_is_refused(mat, monkeypatch, value):
 
 
 def test_solve_neumann_layout_round_trip(solver_128, operator_128):
-    # data manufactured inside the operator range so the residual vanishes
+    # data manufactured inside the operator range so the residual vanishes;
+    # the nodal rows of rhs are the node-major rows of the matrix
     rng = np.random.default_rng(2)
-    rhs = operator_128 @ rng.standard_normal(2 * solver_128.mesh.n)
-    flat = solver_128.solve_neumann(rhs)
-    nodal = solver_128.solve_neumann(rhs.reshape(-1, 2))
-    stacked = solver_128.solve_neumann(np.stack([rhs, 2 * rhs], axis=-1))
-    nodal_stack = solver_128.solve_neumann(np.stack([rhs, 2 * rhs], axis=-1).reshape(-1, 2, 2))
-    assert nodal_stack.shape == (solver_128.mesh.n, 2, 2)
-    assert np.allclose(nodal_stack.reshape(-1, 2), stacked, atol=1e-14)
-    assert np.allclose(nodal.reshape(-1), flat, atol=1e-14)
-    assert np.allclose(stacked[:, 0], flat, atol=1e-14)
-    assert np.allclose(stacked[:, 1], 2 * flat, atol=1e-12)
+    rhs = (operator_128 @ rng.standard_normal(2 * solver_128.mesh.n)).reshape(-1, 2)
+    nodal = solver_128.solve_neumann(rhs)
+    assert nodal.shape == (solver_128.mesh.n, 2)
+    assert np.allclose(solver_128.solve_neumann(2 * rhs), 2 * nodal, atol=1e-12)
     # the solution solves the equation and is rigid-orthogonal
-    assert np.max(np.abs(operator_128 @ flat - rhs)) < 1e-10
-    moments = BoundaryField.from_flat(solver_128.mesh, flat).rigid_moments()
+    assert np.max(np.abs(operator_128 @ nodal.reshape(-1) - rhs.reshape(-1))) < 1e-10
+    moments = BoundaryField(solver_128.mesh, nodal).rigid_moments()
     assert np.max(np.abs(moments)) < 1e-12
 
 

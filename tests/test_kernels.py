@@ -88,6 +88,17 @@ def test_material_refuses_non_finite(lam, mu, name):
         LameParams(lam, mu)
 
 
+@pytest.mark.parametrize(
+    "lam, mu", [(0.0, 5e-324), (0.0, 1e-170), (1e-170, 1e-170), (0.0, 1e170), (1e308, 1e-300)]
+)
+def test_material_refuses_moduli_its_constants_cannot_hold(lam, mu):
+    # admissible moduli whose kernel constants overflow or underflow are
+    # refused like inadmissible ones, with ValueError (a subnormal mu used to
+    # raise ZeroDivisionError, and a of lam = 1e308, mu = 1e-300 read 0)
+    with pytest.raises(ValueError, match=r"material out of range: .* over- or underflow A, B"):
+        LameParams(lam, mu)
+
+
 def test_kelvin_matrix_literals():
     # lam=0, mu=1: lam' = 3/(8 pi), mu' = 1/(8 pi); log term vanishes at |d|=1
     phi = kelvin_matrix(np.array([1.0, 0.0]), LameParams(0.0, 1.0))
